@@ -28,7 +28,7 @@ print("  G =", np.round(gs.matrix.real, 6).tolist(), " rhs =", np.round(gs.rhs.r
 print()
 
 print("Hardy-space distances for f = 1 - z1 z2 (exact value 1/(n+2)):")
-print(f"{'n':>3} | {'full solve':>12} | {'diagonal solve':>14} | {'1/(n+2)':>10} | {'cond(G)':>9}")
+print(f"{'n':>3} | {'full solve':>12} | {'diagonal solve':>14} | {'1/(n+2)':>10} | {'cond_1(G)':>9}")
 for n in range(0, 9):
     full = solve_optimal(f, 0.0, BasisSpec.full(n))
     diag = diagonal_reduce_solve(f, 0.0, n, pat)

@@ -17,7 +17,6 @@ decaying / plateau / inconclusive.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -120,13 +119,15 @@ class TheoryRate:
         return 1.0
 
 
-def _solve_for(f: TwoVarSeries, a, n: int, basis: str, pattern) -> ApproximantResult:
+def _solve_for(
+    f: TwoVarSeries, a, n: int, basis: str, pattern, ortho_tol: Optional[float]
+) -> ApproximantResult:
     if basis == "diagonal":
-        return diagonal_reduce_solve(f, a, n, pattern)
+        return diagonal_reduce_solve(f, a, n, pattern, ortho_tol=ortho_tol)
     if basis == "full":
-        return solve_optimal(f, a, BasisSpec.full(n))
+        return solve_optimal(f, a, BasisSpec.full(n), ortho_tol=ortho_tol)
     if basis == "onevar":
-        return solve_optimal(f, a, BasisSpec.onevar(n))
+        return solve_optimal(f, a, BasisSpec.onevar(n), ortho_tol=ortho_tol)
     raise ValueError(f"unknown basis kind {basis!r}")
 
 
@@ -136,14 +137,14 @@ def decay_scan(
     n_values: Sequence[int],
     basis: str = "full",
     pattern: Optional[DiagonalPattern] = None,
-    workers: int = 1,
+    ortho_tol: Optional[float] = None,
 ) -> DecaySeries:
     """One optimal solve per order in ``n_values`` (strictly increasing).
 
-    Solves are independent and may run on a small thread pool; results are
-    ordered by ``n`` regardless of completion order.  The mathematical
-    monotonicity of the squared distances is asserted after the fact — any
-    increase beyond rounding is reported as a numerical failure.
+    ``ortho_tol`` is the orthogonality-certificate tolerance of every solve
+    (default ``1e-8 * ||f||^2``).  The mathematical monotonicity of the
+    squared distances is asserted after the fact — any increase beyond
+    rounding is reported as a numerical failure.
     """
     n_values = [int(n) for n in n_values]
     if any(b <= a_ for a_, b in zip(n_values, n_values[1:])):
@@ -151,18 +152,12 @@ def decay_scan(
     aw = as_alpha(a)
     if basis == "diagonal" and pattern is None:
         pattern = DiagonalPattern(1, 1)
-
-    def job(n: int) -> ApproximantResult:
+    results = []
+    for n in n_values:
         try:
-            return _solve_for(f, aw, n, basis, pattern)
+            results.append(_solve_for(f, aw, n, basis, pattern, ortho_tol))
         except BidiskError as exc:
             raise type(exc)(f"order n={n}: {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, n_values))
-    else:
-        results = [job(n) for n in n_values]
     points = tuple((n, r.residual_sq) for n, r in zip(n_values, results))
     meta = {"alpha": aw.alpha, "basis": basis, "pattern": pattern}
     return DecaySeries(points=points, meta=meta, results=tuple(results))

@@ -7,16 +7,23 @@ equations ``G c = e`` with ``G[i,j] = <m_j f, m_i f>`` over basis monomials
 ``m_i``.  The squared minimum is the squared distance from 1 to ``f``
 times the polynomial space.
 
-Solver policy: normal equations with a Cholesky factorization and a single
-ridge-regularized retry; residuals are always recomputed from the returned
-coefficients by explicit series arithmetic, never read off the solver; every
-solve carries an orthogonality certificate.
+``G[i, j]`` vanishes unless the supports of ``m_i f`` and ``m_j f`` overlap,
+so in the basis order ``G`` is banded.  Its upper band is assembled directly
+from pairs of nonzero coefficients of ``f`` and factored by banded Cholesky.
+A one-variable problem is the two-variable problem on a single column: the
+weight ``(0+1)^alpha`` of the second variable is 1.
+
+Solver policy: normal equations with a banded Cholesky factorization and a
+single ridge-regularized retry, whose ridge is recorded on the result;
+residuals are always recomputed from the returned coefficients by explicit
+series arithmetic, never read off the solver; every solve carries an
+orthogonality certificate and a 1-norm condition estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +31,7 @@ import scipy.linalg
 from .errors import (
     BasisSizeError,
     ConditioningError,
+    NumericalError,
     UnsupportedRateError,
 )
 from .series import (
@@ -58,10 +66,6 @@ __all__ = [
 
 # Hard cap on the number of unknowns per normal-equation solve.
 SOLVER_CAP = 10_000
-
-# Above this many design-matrix entries, assemble the Gram matrix in
-# row-blocks instead of materializing the full matrix of shifted copies.
-_DESIGN_ENTRY_LIMIT = 16_000_000
 
 Series = Union[TwoVarSeries, OneVarSeries]
 
@@ -119,17 +123,36 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Normal equations ``matrix @ c = rhs`` over an ordered monomial basis."""
+    """Normal equations ``G c = rhs`` over an ordered monomial basis.
+
+    ``G`` is Hermitian and banded.  ``band`` holds its upper band in LAPACK
+    storage: ``band[u + i - j, j] = G[i, j]`` for ``0 <= j - i <= u``, where
+    ``u = band.shape[0] - 1`` is the bandwidth.
+    """
 
     basis: tuple
-    matrix: np.ndarray
+    band: np.ndarray
     rhs: np.ndarray
-    cond_estimate: float
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense copy of ``G``."""
+        u, size = self.band.shape[0] - 1, self.band.shape[1]
+        upper = np.zeros((size, size), dtype=np.complex128)
+        for d in range(u + 1):
+            j = np.arange(d, size)
+            upper[j - d, j] = self.band[u - d, d:]
+        return upper + np.triu(upper, 1).conj().T
 
 
 @dataclass(frozen=True)
 class ApproximantResult:
-    """A solved approximant with its recomputed residual and certificates."""
+    """A solved approximant with its recomputed residual and certificates.
+
+    ``ridge`` is the diagonal shift of the regularized retry, 0.0 when the
+    Gram matrix factored as assembled; ``cond_estimate`` is a 1-norm
+    condition estimate of the matrix actually factored.
+    """
 
     p: Series
     residual_sq: float
@@ -138,6 +161,7 @@ class ApproximantResult:
     cond_estimate: float
     ortho_residual: float
     basis: tuple = ()
+    ridge: float = 0.0
 
 
 def _check_basis_size(size: int) -> None:
@@ -148,63 +172,53 @@ def _check_basis_size(size: int) -> None:
         )
 
 
-def _gram_two_var(f: TwoVarSeries, aw, indices) -> Tuple[np.ndarray, np.ndarray]:
-    """Gram matrix and right-hand side by shifted-copy accumulation."""
-    F1, F2 = f.coeffs.shape
-    kmax = max(k for k, _ in indices)
-    lmax = max(l for _, l in indices)
-    R1, R2 = kmax + F1, lmax + F2
-    sw1 = np.sqrt(aw.weights(R1 - 1))
-    sw2 = np.sqrt(aw.weights(R2 - 1))
-    B = len(indices)
-    if R1 * R2 * B <= _DESIGN_ENTRY_LIMIT:
-        design = np.zeros((R1, R2, B), dtype=np.complex128)
-        for i, (k, l) in enumerate(indices):
-            design[k : k + F1, l : l + F2, i] = (
-                f.coeffs * sw1[k : k + F1, None] * sw2[None, l : l + F2]
-            )
-        flat = design.reshape(R1 * R2, B)
-        G = flat.conj().T @ flat
-    else:
-        G = np.zeros((B, B), dtype=np.complex128)
-        row = np.empty((R2, B), dtype=np.complex128)
-        for u in range(R1):
-            row[:] = 0.0
-            for i, (k, l) in enumerate(indices):
-                if k <= u < k + F1:
-                    row[l : l + F2, i] = f.coeffs[u - k, :] * sw2[l : l + F2]
-            G += sw1[u] ** 2 * (row.conj().T @ row)
-    G = 0.5 * (G + G.conj().T)
-    rhs = np.zeros(B, dtype=np.complex128)
-    for i, (k, l) in enumerate(indices):
-        if (k, l) == (0, 0):
-            rhs[i] = np.conj(f.coeffs[0, 0])
-    return G, rhs
+def _grid(s: Series) -> np.ndarray:
+    """Coefficient grid; a one-variable series is a single column."""
+    return s.coeffs[:, None] if isinstance(s, OneVarSeries) else s.coeffs
 
 
-def _gram_one_var(F: OneVarSeries, aw, indices) -> Tuple[np.ndarray, np.ndarray]:
-    L = F.deg + 1
-    R = max(indices) + L
-    sw = np.sqrt(aw.weights(R - 1))
-    B = len(indices)
-    design = np.zeros((R, B), dtype=np.complex128)
-    for i, k in enumerate(indices):
-        design[k : k + L, i] = F.coeffs * sw[k : k + L]
-    G = design.conj().T @ design
-    G = 0.5 * (G + G.conj().T)
-    rhs = np.zeros(B, dtype=np.complex128)
-    for i, k in enumerate(indices):
-        if k == 0:
-            rhs[i] = np.conj(F.coeffs[0])
-    return G, rhs
+def _exponents(basis, onevar: bool) -> np.ndarray:
+    """Basis exponents as a ``(B, 2)`` array; ``z^k`` of a one-variable problem is ``(k, 0)``."""
+    e = np.asarray(basis, dtype=np.intp)
+    return np.column_stack((e, np.zeros_like(e))) if onevar else e.reshape(-1, 2)
 
 
-def _cond_hermitian(G: np.ndarray) -> float:
-    ev = np.linalg.eigvalsh(G)
-    lo, hi = float(ev[0]), float(ev[-1])
-    if lo <= 0.0:
-        return float("inf")
-    return hi / lo
+def _gram_band(grid: np.ndarray, aw, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper band of ``G`` and the right-hand side.
+
+    ``m_j f`` and ``m_i f`` overlap where ``m_j + p = m_i + q`` for nonzero
+    coefficients ``f[p]``, ``f[q]``; each such pair adds ``f[p] conj(f[q])``
+    times the weight at ``m_j + p`` to ``G[i, j]``.  For a fixed pair the map
+    ``j -> i`` is injective, so its entries are added in one vectorized step.
+    """
+    F1, F2 = grid.shape
+    ks, ls = e[:, 0], e[:, 1]
+    kmax, lmax = int(ks.max()), int(ls.max())
+    size = len(e)
+    w1 = aw.weights(kmax + F1 - 1)
+    w2 = aw.weights(lmax + F2 - 1)
+    # lookup[k + F1 - 1, l + F2 - 1] is the position of (k, l) in the basis, -1 if absent
+    lookup = np.full((kmax + 2 * F1 - 1, lmax + 2 * F2 - 1), -1, dtype=np.intp)
+    lookup[ks + F1 - 1, ls + F2 - 1] = np.arange(size)
+    cols = np.arange(size)
+    nonzero = np.argwhere(grid)
+    entries = []
+    for p1, p2 in nonzero:
+        weighted = grid[p1, p2] * w1[ks + p1] * w2[ls + p2]
+        for q1, q2 in nonzero:
+            rows = lookup[ks + (p1 - q1 + F1 - 1), ls + (p2 - q2 + F2 - 1)]
+            keep = (rows >= 0) & (rows <= cols)
+            entries.append((rows[keep], cols[keep], weighted[keep] * np.conj(grid[q1, q2])))
+    u = max(int(np.max(j - i, initial=0)) for i, j, _ in entries)
+    band = np.zeros((u + 1, size), dtype=np.complex128)
+    for i, j, v in entries:
+        band[u + i - j, j] += v
+    band[u] = band[u].real  # the diagonal of a Hermitian matrix is real
+    rhs = np.zeros(size, dtype=np.complex128)
+    constant = lookup[F1 - 1, F2 - 1]
+    if constant >= 0:
+        rhs[constant] = np.conj(grid[0, 0])
+    return band, rhs
 
 
 def gram_assemble(f: Series, a: AlphaLike, b: BasisSpec) -> GramSystem:
@@ -212,56 +226,101 @@ def gram_assemble(f: Series, a: AlphaLike, b: BasisSpec) -> GramSystem:
 
     ``G[i,j] = <m_j f, m_i f>`` and ``rhs[i] = <1, m_i f>``; the right-hand
     side is supported on the constant monomial only, where it equals the
-    conjugate of ``f``'s constant coefficient.
+    conjugate of ``f``'s constant coefficient.  The cost is ``O(B nnz(f)^2)``
+    for ``B`` unknowns.
     """
     aw = as_alpha(a)
-    if isinstance(f, OneVarSeries):
-        indices: Sequence = b.indices1()
-        _check_basis_size(len(indices))
-        if not np.any(f.coeffs):
-            raise ValueError("f must not be identically zero")
-        G, rhs = _gram_one_var(f, aw, indices)
-    else:
-        indices = b.indices2()
-        _check_basis_size(len(indices))
-        if not np.any(f.coeffs):
-            raise ValueError("f must not be identically zero")
-        G, rhs = _gram_two_var(f, aw, indices)
-    return GramSystem(
-        basis=tuple(indices), matrix=G, rhs=rhs, cond_estimate=_cond_hermitian(G)
-    )
+    onevar = isinstance(f, OneVarSeries)
+    basis = b.indices1() if onevar else b.indices2()
+    _check_basis_size(len(basis))
+    if not np.any(f.coeffs):
+        raise ValueError("f must not be identically zero")
+    band, rhs = _gram_band(_grid(f), aw, _exponents(basis, onevar))
+    return GramSystem(basis=tuple(basis), band=band, rhs=rhs)
 
 
-def _solve_normal(gram: GramSystem) -> np.ndarray:
-    G, rhs = gram.matrix, gram.rhs
+def _band_norm1(band: np.ndarray) -> float:
+    """``||G||_1`` of the Hermitian matrix whose upper band is ``band``."""
+    u = band.shape[0] - 1
+    mags = np.abs(band)
+    sums = mags.sum(axis=0)  # column j above and on the diagonal
+    for d in range(1, u + 1):
+        sums[:-d] += mags[u - d, d:]  # column i below the diagonal: conj(G[i, i + d])
+    return float(sums.max())
+
+
+def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> float:
+    """Estimate of ``||G^-1||_1`` for Hermitian ``G`` from a few solves.
+
+    Hager's method with Higham's refinements (LAPACK ``zlacn2``): ascend
+    ``||G^-1 x||_1`` over unit vectors ``e_j`` along the gradient, then try an
+    alternating-sign vector as a safeguard.  Every candidate is
+    ``||G^-1 x||_1 / ||x||_1`` for some ``x``, so the estimate never exceeds
+    the true norm; it is deterministic.  ``G`` being Hermitian, the adjoint
+    solves reuse ``solve``.
+    """
+
+    def sign(y):
+        mag = np.abs(y)
+        return np.where(mag > 0.0, y / np.where(mag > 0.0, mag, 1.0), 1.0)
+
+    y = solve(np.full(size, 1.0 / size, dtype=np.complex128))
+    est = float(np.abs(y).sum())
+    if size == 1:
+        return est
+    j = int(np.argmax(np.abs(solve(sign(y)))))
+    for _ in range(4):
+        unit = np.zeros(size, dtype=np.complex128)
+        unit[j] = 1.0
+        y = solve(unit)
+        candidate = float(np.abs(y).sum())
+        if candidate <= est:
+            break
+        est = candidate
+        z = np.abs(solve(sign(y)))
+        j_last, j = j, int(np.argmax(z))
+        if z[j_last] == z[j]:
+            break
+    i = np.arange(size)
+    alternating = np.where(i % 2 == 0, 1.0, -1.0) * (1.0 + i / (size - 1.0))
+    return max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3.0 * size))
+
+
+def _factor(gram: GramSystem, n: int) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Banded Cholesky factor, the band it factors and the ridge added to it."""
     try:
-        factor = scipy.linalg.cho_factor(G)
-        return scipy.linalg.cho_solve(factor, rhs)
+        return scipy.linalg.cholesky_banded(gram.band), gram.band, 0.0
     except scipy.linalg.LinAlgError:
         pass
-    ridge = 1e-12 * (np.trace(G).real / G.shape[0])
+    band = gram.band.copy()
+    ridge = 1e-12 * float(np.mean(band[-1].real))
+    band[-1] += ridge
     try:
-        factor = scipy.linalg.cho_factor(G + ridge * np.eye(G.shape[0]))
-        return scipy.linalg.cho_solve(factor, rhs)
+        return scipy.linalg.cholesky_banded(band), band, ridge
     except scipy.linalg.LinAlgError as exc:
         raise ConditioningError(
-            f"Gram factorization failed even with ridge {ridge:.3e} "
-            f"(condition estimate {gram.cond_estimate:.3e})",
-            cond_estimate=gram.cond_estimate,
+            f"Gram factorization at order n={n} failed even with ridge {ridge:.3e}",
+            cond_estimate=float("inf"),
         ) from exc
 
 
-def _series_from_solution(c: np.ndarray, indices, onevar: bool) -> Series:
-    if onevar:
-        grid = np.zeros(max(indices) + 1, dtype=np.complex128)
-        grid[list(indices)] = c
-        return OneVarSeries(grid)
-    kmax = max(k for k, _ in indices)
-    lmax = max(l for _, l in indices)
-    grid = np.zeros((kmax + 1, lmax + 1), dtype=np.complex128)
-    for ci, (k, l) in zip(c, indices):
-        grid[k, l] = ci
-    return TwoVarSeries(grid)
+def _solve_normal(gram: GramSystem, n: int) -> Tuple[np.ndarray, float, float]:
+    """Coefficients, the ridge applied (0.0 if none) and a 1-norm condition estimate."""
+    factor, band, ridge = _factor(gram, n)
+
+    def solve(x):
+        return scipy.linalg.cho_solve_banded((factor, False), x, check_finite=False)
+
+    c = solve(gram.rhs)
+    cond = _band_norm1(band) * _inverse_norm1(solve, len(c))
+    return c, ridge, cond
+
+
+def _series_from_solution(c: np.ndarray, basis, onevar: bool) -> Series:
+    e = _exponents(basis, onevar)
+    grid = np.zeros(tuple(e.max(axis=0) + 1), dtype=np.complex128)
+    grid[e[:, 0], e[:, 1]] = c
+    return OneVarSeries(grid[:, 0]) if onevar else TwoVarSeries(grid)
 
 
 def residual_norm_sq(p: Series, f: Series, a: AlphaLike) -> float:
@@ -271,29 +330,52 @@ def residual_norm_sq(p: Series, f: Series, a: AlphaLike) -> float:
     return norm2(multiply2(p, f) - 1.0, a) ** 2
 
 
-def _ortho_residual_two_var(p: TwoVarSeries, f: TwoVarSeries, aw, indices) -> float:
-    r = multiply2(p, f) - 1.0
-    w1 = aw.weights(r.deg1)
-    w2 = aw.weights(r.deg2)
-    wr = w1[:, None] * w2[None, :] * r.coeffs
-    F1, F2 = f.coeffs.shape
-    worst = 0.0
-    for k, l in indices:
-        cert = np.vdot(f.coeffs, wr[k : k + F1, l : l + F2])
-        worst = max(worst, abs(cert))
-    return worst
+def _ortho_residual(p: Series, f: Series, aw, e: np.ndarray) -> float:
+    """``max_i |<p f - 1, m_i f>|`` over the basis exponents ``e``."""
+    onevar = isinstance(p, OneVarSeries)
+    r = _grid((multiply1(p, f) if onevar else multiply2(p, f)) - 1.0)
+    wr = aw.weights(r.shape[0] - 1)[:, None] * aw.weights(r.shape[1] - 1)[None, :] * r
+    fg = _grid(f)
+    cert = np.zeros(len(e), dtype=np.complex128)
+    for p1, p2 in np.argwhere(fg):
+        cert += np.conj(fg[p1, p2]) * wr[e[:, 0] + p1, e[:, 1] + p2]
+    return float(np.max(np.abs(cert)))
 
 
-def _ortho_residual_one_var(p: OneVarSeries, F: OneVarSeries, aw, indices) -> float:
-    r = multiply1(p, F) - 1.0
-    w = aw.weights(r.deg)
-    wr = w * r.coeffs
-    L = F.deg + 1
-    worst = 0.0
-    for k in indices:
-        cert = np.vdot(F.coeffs, wr[k : k + L])
-        worst = max(worst, abs(cert))
-    return worst
+def _certify(
+    p: Series,
+    f: Series,
+    aw,
+    basis,
+    *,
+    n: int,
+    kind: str,
+    ridge: float,
+    cond: float,
+    ortho_tol: Optional[float],
+) -> ApproximantResult:
+    """Recompute the residual, check the orthogonality certificate, build the result."""
+    onevar = isinstance(f, OneVarSeries)
+    res_sq = residual_norm_sq(p, f, aw)
+    ortho = _ortho_residual(p, f, aw, _exponents(basis, onevar))
+    fnorm_sq = (norm1(f, aw) if onevar else norm2(f, aw)) ** 2
+    tol = 1e-8 * fnorm_sq if ortho_tol is None else ortho_tol
+    if ortho > tol:
+        raise ConditioningError(
+            f"orthogonality certificate {ortho:.3e} exceeds tolerance {tol:.3e} "
+            f"at order n={n} (condition estimate {cond:.3e}, ridge {ridge:.3e})",
+            cond_estimate=cond,
+        )
+    return ApproximantResult(
+        p=p,
+        residual_sq=res_sq,
+        n=n,
+        basis_kind=kind,
+        cond_estimate=cond,
+        ortho_residual=ortho,
+        basis=tuple(basis),
+        ridge=ridge,
+    )
 
 
 def solve_optimal(
@@ -312,31 +394,10 @@ def solve_optimal(
     """
     aw = as_alpha(a)
     gram = gram_assemble(f, aw, b)
-    c = _solve_normal(gram)
-    onevar_problem = isinstance(f, OneVarSeries)
-    p = _series_from_solution(c, gram.basis, onevar_problem)
-    res_sq = residual_norm_sq(p, f, aw)
-    if onevar_problem:
-        ortho = _ortho_residual_one_var(p, f, aw, gram.basis)
-        fnorm_sq = norm1(f, aw) ** 2
-    else:
-        ortho = _ortho_residual_two_var(p, f, aw, gram.basis)
-        fnorm_sq = norm2(f, aw) ** 2
-    tol = 1e-8 * fnorm_sq if ortho_tol is None else ortho_tol
-    if ortho > tol:
-        raise ConditioningError(
-            f"orthogonality certificate {ortho:.3e} exceeds tolerance {tol:.3e} "
-            f"(condition estimate {gram.cond_estimate:.3e})",
-            cond_estimate=gram.cond_estimate,
-        )
-    return ApproximantResult(
-        p=p,
-        residual_sq=res_sq,
-        n=b.n,
-        basis_kind=b.kind,
-        cond_estimate=gram.cond_estimate,
-        ortho_residual=ortho,
-        basis=gram.basis,
+    c, ridge, cond = _solve_normal(gram, b.n)
+    p = _series_from_solution(c, gram.basis, isinstance(f, OneVarSeries))
+    return _certify(
+        p, f, aw, gram.basis, n=b.n, kind=b.kind, ridge=ridge, cond=cond, ortho_tol=ortho_tol
     )
 
 
@@ -347,6 +408,17 @@ def _phi_grid(alpha: float, values: np.ndarray) -> np.ndarray:
         out[pos] = np.log(values[pos])
         return out
     return values.astype(float) ** (1.0 - alpha)
+
+
+def _square_riesz_weights(aw, n: int) -> np.ndarray:
+    """Weights ``1 - phi(max(k, l)) / phi(n + 1)`` on the square grid of order ``n``."""
+    idx = np.arange(n + 1)
+    grading = np.maximum.outer(idx, idx)
+    denom = phi(aw, n + 1)
+    if denom == 0.0:
+        # only reachable at alpha = 1, n = 0, where the sole weight is 1
+        return np.ones_like(grading, dtype=float)
+    return 1.0 - _phi_grid(aw.alpha, grading) / denom
 
 
 def riesz_approximant(f: TwoVarSeries, a: AlphaLike, n: int, eps0: float = 1e-12) -> TwoVarSeries:
@@ -361,15 +433,7 @@ def riesz_approximant(f: TwoVarSeries, a: AlphaLike, n: int, eps0: float = 1e-12
     if aw.alpha > 1.0:
         raise UnsupportedRateError(f"no rate gauge is defined for alpha = {aw.alpha} > 1")
     b = reciprocal2(f, n, n, eps0)
-    idx = np.arange(n + 1)
-    grading = np.maximum.outer(idx, idx)
-    denom = phi(aw, n + 1)
-    if denom == 0.0:
-        # only reachable at alpha = 1, n = 0, where the sole weight is 1
-        weights = np.ones_like(grading, dtype=float)
-    else:
-        weights = 1.0 - _phi_grid(aw.alpha, grading) / denom
-    return TwoVarSeries(weights * b.coeffs)
+    return TwoVarSeries(_square_riesz_weights(aw, n) * b.coeffs)
 
 
 def riesz_diagonal(
@@ -400,18 +464,18 @@ def cesaro(f: TwoVarSeries, n: int, eps0: float = 1e-12) -> TwoVarSeries:
 
     Computed as the ``alpha = 0`` Riesz mean and cross-checked against the
     average of the Taylor sections ``t_0, ..., t_n`` in the ``max(k, l)``
-    grading; the two agree identically.
+    grading; the two agree identically, and a disagreement raises
+    :class:`NumericalError`.
     """
-    p = riesz_approximant(f, 0.0, n, eps0)
     b = reciprocal2(f, n, n, eps0)
+    p = TwoVarSeries(_square_riesz_weights(as_alpha(0.0), n) * b.coeffs)
     idx = np.arange(n + 1)
     grading = np.maximum.outer(idx, idx)
     # coefficient (k,l) appears in sections t_m for m >= max(k,l)
     mean = (n + 1.0 - grading) / (n + 1.0) * b.coeffs
     scale = np.max(np.abs(b.coeffs)) + 1.0
-    assert np.allclose(p.coeffs, mean, rtol=0.0, atol=1e-13 * scale), (
-        "Cesaro mean disagrees with averaged Taylor sections"
-    )
+    if not np.allclose(p.coeffs, mean, rtol=0.0, atol=1e-13 * scale):
+        raise NumericalError("Cesaro mean disagrees with averaged Taylor sections")
     return p
 
 
@@ -458,39 +522,17 @@ def diagonal_reduce_solve(
     if not is_diagonal(f, pat):
         restrict(f, pat)  # raises PatternViolationError with the offending index
     if (pat.M, pat.N) == (1, 1):
-        F = restrict(f, pat)
-        doubled = as_alpha(2.0 * aw.alpha)
-        gram = gram_assemble(F, doubled, BasisSpec.onevar(n))
-        c = _solve_normal(gram)
-        p1 = _series_from_solution(c, gram.basis, onevar=True)
-        p = lift(p1, pat)
-        indices = [(k, k) for k in gram.basis]
-        cond = gram.cond_estimate
+        gram = gram_assemble(restrict(f, pat), as_alpha(2.0 * aw.alpha), BasisSpec.onevar(n))
+        c, ridge, cond = _solve_normal(gram, n)
+        p = lift(_series_from_solution(c, gram.basis, onevar=True), pat)
+        basis = [(k, k) for k in gram.basis]
     else:
-        basis = BasisSpec.diagonal(n, pat)
-        gram = gram_assemble(f, aw, basis)
-        c = _solve_normal(gram)
+        gram = gram_assemble(f, aw, BasisSpec.diagonal(n, pat))
+        c, ridge, cond = _solve_normal(gram, n)
         p = _series_from_solution(c, gram.basis, onevar=False)
-        indices = list(gram.basis)
-        cond = gram.cond_estimate
-    res_sq = residual_norm_sq(p, f, aw)
-    ortho = _ortho_residual_two_var(p, f, aw, indices)
-    fnorm_sq = norm2(f, aw) ** 2
-    tol = 1e-8 * fnorm_sq if ortho_tol is None else ortho_tol
-    if ortho > tol:
-        raise ConditioningError(
-            f"orthogonality certificate {ortho:.3e} exceeds tolerance {tol:.3e} "
-            f"(condition estimate {cond:.3e})",
-            cond_estimate=cond,
-        )
-    return ApproximantResult(
-        p=p,
-        residual_sq=res_sq,
-        n=n,
-        basis_kind="diagonal",
-        cond_estimate=cond,
-        ortho_residual=ortho,
-        basis=tuple(indices),
+        basis = gram.basis
+    return _certify(
+        p, f, aw, basis, n=n, kind="diagonal", ridge=ridge, cond=cond, ortho_tol=ortho_tol
     )
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -142,7 +141,7 @@ def cmd_decay(args) -> int:
             n_values,
             basis=basis.kind,
             pattern=basis.pattern,
-            workers=args.workers,
+            ortho_tol=args.tol_ortho,
         )
         values = ds.values
     else:
@@ -259,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--basis", default="full", help="full | diag:M,N | onevar")
     p.add_argument("--method", default="optimal", choices=["optimal", "riesz", "cesaro"])
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="solver thread pool size")
     p.add_argument("--tol-eps0", dest="tol_eps0", type=float, default=1e-12)
-    p.add_argument("--tol-ortho", dest="tol_ortho", type=float, default=None)
+    p.add_argument("--tol-ortho", dest="tol_ortho", type=float, default=None,
+                   help="absolute orthogonality-certificate tolerance "
+                        "(default 1e-8 * ||f||^2)")
     p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("energy", help="partial logarithmic energy of a measure")

@@ -11,7 +11,9 @@ product and forms every inner product pairwise, then solves with plain
   by Lagrange at ``dist^2 = 1 / sum_{k=0}^{n+1} (k+1)^(-a)``.
 * separable ``f = g(z1) h(z2)``: the Gram matrix of the square basis is the
   Kronecker product of the one-variable Gram matrices and the right-hand
-  side factors, so ``dist^2 = 1 - (1 - dist_g^2)(1 - dist_h^2)``.
+  side factors, so ``dist^2 = 1 - (1 - dist_g^2)(1 - dist_h^2)``, evaluated
+  as ``dist_g^2 + dist_h^2 - dist_g^2 dist_h^2`` to avoid cancellation when
+  both distances are small.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def separable_dist_sq(alpha: float, n: int,
         dist_g_sq = onevar_one_minus_z_dist_sq(alpha, n)
     if dist_h_sq is None:
         dist_h_sq = onevar_one_minus_z_dist_sq(alpha, n)
-    return 1.0 - (1.0 - dist_g_sq) * (1.0 - dist_h_sq)
+    return dist_g_sq + dist_h_sq - dist_g_sq * dist_h_sq
 
 
 def random_two_var(rng: np.random.Generator, max_deg: int = 8,

@@ -50,10 +50,12 @@ class TestDecayScan:
             assert v == pytest.approx(expected[n], abs=1e-10)
             assert v == pytest.approx(separable_dist_sq(0.0, n), abs=1e-12)
 
-    def test_workers_give_same_answer(self):
-        serial = decay_scan(F_DIAG, 0.25, [3, 6, 9, 12], basis="diagonal")
-        pooled = decay_scan(F_DIAG, 0.25, [3, 6, 9, 12], basis="diagonal", workers=4)
-        assert np.array_equal(serial.values, pooled.values)
+    @pytest.mark.parametrize("basis", ["diagonal", "full", "onevar"])
+    def test_ortho_tol_reaches_every_solver(self, basis):
+        from bidisk.errors import ConditioningError
+
+        with pytest.raises(ConditioningError, match="n=3"):
+            decay_scan(F_DIAG, 0.25, [3, 6], basis=basis, ortho_tol=1e-300)
 
     def test_error_annotated_with_order(self):
         from bidisk.errors import BasisSizeError

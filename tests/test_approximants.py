@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from bidisk.approximants import (
@@ -16,17 +17,29 @@ from bidisk.approximants import (
     riesz_diagonal,
     solve_optimal,
 )
-from bidisk.errors import BasisSizeError, SingularReciprocalError, UnsupportedRateError
+from bidisk.errors import (
+    BasisSizeError,
+    ConditioningError,
+    SingularReciprocalError,
+    UnsupportedRateError,
+)
 from bidisk.series import (
     DiagonalPattern,
     OneVarSeries,
     TwoVarSeries,
     constant2,
+    monomial2,
+    multiply2,
     separable,
 )
-from bidisk.spaces import norm2
+from bidisk.spaces import inner2, norm2
 
-from oracles import brute_gram_dist_sq, onevar_one_minus_z_dist_sq, random_two_var
+from oracles import (
+    brute_gram_dist_sq,
+    onevar_one_minus_z_dist_sq,
+    random_two_var,
+    separable_dist_sq,
+)
 
 F_DIAG = TwoVarSeries.from_terms({(0, 0): 1, (1, 1): -1})
 F_PROD = separable(OneVarSeries([1, -1]), OneVarSeries([1, -1]))
@@ -90,9 +103,6 @@ class TestGramAssemble:
             alpha = float(rng.uniform(-1, 1))
             b = BasisSpec.full(2)
             gs = gram_assemble(f, alpha, b)
-            from bidisk.series import monomial2, multiply2
-            from bidisk.spaces import inner2
-
             for i, mi in enumerate(gs.basis):
                 for j, mj in enumerate(gs.basis):
                     direct = inner2(
@@ -100,16 +110,92 @@ class TestGramAssemble:
                     )
                     assert abs(gs.matrix[i, j] - direct) <= 1e-12 * (1 + abs(direct))
 
-    def test_blocked_assembly_matches_direct(self, monkeypatch):
-        import bidisk.approximants as mod
+    @pytest.mark.parametrize("basis", [
+        BasisSpec.full(3),
+        BasisSpec.diagonal(9, DiagonalPattern(2, 3)),
+        BasisSpec.onevar(5),
+    ])
+    def test_banded_assembly_matches_pairwise_products(self, basis):
+        # f with interior zeros, so only some coefficient pairs overlap
+        with_holes = TwoVarSeries.from_terms(
+            {(0, 0): 1.5, (0, 2): -0.5j, (2, 0): 0.25, (2, 3): -1.0 + 0.5j}
+        )
+        rng = np.random.default_rng(37)
+        for f in (with_holes, random_two_var(rng, max_deg=3), random_two_var(rng, max_deg=3)):
+            alpha = float(rng.uniform(-1, 1))
+            gs = gram_assemble(f, alpha, basis)
+            assert gs.basis == tuple(basis.indices2())
+            mults = [multiply2(monomial2(*m), f) for m in gs.basis]
+            G = gs.matrix
+            for i, mi in enumerate(mults):
+                for j, mj in enumerate(mults):
+                    direct = inner2(mj, mi, alpha)
+                    assert abs(G[i, j] - direct) <= 1e-12 * (1 + abs(direct))
+            assert gs.rhs == pytest.approx([inner2(constant2(1.0), m, alpha) for m in mults])
+            u = gs.band.shape[0] - 1
+            assert np.all(np.triu(G, u + 1) == 0.0)
+            oracle, _ = brute_gram_dist_sq(f, alpha, gs.basis)
+            assert solve_optimal(f, alpha, basis).residual_sq == pytest.approx(oracle, abs=1e-10)
 
-        rng = np.random.default_rng(36)
-        f = random_two_var(rng, max_deg=4)
-        direct = gram_assemble(f, 0.5, BasisSpec.full(6))
-        monkeypatch.setattr(mod, "_DESIGN_ENTRY_LIMIT", 1)
-        blocked = gram_assemble(f, 0.5, BasisSpec.full(6))
-        assert np.allclose(direct.matrix, blocked.matrix, rtol=1e-13, atol=1e-13)
-        assert np.allclose(direct.rhs, blocked.rhs)
+    def test_one_variable_problem_is_one_column(self):
+        rng = np.random.default_rng(38)
+        for _ in range(5):
+            F = OneVarSeries(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            F = OneVarSeries(F.coeffs * np.array([1, 0, 1, 1]))  # an interior zero
+            alpha = float(rng.uniform(-1, 1))
+            gs = gram_assemble(F, alpha, BasisSpec.onevar(6))
+            assert gs.basis == tuple(range(7))
+            column = TwoVarSeries(F.coeffs[:, None])
+            mults = [multiply2(monomial2(k, 0), column) for k in gs.basis]
+            for i, mi in enumerate(mults):
+                for j, mj in enumerate(mults):
+                    direct = inner2(mj, mi, alpha)
+                    assert abs(gs.matrix[i, j] - direct) <= 1e-12 * (1 + abs(direct))
+            oracle, _ = brute_gram_dist_sq(column, alpha, [(k, 0) for k in gs.basis])
+            res = solve_optimal(F, alpha, BasisSpec.onevar(6))
+            assert isinstance(res.p, OneVarSeries)
+            assert res.residual_sq == pytest.approx(oracle, abs=1e-10)
+
+    def test_condition_estimate_brackets_one_norm_condition(self):
+        rng = np.random.default_rng(39)
+        for basis in (BasisSpec.full(3), BasisSpec.onevar(8), BasisSpec.full(0)):
+            for _ in range(10):
+                f = random_two_var(rng, max_deg=3)
+                alpha = float(rng.uniform(-1, 1))
+                exact = np.linalg.cond(gram_assemble(f, alpha, basis).matrix, 1)
+                estimate = solve_optimal(f, alpha, basis).cond_estimate
+                assert exact / 10 <= estimate <= exact * (1 + 1e-8)
+
+
+class TestRidge:
+    def test_ridge_recorded_after_failed_factorization(self, monkeypatch):
+        real = scipy.linalg.cholesky_banded
+        calls = []
+
+        def fail_once(band, *args, **kwargs):
+            calls.append(band)
+            if len(calls) == 1:
+                raise scipy.linalg.LinAlgError("forced failure")
+            return real(band, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", fail_once)
+        res = solve_optimal(F_PROD, 0.0, BasisSpec.full(3))
+        trace = np.trace(gram_assemble(F_PROD, 0.0, BasisSpec.full(3)).matrix).real
+        assert len(calls) == 2
+        assert res.ridge == pytest.approx(1e-12 * trace / 16, rel=1e-12)
+        assert res.residual_sq == pytest.approx(separable_dist_sq(0.0, 3), abs=1e-9)
+
+    def test_no_ridge_when_factorization_succeeds(self):
+        assert solve_optimal(F_PROD, 0.0, BasisSpec.full(3)).ridge == 0.0
+        assert diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11).ridge == 0.0
+
+    def test_refusal_names_order_and_ridge(self, monkeypatch):
+        def always_fail(band, *args, **kwargs):
+            raise scipy.linalg.LinAlgError("forced failure")
+
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", always_fail)
+        with pytest.raises(ConditioningError, match=r"order n=3 .*ridge \d"):
+            solve_optimal(F_PROD, 0.0, BasisSpec.full(3))
 
 
 class TestSolveOptimal:

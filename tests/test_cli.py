@@ -211,6 +211,19 @@ class TestErrors:
         assert code == 3
         assert "SingularReciprocalError" in err
 
+    @pytest.mark.parametrize("command", [
+        ["approx", "--n", "4"],
+        ["decay", "--nmin", "2", "--nmax", "6", "--step", "2"],
+    ])
+    @pytest.mark.parametrize("basis", ["full", "diag:1,1"])
+    def test_tol_ortho_is_applied(self, capsys, command, basis):
+        code, _, err = run_cli(
+            capsys, command[0], "--series", "builtin:one_minus_z1z2", "--alpha", "0",
+            *command[1:], "--basis", basis, "--tol-ortho", "1e-300",
+        )
+        assert code == 3
+        assert "ConditioningError" in err
+
     def test_unsupported_rate_is_input_error(self, capsys):
         code, _, err = run_cli(
             capsys, "approx", "--series", "builtin:one_minus_z1z2",
