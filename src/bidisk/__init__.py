@@ -69,11 +69,13 @@ from .series import (
     reciprocal2,
     restrict,
     separable,
+    shifted_pairings,
     slice_series,
 )
 from .spaces import (
     AlphaWeight,
     ComparisonConstants,
+    PatternWeight,
     beta_of_alpha,
     comparison_constants,
     inner1,

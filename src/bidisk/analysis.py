@@ -17,6 +17,7 @@ decaying / plateau / inconclusive.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -157,7 +158,11 @@ def decay_scan(
         try:
             results.append(_solve_for(f, aw, n, basis, pattern, ortho_tol))
         except BidiskError as exc:
-            raise type(exc)(f"order n={n}: {exc}") from exc
+            # Re-raise the same error, its type and attributes intact, naming
+            # the order once: the solver's own messages usually name it.
+            if not re.search(rf"\bn={n}\b", str(exc)):
+                exc.args = (f"order n={n}: {exc}", *exc.args[1:])
+            raise
     points = tuple((n, r.residual_sq) for n, r in zip(n_values, results))
     meta = {"alpha": aw.alpha, "basis": basis, "pattern": pattern}
     return DecaySeries(points=points, meta=meta, results=tuple(results))

@@ -11,18 +11,23 @@ times the polynomial space.
 so in the basis order ``G`` is banded.  Its upper band is assembled directly
 from pairs of nonzero coefficients of ``f`` and factored by banded Cholesky.
 A one-variable problem is the two-variable problem on a single column: the
-weight ``(0+1)^alpha`` of the second variable is 1.
+weight ``(0+1)^alpha`` of the second variable is 1.  A pattern-supported
+``f = F(z1^M z2^N)`` is solved and certified as the one-variable problem for
+``F`` under the weights ``((Mk+1)(Nk+1))^alpha``, the exact image of the
+pattern subspace; only the returned approximant is lifted back.
 
 Solver policy: normal equations with a banded Cholesky factorization and a
 single ridge-regularized retry, whose ridge is recorded on the result;
 residuals are always recomputed from the returned coefficients by explicit
 series arithmetic, never read off the solver; every solve carries an
-orthogonality certificate and a 1-norm condition estimate.
+orthogonality certificate and a 1-norm condition estimate.  The residual
+``p f - 1`` is formed once per solve and yields both the squared residual and
+the certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -38,15 +43,15 @@ from .series import (
     DiagonalPattern,
     OneVarSeries,
     TwoVarSeries,
-    is_diagonal,
     lift,
     multiply1,
     multiply2,
     reciprocal1,
     reciprocal2,
     restrict,
+    shifted_pairings,
 )
-from .spaces import AlphaLike, as_alpha, norm1, norm2, phi
+from .spaces import AlphaLike, PatternWeight, as_alpha, norm1, norm2, phi
 
 __all__ = [
     "SOLVER_CAP",
@@ -221,15 +226,16 @@ def _gram_band(grid: np.ndarray, aw, e: np.ndarray) -> Tuple[np.ndarray, np.ndar
     return band, rhs
 
 
-def gram_assemble(f: Series, a: AlphaLike, b: BasisSpec) -> GramSystem:
+def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -> GramSystem:
     """Assemble the normal equations for minimizing ``||p f - 1||`` over ``b``.
 
     ``G[i,j] = <m_j f, m_i f>`` and ``rhs[i] = <1, m_i f>``; the right-hand
     side is supported on the constant monomial only, where it equals the
     conjugate of ``f``'s constant coefficient.  The cost is ``O(B nnz(f)^2)``
-    for ``B`` unknowns.
+    for ``B`` unknowns.  ``a`` is a space parameter, or a
+    :class:`PatternWeight` for a one-variable ``f``.
     """
-    aw = as_alpha(a)
+    aw = a if isinstance(a, PatternWeight) else as_alpha(a)
     onevar = isinstance(f, OneVarSeries)
     basis = b.indices1() if onevar else b.indices2()
     _check_basis_size(len(basis))
@@ -330,50 +336,61 @@ def residual_norm_sq(p: Series, f: Series, a: AlphaLike) -> float:
     return norm2(multiply2(p, f) - 1.0, a) ** 2
 
 
-def _ortho_residual(p: Series, f: Series, aw, e: np.ndarray) -> float:
-    """``max_i |<p f - 1, m_i f>|`` over the basis exponents ``e``."""
-    onevar = isinstance(p, OneVarSeries)
-    r = _grid((multiply1(p, f) if onevar else multiply2(p, f)) - 1.0)
-    wr = aw.weights(r.shape[0] - 1)[:, None] * aw.weights(r.shape[1] - 1)[None, :] * r
-    fg = _grid(f)
-    cert = np.zeros(len(e), dtype=np.complex128)
-    for p1, p2 in np.argwhere(fg):
-        cert += np.conj(fg[p1, p2]) * wr[e[:, 0] + p1, e[:, 1] + p2]
-    return float(np.max(np.abs(cert)))
+def _norm_sq(grid: np.ndarray, aw) -> float:
+    """Squared weighted norm of a coefficient grid, rounded as ``norm2(...)**2`` rounds it."""
+    w1 = aw.weights(grid.shape[0] - 1)
+    w2 = aw.weights(grid.shape[1] - 1)
+    return float(np.sqrt(np.einsum("k,l,kl->", w1, w2, np.abs(grid) ** 2).real)) ** 2
 
 
 def _certify(
     p: Series,
     f: Series,
     aw,
-    basis,
+    e: np.ndarray,
     *,
     n: int,
-    kind: str,
     ridge: float,
     cond: float,
     ortho_tol: Optional[float],
-) -> ApproximantResult:
-    """Recompute the residual, check the orthogonality certificate, build the result."""
-    onevar = isinstance(f, OneVarSeries)
-    res_sq = residual_norm_sq(p, f, aw)
-    ortho = _ortho_residual(p, f, aw, _exponents(basis, onevar))
-    fnorm_sq = (norm1(f, aw) if onevar else norm2(f, aw)) ** 2
-    tol = 1e-8 * fnorm_sq if ortho_tol is None else ortho_tol
+) -> Tuple[float, float]:
+    """``||p f - 1||^2`` and the certificate ``max_i |<p f - 1, m_i f>|`` from one product.
+
+    ``e`` holds the basis exponents.  Raises a conditioning error when the
+    certificate exceeds ``ortho_tol`` (default ``1e-8 * ||f||^2``).
+    """
+    r = _grid((multiply1(p, f) if isinstance(p, OneVarSeries) else multiply2(p, f)) - 1.0)
+    wr = aw.weights(r.shape[0] - 1)[:, None] * aw.weights(r.shape[1] - 1)[None, :] * r
+    fg = _grid(f)
+    ortho = float(np.max(np.abs(shifted_pairings(np.conj(fg), wr, e))))
+    tol = 1e-8 * _norm_sq(fg, aw) if ortho_tol is None else ortho_tol
     if ortho > tol:
         raise ConditioningError(
             f"orthogonality certificate {ortho:.3e} exceeds tolerance {tol:.3e} "
             f"at order n={n} (condition estimate {cond:.3e}, ridge {ridge:.3e})",
             cond_estimate=cond,
         )
+    return _norm_sq(r, aw), ortho
+
+
+def _solve(f: Series, aw, b: BasisSpec, n: int, ortho_tol: Optional[float]) -> ApproximantResult:
+    """Assemble, factor and certify over ``b`` under the weights ``aw``; errors name ``n``."""
+    onevar = isinstance(f, OneVarSeries)
+    gram = gram_assemble(f, aw, b)
+    c, ridge, cond = _solve_normal(gram, n)
+    p = _series_from_solution(c, gram.basis, onevar)
+    res_sq, ortho = _certify(
+        p, f, aw, _exponents(gram.basis, onevar), n=n, ridge=ridge, cond=cond,
+        ortho_tol=ortho_tol,
+    )
     return ApproximantResult(
         p=p,
         residual_sq=res_sq,
         n=n,
-        basis_kind=kind,
+        basis_kind=b.kind,
         cond_estimate=cond,
         ortho_residual=ortho,
-        basis=tuple(basis),
+        basis=gram.basis,
         ridge=ridge,
     )
 
@@ -392,13 +409,7 @@ def solve_optimal(
     ``max_i |<p f - 1, m_i f>|`` must come out below ``ortho_tol``
     (default ``1e-8 * ||f||^2``), else a conditioning error is raised.
     """
-    aw = as_alpha(a)
-    gram = gram_assemble(f, aw, b)
-    c, ridge, cond = _solve_normal(gram, b.n)
-    p = _series_from_solution(c, gram.basis, isinstance(f, OneVarSeries))
-    return _certify(
-        p, f, aw, gram.basis, n=b.n, kind=b.kind, ridge=ridge, cond=cond, ortho_tol=ortho_tol
-    )
+    return _solve(f, as_alpha(a), b, b.n, ortho_tol)
 
 
 def _phi_grid(alpha: float, values: np.ndarray) -> np.ndarray:
@@ -512,27 +523,21 @@ def diagonal_reduce_solve(
     Restricting the minimization to the diagonal basis loses nothing for
     diagonal ``f`` (projecting any competitor onto the pattern can only
     shrink the residual), so this attains the full square-basis optimum.
-    For the pattern ``(1, 1)`` the solve is performed as a one-variable
-    problem at doubled parameter on the restricted function — an exact
-    isometry — and lifted back; other patterns solve the small diagonal
-    Gram system directly.  The residual is always recomputed in two
-    variables.
+    ``f = F(z1^M z2^N)`` is solved as the one-variable problem for ``F`` of
+    order ``n // max(M, N)`` under the weights ``((Mk+1)(Nk+1))^alpha`` — an
+    exact isometry onto the pattern subspace, which for ``(1, 1)`` is the
+    one-variable space at doubled parameter.  Residual and certificate are
+    computed on the pattern; the result carries the lifted approximant and
+    the pattern exponents ``(Mk, Nk)`` as its basis.
     """
     aw = as_alpha(a)
-    if not is_diagonal(f, pat):
-        restrict(f, pat)  # raises PatternViolationError with the offending index
-    if (pat.M, pat.N) == (1, 1):
-        gram = gram_assemble(restrict(f, pat), as_alpha(2.0 * aw.alpha), BasisSpec.onevar(n))
-        c, ridge, cond = _solve_normal(gram, n)
-        p = lift(_series_from_solution(c, gram.basis, onevar=True), pat)
-        basis = [(k, k) for k in gram.basis]
-    else:
-        gram = gram_assemble(f, aw, BasisSpec.diagonal(n, pat))
-        c, ridge, cond = _solve_normal(gram, n)
-        p = _series_from_solution(c, gram.basis, onevar=False)
-        basis = gram.basis
-    return _certify(
-        p, f, aw, basis, n=n, kind="diagonal", ridge=ridge, cond=cond, ortho_tol=ortho_tol
+    m = n // max(pat.M, pat.N)
+    res = _solve(restrict(f, pat), PatternWeight(aw, pat), BasisSpec.onevar(m), n, ortho_tol)
+    return replace(
+        res,
+        p=lift(res.p, pat),
+        basis_kind="diagonal",
+        basis=tuple((pat.M * k, pat.N * k) for k in res.basis),
     )
 
 

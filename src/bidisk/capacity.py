@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import CoefficientRangeError
-from .series import TwoVarSeries
+from .series import TwoVarSeries, shifted_pairings
 from .spaces import norm2
 
 __all__ = [
@@ -254,10 +254,5 @@ def annihilation_check(f: TwoVarSeries, mu: FourierMeasure, maxdeg: int) -> floa
             f"annihilation check needs coefficients to ({d1}, {d2}); measure stores {mu.K}"
         )
     C = cauchy_transform(mu, d1, d2)
-    worst = 0.0
-    F1, F2 = f.coeffs.shape
-    for k in range(maxdeg + 1):
-        for l in range(maxdeg + 1):
-            pairing = np.sum(f.coeffs * C.coeffs[k : k + F1, l : l + F2])
-            worst = max(worst, abs(complex(pairing)))
-    return worst
+    shifts = np.indices((maxdeg + 1, maxdeg + 1)).reshape(2, -1).T
+    return float(np.max(np.abs(shifted_pairings(f.coeffs, C.coeffs, shifts))))

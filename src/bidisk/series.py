@@ -308,6 +308,20 @@ def multiply1(F: OneVarSeries, G: OneVarSeries) -> OneVarSeries:
     return OneVarSeries(np.convolve(F.coeffs, G.coeffs))
 
 
+def shifted_pairings(coeffs: np.ndarray, target: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Pairings ``out[i] = sum_p coeffs[p] * target[shifts[i] + p]`` of shifted copies of a grid.
+
+    ``coeffs`` and ``target`` are two-dimensional coefficient grids and
+    ``shifts`` a ``(B, 2)`` integer array; every shifted copy of ``coeffs``
+    must fit inside ``target``.  The sum runs over the nonzero entries of
+    ``coeffs`` only, one vectorized gather over all shifts per entry.
+    """
+    out = np.zeros(len(shifts), dtype=np.complex128)
+    for p1, p2 in np.argwhere(coeffs):
+        out += coeffs[p1, p2] * target[shifts[:, 0] + p1, shifts[:, 1] + p2]
+    return out
+
+
 def _require_invertible(a00: complex, eps0: float) -> None:
     if abs(a00) <= eps0:
         raise SingularReciprocalError(

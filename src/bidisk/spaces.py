@@ -24,6 +24,7 @@ from .series import DiagonalPattern, OneVarSeries, TwoVarSeries
 
 __all__ = [
     "AlphaWeight",
+    "PatternWeight",
     "as_alpha",
     "ComparisonConstants",
     "norm1",
@@ -70,6 +71,26 @@ class AlphaWeight:
 
 
 AlphaLike = Union[AlphaWeight, float, int]
+
+
+@dataclass(frozen=True)
+class PatternWeight:
+    """Weight ``((Mk+1)(Nk+1))^alpha`` of ``z^k``: the weight of ``z1^(Mk) z2^(Nk)``.
+
+    Under these weights the lifting ``F -> F(z1^M z2^N)`` is an isometry onto
+    the series supported on the pattern, and it maps ``z^i F`` to
+    ``z1^(Mi) z2^(Ni) F(z1^M z2^N)``.  It offers the ``weights(deg)`` method
+    of :class:`AlphaWeight`, with ``weights(0) = [1]``; for the pattern
+    ``(1, 1)`` it is the weight at doubled ``alpha``.
+    """
+
+    aw: AlphaWeight
+    pattern: DiagonalPattern
+
+    def weights(self, deg: int) -> np.ndarray:
+        """Array ``[((Mk+1)(Nk+1))^alpha for k in 0..deg]``."""
+        M, N = self.pattern.M, self.pattern.N
+        return self.aw.weights(M * deg)[::M] * self.aw.weights(N * deg)[::N]
 
 
 def as_alpha(a: AlphaLike) -> AlphaWeight:

@@ -63,6 +63,18 @@ class TestDecayScan:
         with pytest.raises(BasisSizeError, match="n=120"):
             decay_scan(F_DIAG, 0.0, [1, 120], basis="full")
 
+    def test_solver_error_kept_whole(self):
+        from bidisk.approximants import BasisSpec, solve_optimal
+        from bidisk.errors import ConditioningError
+
+        with pytest.raises(ConditioningError) as direct:
+            solve_optimal(F_PROD, 0.5, BasisSpec.full(3), ortho_tol=1e-300)
+        with pytest.raises(ConditioningError) as scanned:
+            decay_scan(F_PROD, 0.5, [3], basis="full", ortho_tol=1e-300)
+        assert direct.value.cond_estimate is not None
+        assert scanned.value.cond_estimate == direct.value.cond_estimate
+        assert str(scanned.value).count("n=3") == 1
+
     def test_monotonicity_enforced(self):
         with pytest.raises(MonotonicityError):
             DecaySeries(points=((1, 0.5), (2, 0.75)))

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+from bidisk import approximants
 from bidisk.approximants import (
     BasisSpec,
     cesaro,
@@ -28,11 +29,13 @@ from bidisk.series import (
     OneVarSeries,
     TwoVarSeries,
     constant2,
+    lift,
     monomial2,
     multiply2,
+    restrict,
     separable,
 )
-from bidisk.spaces import inner2, norm2
+from bidisk.spaces import AlphaWeight, PatternWeight, inner2, norm2
 
 from oracles import (
     brute_gram_dist_sq,
@@ -312,6 +315,107 @@ class TestDiagonalReduce:
             assert abs(via_onevar.residual_sq - direct.residual_sq) <= 1e-10
             oracle = onevar_one_minus_z_dist_sq(2.0 * alpha, n)
             assert via_onevar.residual_sq == pytest.approx(oracle, rel=1e-10)
+
+
+PATTERNS = [(1, 1), (2, 3), (3, 1), (2, 1)]
+
+
+def random_pattern_series(rng, pat, deg=3):
+    """``F(z1^M z2^N)`` for a random complex ``F`` of degree ``deg``."""
+    return lift(OneVarSeries(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)),
+                pat)
+
+
+def two_variable_pairing(p, f, alpha, basis):
+    """``max_i |<p f - 1, m_i f>|`` by explicit two-variable products."""
+    r = multiply2(p, f) - 1.0
+    return max(abs(inner2(r, multiply2(monomial2(k, l), f), alpha)) for k, l in basis)
+
+
+class TestPatternNativeSolve:
+    """Diagonal solves run and are certified on the pattern; the 2-D checks stay independent."""
+
+    @pytest.mark.parametrize("MN", PATTERNS)
+    @pytest.mark.parametrize("alpha", [-1.0, -0.25, 0.5, 1.0])
+    def test_matches_two_variable_residual_and_pairing(self, MN, alpha):
+        pat = DiagonalPattern(*MN)
+        rng = np.random.default_rng(60 + 7 * MN[0] + MN[1])
+        for n in (0, 5, 13):
+            f = random_pattern_series(rng, pat)
+            res = diagonal_reduce_solve(f, alpha, n, pat)
+            assert res.basis == tuple((pat.M * k, pat.N * k) for k in range(n // max(MN) + 1))
+            assert res.residual_sq == pytest.approx(residual_norm_sq(res.p, f, alpha), rel=1e-12)
+            pairing = two_variable_pairing(res.p, f, alpha, res.basis)
+            assert abs(res.ortho_residual - pairing) <= 1e-14 * norm2(f, alpha) ** 2
+
+    @pytest.mark.parametrize("MN", PATTERNS)
+    def test_certificate_off_the_optimum(self, MN):
+        # for any p, the pattern residual and pairing equal the 2-D ones
+        pat = DiagonalPattern(*MN)
+        rng = np.random.default_rng(70 + MN[0])
+        for alpha in (-1.0, 0.5):
+            F = OneVarSeries(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            P = OneVarSeries(rng.standard_normal(5) + 1j * rng.standard_normal(5))
+            pw = PatternWeight(AlphaWeight(alpha), pat)
+            res_sq, ortho = approximants._certify(
+                P, F, pw, approximants._exponents(range(5), True),
+                n=4, ridge=0.0, cond=1.0, ortho_tol=np.inf,
+            )
+            p, f = lift(P, pat), lift(F, pat)
+            assert res_sq == pytest.approx(residual_norm_sq(p, f, alpha), rel=1e-12)
+            basis = [(pat.M * k, pat.N * k) for k in range(5)]
+            assert ortho == pytest.approx(two_variable_pairing(p, f, alpha, basis), rel=1e-12)
+
+    @pytest.mark.parametrize("MN", PATTERNS)
+    def test_pattern_gram_equals_diagonal_basis_gram(self, MN):
+        pat = DiagonalPattern(*MN)
+        f = random_pattern_series(np.random.default_rng(80), pat)
+        for alpha in (-1.0, 0.5, 1.0):
+            n = 4 * max(MN)
+            direct = gram_assemble(f, alpha, BasisSpec.diagonal(n, pat))
+            native = gram_assemble(
+                restrict(f, pat), PatternWeight(AlphaWeight(alpha), pat), BasisSpec.onevar(4)
+            )
+            scale = np.max(np.abs(direct.matrix))
+            assert np.max(np.abs(native.matrix - direct.matrix)) <= 1e-14 * scale
+            assert np.allclose(native.rhs, direct.rhs, rtol=0.0, atol=0.0)
+
+    def test_pattern_11_is_doubled_alpha(self):
+        for alpha in (-1.0, 0.25, 1.0):
+            pw = PatternWeight(AlphaWeight(alpha), PAT11)
+            assert np.allclose(pw.weights(50), AlphaWeight(2 * alpha).weights(50), rtol=1e-15)
+        assert PatternWeight(AlphaWeight(0.7), DiagonalPattern(2, 3)).weights(0).tolist() == [1.0]
+
+    @pytest.mark.parametrize("MN", [(1, 1), (2, 3)])
+    def test_no_two_variable_product(self, monkeypatch, MN):
+        def refuse(*args):
+            raise AssertionError("diagonal solves must not form a two-variable product")
+
+        pat = DiagonalPattern(*MN)
+        f = TwoVarSeries.from_terms({(0, 0): 1, MN: -1})
+        monkeypatch.setattr(approximants, "multiply2", refuse)
+        res = diagonal_reduce_solve(f, 0.5, 12, pat)
+        monkeypatch.undo()
+        assert res.residual_sq == pytest.approx(residual_norm_sq(res.p, f, 0.5), rel=1e-12)
+
+    def test_one_product_per_solve(self, monkeypatch):
+        calls = []
+        for name in ("multiply1", "multiply2"):
+            original = getattr(approximants, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(approximants, name, counted)
+        solve_optimal(F_PROD, 0.5, BasisSpec.full(4))
+        assert calls == ["multiply2"]
+        calls.clear()
+        solve_optimal(F_ONEVAR, 0.5, BasisSpec.onevar(6))
+        assert calls == ["multiply1"]
+        calls.clear()
+        diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11)
+        assert calls == ["multiply1"]
 
 
 class TestClosedForm:

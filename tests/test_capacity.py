@@ -15,7 +15,7 @@ from bidisk.capacity import (
     point_mass,
 )
 from bidisk.errors import CoefficientRangeError
-from bidisk.series import TwoVarSeries, constant2, monomial2
+from bidisk.series import TwoVarSeries, constant2, monomial2, shifted_pairings
 
 F_DIAG = TwoVarSeries.from_terms({(0, 0): 1, (1, 1): -1})
 
@@ -132,6 +132,39 @@ class TestAnnihilation:
     def test_insufficient_range(self):
         with pytest.raises(CoefficientRangeError):
             annihilation_check(F_DIAG, diagonal_current(5), 8)
+
+
+class TestShiftedPairings:
+    """One helper serves the annihilation check and the orthogonality certificate."""
+
+    @staticmethod
+    def random_grid(rng, shape):
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grid[rng.random(shape) < 0.4] = 0.0  # interior zeros
+        return grid
+
+    def test_matches_per_shift_loop(self):
+        rng = np.random.default_rng(90)
+        coeffs = self.random_grid(rng, (3, 4))
+        target = rng.standard_normal((12, 11)) + 1j * rng.standard_normal((12, 11))
+        shifts = np.column_stack((rng.integers(0, 10, 40), rng.integers(0, 8, 40)))
+        brute = [np.sum(coeffs * target[k : k + 3, l : l + 4]) for k, l in shifts]
+        assert np.allclose(shifted_pairings(coeffs, target, shifts), brute, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("measure", [lebesgue, diagonal_current])
+    def test_annihilation_against_per_shift_loop(self, measure):
+        rng = np.random.default_rng(91)
+        for shape in ((2, 2), (3, 2), (4, 5)):
+            f = TwoVarSeries(self.random_grid(rng, shape))
+            maxdeg = 7
+            mu = measure(maxdeg + max(shape))
+            C = cauchy_transform(mu, maxdeg + shape[0] - 1, maxdeg + shape[1] - 1).coeffs
+            brute = max(
+                abs(np.sum(f.coeffs * C[k : k + shape[0], l : l + shape[1]]))
+                for k in range(maxdeg + 1)
+                for l in range(maxdeg + 1)
+            )
+            assert annihilation_check(f, mu, maxdeg) == pytest.approx(brute, rel=1e-13, abs=0)
 
 
 class TestDominationAndConsistency:
