@@ -11,10 +11,15 @@ whose finiteness for a measure supported on a boundary zero set obstructs
 cyclicity: the Cauchy transform of such a measure is a Bergman-space
 function whose bilinear pairing annihilates every polynomial multiple of
 the function.
+
+A measure stores its nonzero coefficients on the closed upper half-plane
+only, where every energy term and Cauchy coefficient lies; Hermitian symmetry
+gives the rest.  Both therefore cost ``O(nnz)``, with no dense grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -41,25 +46,51 @@ __all__ = [
 _HERMITIAN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierMeasure:
     """Probability measure on the two-torus given by Fourier coefficients.
 
-    Coefficients are available for ``|k|, |l| <= K``; normalization fixes
-    ``mu_hat(0, 0) = 1``, coefficients are bounded by 1 in modulus, and the
-    table is Hermitian-symmetric (``mu_hat(-k, -l) = conj(mu_hat(k, l))``).
-    Built-ins are backed by closed forms; custom measures by a completed
-    coefficient table.
+    The read-only table holds ``mu_hat(k[i], l[i]) = value[i]`` on the closed
+    upper half-plane ``l > 0`` or ``(l = 0, k >= 0)``, strictly increasing in
+    ``(l, k)``; unlisted coefficients there are zero, and
+    ``mu_hat(-k, -l) = conj(mu_hat(k, l))`` gives the other half.  However the
+    measure is built, construction checks that every index is within
+    ``|k|, |l| <= K``, that ``mu_hat(0, 0) = 1`` (the first entry), and that
+    every coefficient is finite and at most 1 in modulus.
     """
 
     K: int
     kind: str
-    _style: str = field(repr=False, default="delta00")
-    _table: Optional[Dict[Tuple[int, int], complex]] = field(repr=False, default=None)
+    k: np.ndarray = field(repr=False)
+    l: np.ndarray = field(repr=False)
+    value: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        k, l = np.asarray(self.k), np.asarray(self.l)
+        value = np.asarray(self.value, dtype=np.complex128)
         if self.K < 0:
             raise CoefficientRangeError("coefficient cutoff K must be nonnegative")
+        if not (k.ndim == 1 and k.shape == l.shape == value.shape
+                and {k.dtype.kind, l.dtype.kind} <= {"i", "u"}):
+            raise CoefficientRangeError("a measure table needs 1-D integer k, l and value arrays")
+        k, l = k.astype(np.int64, copy=False), l.astype(np.int64, copy=False)
+        # strictly increasing from (0, 0) keeps every entry in the upper half-plane
+        if np.any((l[1:] < l[:-1]) | ((l[1:] == l[:-1]) & (k[1:] <= k[:-1]))):
+            raise CoefficientRangeError("measure table indices must strictly increase in (l, k)")
+        if k.size == 0 or k[0] != 0 or l[0] != 0 or not abs(value[0] - 1.0) <= _HERMITIAN_TOL:
+            raise CoefficientRangeError("a probability measure needs mu_hat(0, 0) = 1 first")
+        reach = max(k.max(), -k.min(), l[-1])
+        if reach > self.K:
+            raise CoefficientRangeError(f"coefficient range {reach} exceeds the cutoff {self.K}")
+        modulus = np.abs(value)
+        i = int(np.argmax(modulus))
+        if not modulus[i] <= 1.0 + _HERMITIAN_TOL:  # NaN fails too
+            raise CoefficientRangeError(
+                f"|mu_hat({k[i]}, {l[i]})| = {modulus[i]:.6g}; a probability measure needs <= 1"
+            )
+        for name, array in (("k", k), ("l", l), ("value", value)):
+            object.__setattr__(self, name, array.view())
+            getattr(self, name).flags.writeable = False
 
     def mu_hat(self, k: int, l: int) -> complex:
         """Single coefficient, range-checked against the stored cutoff."""
@@ -67,59 +98,29 @@ class FourierMeasure:
             raise CoefficientRangeError(
                 f"coefficient ({k}, {l}) outside the stored range |k|,|l| <= {self.K}"
             )
-        if self._style == "delta00":
-            return 1.0 + 0.0j if k == l == 0 else 0.0 + 0.0j
-        if self._style == "diag":
-            return 1.0 + 0.0j if k == l else 0.0 + 0.0j
-        if self._style == "ones":
-            return 1.0 + 0.0j
-        return complex(self._table.get((k, l), 0.0))
-
-    def dense(self, K: int) -> np.ndarray:
-        """Grid ``out[k + K, l + K] = mu_hat(k, l)`` for ``|k|, |l| <= K``."""
-        if K > self.K:
-            raise CoefficientRangeError(
-                f"cutoff {K} exceeds the stored coefficient range {self.K}"
-            )
-        size = 2 * K + 1
-        if self._style == "delta00":
-            out = np.zeros((size, size), dtype=np.complex128)
-            out[K, K] = 1.0
-        elif self._style == "diag":
-            out = np.eye(size, dtype=np.complex128)
-        elif self._style == "ones":
-            out = np.ones((size, size), dtype=np.complex128)
-        else:
-            out = np.zeros((size, size), dtype=np.complex128)
-            for (k, l), value in self._table.items():
-                if abs(k) <= K and abs(l) <= K:
-                    out[k + K, l + K] = value
-        return out
+        mirrored = l < 0 or (l == 0 and k < 0)
+        if mirrored:
+            k, l = -k, -l
+        lo, hi = np.searchsorted(self.l, [l, l + 1])
+        i = lo + int(np.searchsorted(self.k[lo:hi], k))
+        value = complex(self.value[i]) if i < hi and self.k[i] == k else 0.0 + 0.0j
+        return value.conjugate() if mirrored else value
 
     def quadrant(self, d1: int, d2: int) -> np.ndarray:
         """Grid ``out[k, l] = mu_hat(k, l)`` for ``0 <= k <= d1, 0 <= l <= d2``."""
-        if d1 > self.K or d2 > self.K:
-            raise CoefficientRangeError(
-                f"requested degrees ({d1}, {d2}) exceed the stored range {self.K}"
-            )
-        if self._style == "delta00":
-            out = np.zeros((d1 + 1, d2 + 1), dtype=np.complex128)
-            out[0, 0] = 1.0
-        elif self._style == "diag":
-            out = np.eye(d1 + 1, d2 + 1, dtype=np.complex128)
-        elif self._style == "ones":
-            out = np.ones((d1 + 1, d2 + 1), dtype=np.complex128)
-        else:
-            out = np.zeros((d1 + 1, d2 + 1), dtype=np.complex128)
-            for (k, l), value in self._table.items():
-                if 0 <= k <= d1 and 0 <= l <= d2:
-                    out[k, l] = value
+        if min(d1, d2) < 0 or max(d1, d2) > self.K:
+            raise CoefficientRangeError(f"requested degrees ({d1}, {d2}) outside 0..{self.K}")
+        stop = int(np.searchsorted(self.l, d2, side="right"))
+        k, l = self.k[:stop], self.l[:stop]
+        pick = (k >= 0) & (k <= d1)
+        out = np.zeros((d1 + 1, d2 + 1), dtype=np.complex128)
+        out[k[pick], l[pick]] = self.value[:stop][pick]
         return out
 
 
 def lebesgue(K: int) -> FourierMeasure:
     """Normalized Lebesgue measure: ``mu_hat = 1`` at the origin, 0 elsewhere."""
-    return FourierMeasure(K=K, kind="lebesgue", _style="delta00")
+    return FourierMeasure(K=K, kind="lebesgue", k=[0], l=[0], value=[1.0])
 
 
 def diagonal_current(K: int) -> FourierMeasure:
@@ -127,12 +128,16 @@ def diagonal_current(K: int) -> FourierMeasure:
 
     Its coefficients are ``mu_hat(k, l) = 1`` exactly when ``k = l``.
     """
-    return FourierMeasure(K=K, kind="diagonal_current", _style="diag")
+    j = np.arange(K + 1)
+    return FourierMeasure(K=K, kind="diagonal_current", k=j, l=j, value=np.ones(j.size, complex))
 
 
 def point_mass(K: int) -> FourierMeasure:
     """Unit point mass at ``(1, 1)``: every coefficient equals 1 (infinite energy)."""
-    return FourierMeasure(K=K, kind="custom", _style="ones")
+    # rows l = 0..K of k = -K..K, from the origin on
+    l = np.repeat(np.arange(K + 1), 2 * K + 1)[K:]
+    k = np.tile(np.arange(-K, K + 1), K + 1)[K:]
+    return FourierMeasure(K=K, kind="custom", k=k, l=l, value=np.ones(k.size, complex))
 
 
 def custom_measure(
@@ -142,34 +147,23 @@ def custom_measure(
 
     Callers may specify either half of each conjugate pair; specifying both
     inconsistently, breaking ``mu_hat(0,0) = 1``, or exceeding modulus 1 is
-    an input error.  Unspecified coefficients are zero.
+    an input error.  Unspecified coefficients are zero, ``mu_hat(0, 0)``
+    defaults to 1 and ``K`` to the largest index given.
     """
     table: Dict[Tuple[int, int], complex] = {}
-    kmax = 0
     for (k, l), value in coeffs.items():
         value = complex(value)
-        for key, val in (((k, l), value), ((-k, -l), complex(np.conj(value)))):
-            if key in table and abs(table[key] - val) > _HERMITIAN_TOL:
-                raise CoefficientRangeError(
-                    f"coefficient {key} specified twice with inconsistent values"
-                )
-            table[key] = val
-        kmax = max(kmax, abs(k), abs(l))
+        if l < 0 or (l == 0 and k < 0):
+            k, l, value = -k, -l, value.conjugate()
+        if (k, l) in table and abs(table[(k, l)] - value) > _HERMITIAN_TOL:
+            raise CoefficientRangeError(f"coefficient {(k, l)} given twice, inconsistently")
+        table[(k, l)] = value
     table.setdefault((0, 0), 1.0 + 0.0j)
-    if abs(table[(0, 0)] - 1.0) > _HERMITIAN_TOL:
-        raise CoefficientRangeError("a probability measure needs mu_hat(0, 0) = 1")
-    for key, value in table.items():
-        if abs(value) > 1.0 + _HERMITIAN_TOL:
-            raise CoefficientRangeError(
-                f"|mu_hat{key}| = {abs(value):.6g} > 1 is impossible for a probability measure"
-            )
+    keys = sorted(table, key=lambda kl: (kl[1], kl[0]))
+    k, l = np.array(keys).T
     if K is None:
-        K = kmax
-    if kmax > K:
-        raise CoefficientRangeError(
-            f"coefficient range {kmax} exceeds the declared cutoff {K}"
-        )
-    return FourierMeasure(K=K, kind="custom", _style="table", _table=dict(table))
+        K = int(max(np.max(np.abs(k)), l[-1]))
+    return FourierMeasure(K=K, kind="custom", k=k, l=l, value=[table[kl] for kl in keys])
 
 
 @dataclass(frozen=True)
@@ -192,25 +186,25 @@ def energy(mu: FourierMeasure, K: int) -> EnergyReport:
 
     All four term groups are nonnegative, so the partial sums are
     nondecreasing in ``K``; growth without bound as ``K`` increases is
-    evidence of infinite energy.
+    evidence of infinite energy.  Each group is an exactly rounded sum of
+    its terms, read from the upper half-plane table in ``O(nnz)``.
     """
-    grid = mu.dense(K)
-    defect = float(np.max(np.abs(grid - np.conj(grid[::-1, ::-1]))))
-    if defect > 1e-10:
-        raise CoefficientRangeError(
-            f"coefficient table is not Hermitian-symmetric (defect {defect:.3e})"
-        )
-    sq = np.abs(grid) ** 2
-    if K == 0:
-        return EnergyReport(K=0, constant=1.0, axis1=0.0, axis2=0.0, interior=0.0)
-    ks = np.arange(1, K + 1, dtype=float)
-    axis1 = float(np.sum(sq[K + 1 :, K] / ks))
-    axis2 = float(np.sum(sq[K, K + 1 :] / ks))
-    nonzero_rows = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
-    block = sq[nonzero_rows + K, K + 1 :]
-    interior = 0.5 * float(
-        np.einsum("k,l,kl->", 1.0 / np.abs(nonzero_rows), 1.0 / ks, block)
-    )
+    if not 0 <= K <= mu.K:
+        raise CoefficientRangeError(f"cutoff {K} outside the stored range 0..{mu.K}")
+    stop = int(np.searchsorted(mu.l, K, side="right"))
+    k, l, value = mu.k[:stop], mu.l[:stop], mu.value[:stop]
+    if K < mu.K:
+        keep = np.abs(k) <= K
+        k, l, value = k[keep], l[keep], value[keep]
+    sq = np.abs(value) ** 2
+    # fsum over a memoryview: exactly rounded, without a numpy scalar per term;
+    # the origin comes first, then the rest of the row l = 0
+    row0 = int(np.searchsorted(l, 0, side="right"))
+    axis1 = math.fsum(memoryview(sq[1:row0] / k[1:row0]))
+    k, l, sq = k[row0:], l[row0:], sq[row0:]
+    on_axis = k == 0
+    axis2 = math.fsum(memoryview(sq[on_axis] / l[on_axis]))
+    interior = 0.5 * math.fsum(memoryview(sq[~on_axis] / np.abs((k * l)[~on_axis])))
     return EnergyReport(K=K, constant=1.0, axis1=axis1, axis2=axis2, interior=interior)
 
 
@@ -247,6 +241,8 @@ def annihilation_check(f: TwoVarSeries, mu: FourierMeasure, maxdeg: int) -> floa
     must store coefficients out to ``maxdeg + deg(f)`` so every shifted
     product fits the transform's grid.
     """
+    if maxdeg < 0:
+        raise CoefficientRangeError("maxdeg must be nonnegative")
     d1 = maxdeg + f.deg1
     d2 = maxdeg + f.deg2
     if d1 > mu.K or d2 > mu.K:

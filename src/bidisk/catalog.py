@@ -9,7 +9,9 @@ are ``{"builtin": "name", "params": {"K": ...}}`` or a coefficient table
 
     {"K": 8, "coeffs": [[k, l, re, im], ...]}      # Hermitian-completed
 
-where only ``k > 0`` or ``(k = 0, l >= 0)`` entries need to be given.
+where either half of each conjugate pair may be given (the measure stores
+the half ``l > 0`` or ``(l = 0, k >= 0)``); a row repeated with a different
+value is an input error.
 """
 
 from __future__ import annotations
@@ -166,8 +168,11 @@ def resolve_measure(spec: str, K: int) -> FourierMeasure:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise InputError("measure JSON needs 'coeffs': [[k, l, re, im], ...]")
     try:
-        table = {(int(k), int(l)): complex(re, im) for k, l, re, im in obj["coeffs"]}
+        rows = [((int(k), int(l)), complex(re, im)) for k, l, re, im in obj["coeffs"]]
     except (TypeError, ValueError) as exc:
         raise InputError(f"measure coefficients must be [k, l, re, im] rows ({exc})")
+    table = dict(rows)
+    if any(table[key] is not value and table[key] != value for key, value in rows):
+        raise InputError("measure file gives one coefficient twice with different values")
     declared_K = obj.get("K")
     return custom_measure(table, K=int(declared_K) if declared_K is not None else None)

@@ -184,7 +184,8 @@ def cmd_energy(args) -> int:
 
 def cmd_annihilate(args) -> int:
     info = resolve_series(args.series)
-    needed = args.maxdeg + max(info.series.deg1, info.series.deg2)
+    # a negative --maxdeg is refused by the check itself
+    needed = max(args.maxdeg, 0) + max(info.series.deg1, info.series.deg2)
     mu = resolve_measure(args.measure, needed)
     value = capacity.annihilation_check(info.series, mu, args.maxdeg)
     payload = {

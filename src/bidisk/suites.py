@@ -15,6 +15,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
+from .errors import InputError
 from .series import (
     DiagonalPattern,
     OneVarSeries,
@@ -187,4 +188,6 @@ def available_suites() -> List[str]:
 def run_suite(name: str, trials: int = 500, seed: int = 7) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+    if trials < 1:
+        raise InputError(f"a suite needs at least one trial (got trials={trials})")
     return SUITES[name](trials, seed)

@@ -1,9 +1,11 @@
 """Energies, Cauchy transforms, dual pairings, annihilation certificates."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from bidisk.capacity import (
+    FourierMeasure,
     annihilation_check,
     bergman_norm_sq,
     cauchy_transform,
@@ -18,6 +20,68 @@ from bidisk.errors import CoefficientRangeError
 from bidisk.series import TwoVarSeries, constant2, monomial2, shifted_pairings
 
 F_DIAG = TwoVarSeries.from_terms({(0, 0): 1, (1, 1): -1})
+
+# a custom table given on both half-planes, with a consistent conjugate pair
+CUSTOM = {(1, 1): 0.5 + 0.1j, (-2, -1): -0.25, (0, 3): 0.125j, (1, 0): 0.5, (-1, 0): 0.5,
+          (-3, 2): 0.3 - 0.2j, (2, 0): 0.1}
+
+
+def closed_form(name):
+    """``mu_hat(k, l)`` of a named measure, straight from its definition."""
+    if name == "lebesgue":
+        return lambda k, l: 1.0 + 0.0j if k == l == 0 else 0.0j
+    if name == "diagonal_current":
+        return lambda k, l: 1.0 + 0.0j if k == l else 0.0j
+    if name == "point_mass":
+        return lambda k, l: 1.0 + 0.0j
+
+    def custom(k, l):
+        if (k, l) == (0, 0):
+            return 1.0 + 0.0j
+        if (k, l) in CUSTOM:
+            return complex(CUSTOM[(k, l)])
+        return complex(CUSTOM.get((-k, -l), 0.0)).conjugate()
+
+    return custom
+
+
+def build(name, K):
+    if name == "custom":
+        return custom_measure(CUSTOM, K=K)
+    return {"lebesgue": lebesgue, "diagonal_current": diagonal_current,
+            "point_mass": point_mass}[name](K)
+
+
+def dense_reference(name, K):
+    """``out[k + K, l + K] = mu_hat(k, l)`` for ``|k|, |l| <= K``, one loop per entry."""
+    coeff = closed_form(name)
+    out = np.zeros((2 * K + 1, 2 * K + 1), dtype=np.complex128)
+    for k in range(-K, K + 1):
+        for l in range(-K, K + 1):
+            out[k + K, l + K] = coeff(k, l)
+    return out
+
+
+def mpmath_energy(name, K):
+    """The four energy groups summed at 50 digits from the closed forms."""
+    coeff = closed_form(name)
+    with mpmath.workdps(50):
+        sq = lambda k, l: abs(mpmath.mpc(coeff(k, l))) ** 2  # noqa: E731
+        axis1 = mpmath.fsum(sq(k, 0) / k for k in range(1, K + 1))
+        axis2 = mpmath.fsum(sq(0, l) / l for l in range(1, K + 1))
+        interior = mpmath.fsum(
+            sq(k, l) / (abs(k) * l)
+            for k in range(-K, K + 1) if k != 0
+            for l in range(1, K + 1)
+        ) / 2
+        return axis1, axis2, interior, 1 + axis1 + axis2 + interior
+
+
+def mpmath_diagonal_energy(K):
+    """Closed form of the diagonal current's interior group: ``(1/2) sum 1/k^2``."""
+    with mpmath.workdps(50):
+        interior = mpmath.fsum(mpmath.mpf(1) / (k * k) for k in range(1, K + 1)) / 2
+        return mpmath.mpf(0), mpmath.mpf(0), interior, 1 + interior
 
 
 class TestMeasures:
@@ -42,6 +106,57 @@ class TestMeasures:
     def test_range_check(self):
         with pytest.raises(CoefficientRangeError):
             lebesgue(3).mu_hat(4, 0)
+
+    @pytest.mark.parametrize("name", ["lebesgue", "diagonal_current", "point_mass", "custom"])
+    def test_table_matches_dense_reference(self, name):
+        K = 4
+        mu, ref = build(name, K), dense_reference(name, K)
+        table = np.array([[mu.mu_hat(k, l) for l in range(-K, K + 1)] for k in range(-K, K + 1)])
+        assert np.array_equal(table, ref)
+        for d1, d2 in ((0, 0), (K, K), (2, K), (K, 1), (3, 0)):
+            assert np.array_equal(mu.quadrant(d1, d2), ref[K : K + d1 + 1, K : K + d2 + 1])
+
+    def test_stores_the_upper_half_plane(self):
+        for mu in (point_mass(3), custom_measure(CUSTOM)):
+            assert np.all((mu.l > 0) | ((mu.l == 0) & (mu.k >= 0)))
+        assert point_mass(3).k.size == (7 * 7 + 1) // 2
+
+    @pytest.mark.parametrize(
+        "k, l, value, K",
+        [
+            ([0, 1], [0, 0], [0.5, 0.2], 2),  # mu_hat(0, 0) != 1
+            ([1, 2], [0, 0], [0.5, 0.2], 2),  # no origin
+            ([0, 1], [0, 1], [1.0, 1.5j], 2),  # modulus > 1
+            ([0, 1], [0, 1], [1.0, np.nan], 2),  # not a number
+            ([0, 1], [0, 1], [np.nan, 0.5], 2),  # not a number at the origin
+            ([0, 3], [0, 1], [1.0, 0.5], 2),  # |k| beyond K
+            ([0, 0], [0, 3], [1.0, 0.5], 2),  # l beyond K
+            ([0, -1], [0, 0], [1.0, 0.5], 2),  # lower half-plane
+            ([0, 0], [0, -1], [1.0, 0.5], 2),  # lower half-plane
+            ([-1, 0], [0, 0], [0.5, 1.0], 2),  # lower half-plane, sorted
+            ([0, 1, 1], [0, 1, 1], [1.0, 0.5, 0.6], 2),  # one index twice
+            ([0, 2, 1], [0, 0, 0], [1.0, 0.5, 0.6], 2),  # not sorted in (l, k)
+            ([0.0, 1.0], [0, 0], [1.0, 0.5], 2),  # non-integer indices
+            ([0, 1], [0, 0], [1.0], 2),  # lengths differ
+            ([0], [0], [1.0], -1),  # negative cutoff
+        ],
+    )
+    def test_direct_construction_validated(self, k, l, value, K):
+        with pytest.raises(CoefficientRangeError):
+            FourierMeasure(K=K, kind="custom", k=np.array(k), l=np.array(l), value=value)
+
+    def test_direct_construction_accepted(self):
+        mu = FourierMeasure(K=3, kind="custom", k=[0, 2, -3, 0], l=[0, 0, 1, 2],
+                            value=[1.0, 0.5j, -0.25, 0.75])
+        assert mu.mu_hat(-2, 0) == -0.5j
+        assert mu.mu_hat(3, -1) == -0.25
+        assert mu.mu_hat(1, 1) == 0.0
+
+    def test_table_is_read_only(self):
+        mu = custom_measure({(1, 0): 0.5})
+        for array in (mu.k, mu.l, mu.value):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestEnergy:
@@ -73,6 +188,30 @@ class TestEnergy:
     def test_cutoff_range_error(self):
         with pytest.raises(CoefficientRangeError):
             energy(diagonal_current(5), 10)
+        with pytest.raises(CoefficientRangeError):
+            energy(diagonal_current(5), -1)
+
+    @pytest.mark.parametrize(
+        "name, stored, K",
+        [("diagonal_current", 1000, 1000), ("point_mass", 30, 30), ("custom", 3, 3),
+         ("custom", 3, 2)],
+    )
+    def test_matches_mpmath_reference(self, name, stored, K):
+        rep = energy(build(name, stored), K)
+        if name == "diagonal_current":
+            reference = mpmath_diagonal_energy(K)
+        else:
+            reference = mpmath_energy(name, K)
+        for got, want in zip((rep.axis1, rep.axis2, rep.interior, rep.partial), reference):
+            if want == 0:
+                assert got == 0.0
+            else:
+                assert abs(got - want) <= 1e-15 * want
+
+    def test_diagonal_current_million(self):
+        # the neglected tail is (1/2) sum_{k > 10^6} 1/k^2, about 5e-7
+        rep = energy(diagonal_current(10**6), 10**6)
+        assert abs(rep.partial - (1 + np.pi**2 / 12)) <= 1e-6
 
 
 class TestCauchyTransform:
@@ -89,8 +228,9 @@ class TestCauchyTransform:
         assert np.max(np.abs(C.coeffs.imag)) == 0.0
 
     def test_range_error(self):
-        with pytest.raises(CoefficientRangeError):
-            cauchy_transform(diagonal_current(3), 4, 2)
+        for d1, d2 in ((4, 2), (2, -1), (-1, 0)):
+            with pytest.raises(CoefficientRangeError):
+                cauchy_transform(diagonal_current(3), d1, d2)
 
 
 class TestBergmanAndPairing:
@@ -132,6 +272,11 @@ class TestAnnihilation:
     def test_insufficient_range(self):
         with pytest.raises(CoefficientRangeError):
             annihilation_check(F_DIAG, diagonal_current(5), 8)
+
+    @pytest.mark.parametrize("maxdeg", [-1, -5])
+    def test_negative_maxdeg(self, maxdeg):
+        with pytest.raises(CoefficientRangeError, match="maxdeg must be nonnegative"):
+            annihilation_check(F_DIAG, diagonal_current(5), maxdeg)
 
 
 class TestShiftedPairings:

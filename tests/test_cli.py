@@ -1,11 +1,32 @@
 """Command-line interface: schemas, values, determinism, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bidisk.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# The CLI examples of README.md, each with the file under tests/golden holding
+# its expected output: stdout, or the CSV that ``--out`` writes.
+README_EXAMPLES = [
+    ("norm.json", "bidisk norm --series builtin:one_minus_z1z2 --alpha 0"),
+    ("approx.json", "bidisk approx --series builtin:one_minus_z1z2 --alpha 0 --n 1 "
+                    "--method optimal --basis full"),
+    ("decay_diag.csv", "bidisk decay --series builtin:one_minus_z1z2 --alpha 0 --nmin 1 "
+                       "--nmax 10 --basis diag:1,1"),
+    ("scan.csv", "bidisk decay --series builtin:product_one_minus --alpha 0.5 --nmin 4 "
+                 "--nmax 32 --step 4 --basis full --out scan.csv"),
+    ("energy.json", "bidisk energy --measure builtin:diagonal_current --K 1000"),
+    ("annihilate.json", "bidisk annihilate --series builtin:one_minus_z1z2 "
+                        "--measure builtin:diagonal_current --maxdeg 8"),
+    ("verify_restriction.txt", "bidisk verify --suite restriction --trials 500 --seed 7"),
+    ("verify_all.txt", "bidisk verify --suite all --trials 500 --seed 7"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +268,36 @@ class TestErrors:
         assert code == 2
         assert "InputError" in err
 
+    @pytest.mark.parametrize("maxdeg", ["-1", "-5"])
+    def test_negative_maxdeg(self, capsys, maxdeg):
+        code, out, err = run_cli(
+            capsys, "annihilate", "--series", "builtin:one_minus_z1z2",
+            "--measure", "builtin:diagonal_current", "--maxdeg", maxdeg,
+        )
+        assert (code, out) == (2, "")
+        assert "CoefficientRangeError: maxdeg must be nonnegative" in err
+
+    @pytest.mark.parametrize("suite", ["slice", "all"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_vacuous_verify_refused(self, capsys, suite, trials):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", trials)
+        assert (code, out) == (2, "")
+        assert "InputError" in err
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([[1, 0, 0.5, 0.0], [1, 0, 0.7, 0.0]], "InputError"),  # one row twice
+            ([[1, 0, float("nan"), 0.0]], "CoefficientRangeError"),  # JSON admits NaN
+        ],
+    )
+    def test_measure_file_rows_validated(self, capsys, tmp_path, rows, error):
+        measure = tmp_path / "mu.json"
+        measure.write_text(json.dumps({"K": 2, "coeffs": rows}))
+        code, out, err = run_cli(capsys, "energy", "--measure", str(measure), "--K", "2")
+        assert (code, out) == (2, "")
+        assert error in err
+
     def test_malformed_measure(self, capsys, tmp_path):
         measure = tmp_path / "bad.json"
         measure.write_text(json.dumps({"K": 2, "coeffs": [[0, 0, 0.5, 0.0]]}))
@@ -260,3 +311,22 @@ class TestErrors:
             "--nmin", "1", "--nmax", "5", "--step", "0",
         )
         assert code == 2
+
+
+class TestReadmeExamples:
+    """The README's CLI examples print byte-identical output."""
+
+    def test_examples_are_the_readme_commands(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = [line for line in readme.splitlines() if line.startswith("bidisk ")]
+        assert listed == [command for _, command in README_EXAMPLES]
+
+    @pytest.mark.parametrize("expected, command", README_EXAMPLES)
+    def test_output_is_unchanged(self, capsys, monkeypatch, tmp_path, expected, command):
+        monkeypatch.chdir(tmp_path)  # ``--out scan.csv`` writes here
+        code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0, err
+        if "--out" in command:
+            assert out == ""
+            out = (tmp_path / "scan.csv").read_text()
+        assert out == (GOLDEN / expected).read_text()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bidisk.errors import DivergentKernelError, UnsupportedRateError
+from bidisk.errors import DivergentKernelError, InputError, UnsupportedRateError
 from bidisk.series import DiagonalPattern, OneVarSeries, TwoVarSeries, lift, monomial1
 from bidisk.spaces import (
     AlphaWeight,
@@ -173,6 +173,11 @@ class TestInequalitySuites:
     def test_suite(self, name):
         result = run_suite(name, trials=500, seed=7)
         assert result.passed, f"{name}: {result.violations} violations, worst {result.worst}"
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_vacuous_run_refused(self, trials):
+        with pytest.raises(InputError):
+            run_suite("slice", trials=trials, seed=7)
 
     def test_comparison_suite_per_pattern(self):
         # patterns rotate round-robin, so 1800 trials is 200 per pattern
