@@ -40,7 +40,8 @@ print()
 
 n = 6
 res = diagonal_reduce_solve(f, 0.0, n, pat)
-coeffs = [res.p.coeff(k, k).real for k in range(n + 1)]
+p = res.p  # the lifted two-variable approximant, built on this first read
+coeffs = [p.coeff(k, k).real for k in range(n + 1)]
 print(f"Optimal coefficients at n = {n} (diagonal entries):")
 print(" ", np.round(coeffs, 6).tolist())
 print("  (compare the reciprocal's coefficients, all 1: the optimal taper is linear)")

@@ -30,6 +30,7 @@ from .approximants import (
     solve_optimal,
 )
 from .errors import (
+    ArgumentError,
     BidiskError,
     DegenerateFitError,
     InsufficientPointsError,
@@ -65,7 +66,7 @@ class DecaySeries:
     def __post_init__(self):
         ns = [n for n, _ in self.points]
         if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("orders must be strictly increasing")
+            raise ArgumentError("orders must be strictly increasing")
         values = [v for _, v in self.points]
         for a, b in zip(values, values[1:]):
             if b > a + _MONOTONE_SLACK:
@@ -129,7 +130,7 @@ def _solve_for(
         return solve_optimal(f, a, BasisSpec.full(n), ortho_tol=ortho_tol)
     if basis == "onevar":
         return solve_optimal(f, a, BasisSpec.onevar(n), ortho_tol=ortho_tol)
-    raise ValueError(f"unknown basis kind {basis!r}")
+    raise ArgumentError(f"unknown basis kind {basis!r}")
 
 
 def decay_scan(
@@ -149,7 +150,7 @@ def decay_scan(
     """
     n_values = [int(n) for n in n_values]
     if any(b <= a_ for a_, b in zip(n_values, n_values[1:])):
-        raise ValueError("n_values must be strictly increasing")
+        raise ArgumentError("n_values must be strictly increasing")
     aw = as_alpha(a)
     if basis == "diagonal" and pattern is None:
         pattern = DiagonalPattern(1, 1)

@@ -14,7 +14,8 @@ A one-variable problem is the two-variable problem on a single column: the
 weight ``(0+1)^alpha`` of the second variable is 1.  A pattern-supported
 ``f = F(z1^M z2^N)`` is solved and certified as the one-variable problem for
 ``F`` under the weights ``((Mk+1)(Nk+1))^alpha``, the exact image of the
-pattern subspace; only the returned approximant is lifted back.
+pattern subspace; its result keeps the one-variable solution and lifts it to
+two variables only when ``p`` is read.
 
 Solver policy: normal equations with a banded Cholesky factorization and a
 single ridge-regularized retry, whose ridge is recorded on the result;
@@ -28,12 +29,14 @@ the certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
+    ArgumentError,
     BasisSizeError,
     ConditioningError,
     NumericalError,
@@ -91,11 +94,11 @@ class BasisSpec:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("basis order must be nonnegative")
+            raise ArgumentError("basis order must be nonnegative")
         if self.kind not in ("full", "diagonal", "onevar"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
+            raise ArgumentError(f"unknown basis kind {self.kind!r}")
         if (self.kind == "diagonal") != (self.pattern is not None):
-            raise ValueError("diagonal bases need a pattern; other kinds must not carry one")
+            raise ArgumentError("diagonal bases need a pattern; other kinds must not carry one")
 
     @classmethod
     def full(cls, n: int) -> "BasisSpec":
@@ -122,7 +125,7 @@ class BasisSpec:
     def indices1(self) -> List[int]:
         """Monomial exponents for a one-variable problem."""
         if self.kind != "onevar":
-            raise ValueError("one-variable problems take a onevar basis")
+            raise ArgumentError("one-variable problems take a onevar basis")
         return list(range(self.n + 1))
 
 
@@ -154,19 +157,42 @@ class GramSystem:
 class ApproximantResult:
     """A solved approximant with its recomputed residual and certificates.
 
+    ``solved`` is the series the normal equations were solved for, over the
+    exponents ``solved_basis``.  For a diagonal solve ``pattern`` is its
+    pattern and ``solved`` the one-variable solution ``P``; otherwise
+    ``pattern`` is None.  ``p`` and ``basis`` are built on first read and
+    cached: ``solved`` and ``solved_basis`` as they are, or the lifted
+    ``P(z1^M z2^N)`` and the exponents ``(Mk, Nk)``.  Only reading ``p``
+    fills a diagonal result's ``(Mm+1) x (Nm+1)`` grid, so the grid cap
+    applies there, not to the solve.
+
     ``ridge`` is the diagonal shift of the regularized retry, 0.0 when the
     Gram matrix factored as assembled; ``cond_estimate`` is a 1-norm
     condition estimate of the matrix actually factored.
     """
 
-    p: Series
+    solved: Series
     residual_sq: float
     n: int
     basis_kind: str
     cond_estimate: float
     ortho_residual: float
-    basis: tuple = ()
+    solved_basis: tuple = ()
     ridge: float = 0.0
+    pattern: Optional[DiagonalPattern] = None
+
+    @cached_property
+    def p(self) -> Series:
+        """The approximant, in the variables of the function it approximates."""
+        return self.solved if self.pattern is None else lift(self.solved, self.pattern)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """Exponents of the basis monomials of ``p``, constant first."""
+        if self.pattern is None:
+            return self.solved_basis
+        M, N = self.pattern.M, self.pattern.N
+        return tuple((M * k, N * k) for k in self.solved_basis)
 
 
 def _check_basis_size(size: int) -> None:
@@ -240,7 +266,7 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     basis = b.indices1() if onevar else b.indices2()
     _check_basis_size(len(basis))
     if not np.any(f.coeffs):
-        raise ValueError("f must not be identically zero")
+        raise ArgumentError("f must not be identically zero")
     band, rhs = _gram_band(_grid(f), aw, _exponents(basis, onevar))
     return GramSystem(basis=tuple(basis), band=band, rhs=rhs)
 
@@ -384,13 +410,13 @@ def _solve(f: Series, aw, b: BasisSpec, n: int, ortho_tol: Optional[float]) -> A
         ortho_tol=ortho_tol,
     )
     return ApproximantResult(
-        p=p,
+        solved=p,
         residual_sq=res_sq,
         n=n,
         basis_kind=b.kind,
         cond_estimate=cond,
         ortho_residual=ortho,
-        basis=gram.basis,
+        solved_basis=gram.basis,
         ridge=ridge,
     )
 
@@ -527,18 +553,18 @@ def diagonal_reduce_solve(
     order ``n // max(M, N)`` under the weights ``((Mk+1)(Nk+1))^alpha`` — an
     exact isometry onto the pattern subspace, which for ``(1, 1)`` is the
     one-variable space at doubled parameter.  Residual and certificate are
-    computed on the pattern; the result carries the lifted approximant and
-    the pattern exponents ``(Mk, Nk)`` as its basis.
+    computed on the pattern.  The result stores the one-variable solution
+    ``P`` and its exponents ``k`` with ``pattern=pat``; ``result.p`` lifts
+    it to ``P(z1^M z2^N)`` and ``result.basis`` gives the pattern exponents
+    ``(Mk, Nk)``, both only when read.  A scan that reads neither never
+    fills an ``(Mm+1) x (Nm+1)`` grid, so it reaches orders up to the
+    solver cap; reading ``p`` beyond the grid cap raises
+    :class:`GridSizeError`.
     """
     aw = as_alpha(a)
     m = n // max(pat.M, pat.N)
     res = _solve(restrict(f, pat), PatternWeight(aw, pat), BasisSpec.onevar(m), n, ortho_tol)
-    return replace(
-        res,
-        p=lift(res.p, pat),
-        basis_kind="diagonal",
-        basis=tuple((pat.M * k, pat.N * k) for k in res.basis),
-    )
+    return replace(res, basis_kind="diagonal", pattern=pat)
 
 
 def perturbation_check(
@@ -558,16 +584,15 @@ def perturbation_check(
     """
     aw = as_alpha(a)
     rng = np.random.default_rng(seed)
-    onevar = isinstance(result.p, OneVarSeries)
+    p, basis = result.p, result.basis
+    onevar = isinstance(p, OneVarSeries)
     worst = 0.0
     for _ in range(n_directions):
-        coeffs = rng.standard_normal(len(result.basis)) + 1j * rng.standard_normal(
-            len(result.basis)
-        )
-        q = _series_from_solution(coeffs, result.basis, onevar)
+        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        q = _series_from_solution(coeffs, basis, onevar)
         qnorm = norm1(q, aw) if onevar else norm2(q, aw)
         q = q * (1.0 / qnorm)
-        perturbed = result.p + eps * q
+        perturbed = p + eps * q
         decrease = result.residual_sq - residual_norm_sq(perturbed, f, aw)
         worst = max(worst, decrease)
     return worst

@@ -94,10 +94,7 @@ def _series_from_grid(obj: dict) -> TwoVarSeries:
         flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise InputError(f"series coefficients must be [re, im] pairs ({exc})")
-    try:
-        return TwoVarSeries(flat.reshape(d1 + 1, d2 + 1))
-    except ValueError as exc:
-        raise InputError(str(exc))
+    return TwoVarSeries(flat.reshape(d1 + 1, d2 + 1))
 
 
 def _parse_builtin_token(token: str) -> SeriesInfo:

@@ -20,6 +20,14 @@ class InputError(BidiskError):
     exit_code = 2
 
 
+class ArgumentError(InputError, ValueError):
+    """An argument value is out of range or malformed.
+
+    Also a ``ValueError``, so callers that catch the built-in exception for
+    a bad argument keep working.
+    """
+
+
 class GridSizeError(InputError):
     """A series operation would exceed the configured coefficient-grid cap."""
 

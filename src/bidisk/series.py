@@ -21,6 +21,7 @@ from typing import Mapping, Tuple, Union
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     DomainError,
     GridSizeError,
     PatternViolationError,
@@ -66,11 +67,11 @@ def _check_entries(entries: int) -> None:
 def _as_grid(values, ndim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-dimensional coefficient array, got shape {arr.shape}")
+        raise ArgumentError(f"expected a {ndim}-dimensional coefficient array, got shape {arr.shape}")
     if arr.size == 0:
-        raise ValueError("coefficient array must be nonempty")
+        raise ArgumentError("coefficient array must be nonempty")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("coefficients must be finite (no NaN/Inf)")
+        raise ArgumentError("coefficients must be finite (no NaN/Inf)")
     _check_entries(arr.size)
     arr = arr.copy()
     arr.setflags(write=False)
@@ -258,9 +259,9 @@ class DiagonalPattern:
 
     def __post_init__(self):
         if not (isinstance(self.M, (int, np.integer)) and isinstance(self.N, (int, np.integer))):
-            raise ValueError("pattern exponents must be integers")
+            raise ArgumentError("pattern exponents must be integers")
         if self.M < 1 or self.N < 1:
-            raise ValueError(f"pattern exponents must be >= 1, got ({self.M}, {self.N})")
+            raise ArgumentError(f"pattern exponents must be >= 1, got ({self.M}, {self.N})")
 
 
 def constant2(c: Scalar = 1.0) -> TwoVarSeries:
@@ -380,7 +381,7 @@ def _fix_index(fix) -> int:
         return 1
     if fix in ("z2", 2):
         return 2
-    raise ValueError(f"variable selector must be 'z1' or 'z2', got {fix!r}")
+    raise ArgumentError(f"variable selector must be 'z1' or 'z2', got {fix!r}")
 
 
 def slice_series(f: TwoVarSeries, fix, w: complex) -> OneVarSeries:

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DivergentKernelError, UnsupportedRateError
+from .errors import ArgumentError, DivergentKernelError, UnsupportedRateError
 from .series import DiagonalPattern, OneVarSeries, TwoVarSeries
 
 __all__ = [
@@ -58,7 +58,7 @@ class AlphaWeight:
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+            raise ArgumentError("alpha must be finite")
         object.__setattr__(self, "alpha", float(self.alpha))
 
     def weights(self, deg: int) -> np.ndarray:
@@ -142,7 +142,7 @@ def phi(a: AlphaLike, s: float) -> float:
     if alpha > 1.0:
         raise UnsupportedRateError(f"no rate gauge is defined for alpha = {alpha} > 1")
     if s < 0.0:
-        raise ValueError("the rate gauge is defined on s >= 0")
+        raise ArgumentError("the rate gauge is defined on s >= 0")
     if alpha == 1.0:
         return max(math.log(s), 0.0) if s > 0.0 else 0.0
     return float(s) ** (1.0 - alpha)
@@ -155,10 +155,10 @@ def phi_inv(a: AlphaLike, t: float) -> float:
         raise UnsupportedRateError(f"no rate gauge is defined for alpha = {alpha} > 1")
     if alpha == 1.0:
         if t < 0.0:
-            raise ValueError("the logarithmic gauge only takes values t >= 0")
+            raise ArgumentError("the logarithmic gauge only takes values t >= 0")
         return math.exp(t)
     if t < 0.0:
-        raise ValueError("the power gauge only takes values t >= 0")
+        raise ArgumentError("the power gauge only takes values t >= 0")
     return float(t) ** (1.0 / (1.0 - alpha))
 
 
@@ -204,7 +204,7 @@ class ComparisonConstants:
 
     def __post_init__(self):
         if not (0.0 < self.c2 <= self.c1):
-            raise ValueError(f"constants must satisfy 0 < c2 <= c1, got {self}")
+            raise ArgumentError(f"constants must satisfy 0 < c2 <= c1, got {self}")
 
 
 def comparison_constants(alpha: float, pat: DiagonalPattern) -> ComparisonConstants:

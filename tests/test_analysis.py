@@ -75,6 +75,26 @@ class TestDecayScan:
         assert scanned.value.cond_estimate == direct.value.cond_estimate
         assert str(scanned.value).count("n=3") == 1
 
+    def test_diagonal_scan_never_lifts(self, monkeypatch):
+        from bidisk import approximants
+
+        def refuse(*args):
+            raise AssertionError("a scan must not lift its approximants")
+
+        monkeypatch.setattr(approximants, "lift", refuse)
+        ds = decay_scan(F_DIAG, 0.0, [1, 5, 40], basis="diagonal")
+        assert np.allclose(ds.values, [1.0 / (n + 2) for n in (1, 5, 40)], atol=1e-12)
+        with pytest.raises(AssertionError, match="must not lift"):
+            ds.results[-1].p
+
+    def test_diagonal_scan_past_the_grid_cap(self):
+        from bidisk.errors import GridSizeError
+
+        ds = decay_scan(F_DIAG, 0.0, [4095, 5000], basis="diagonal")
+        assert np.allclose(ds.values, [1.0 / 4097, 1.0 / 5002], rtol=1e-9, atol=0.0)
+        with pytest.raises(GridSizeError):
+            ds.results[-1].p
+
     def test_monotonicity_enforced(self):
         with pytest.raises(MonotonicityError):
             DecaySeries(points=((1, 0.5), (2, 0.75)))

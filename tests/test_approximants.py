@@ -418,6 +418,48 @@ class TestPatternNativeSolve:
         assert calls == ["multiply1"]
 
 
+class TestLazyLift:
+    """Diagonal results keep the one-variable solution; ``p`` is lifted when read."""
+
+    @pytest.mark.parametrize("MN", [(1, 1), (2, 3), (3, 1)])
+    def test_p_is_the_lifted_solution(self, MN):
+        pat = DiagonalPattern(*MN)
+        rng = np.random.default_rng(90 + 7 * MN[0] + MN[1])
+        for n in (0, 7, 20):
+            f = random_pattern_series(rng, pat)
+            res = diagonal_reduce_solve(f, 0.25, n, pat)
+            m = n // max(MN)
+            assert res.pattern == pat
+            assert isinstance(res.solved, OneVarSeries) and res.solved.deg == m
+            assert res.solved_basis == tuple(range(m + 1))
+            assert isinstance(res.p, TwoVarSeries)
+            assert res.p.coeffs.shape == (pat.M * m + 1, pat.N * m + 1)
+            assert np.array_equal(res.p.coeffs, lift(res.solved, pat).coeffs)
+            assert res.basis == tuple((pat.M * k, pat.N * k) for k in range(m + 1))
+            assert all(type(k) is int and type(l) is int for k, l in res.basis)
+
+    def test_other_kinds_return_what_they_solved(self):
+        for res in (solve_optimal(F_PROD, 0.5, BasisSpec.full(3)),
+                    solve_optimal(F_ONEVAR, 0.5, BasisSpec.onevar(5))):
+            assert res.pattern is None
+            assert res.p is res.solved
+            assert res.basis is res.solved_basis
+
+    def test_p_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _lift=approximants.lift):
+            calls.append(args)
+            return _lift(*args)
+
+        monkeypatch.setattr(approximants, "lift", counted)
+        res = diagonal_reduce_solve(F_DIAG, 0.5, 9, PAT11)
+        assert calls == []
+        first = res.p
+        assert res.p is first
+        assert len(calls) == 1
+
+
 class TestClosedForm:
     def test_small_values(self):
         assert closed_form_twisted(0.0, 0, PAT11) == pytest.approx(1.0)

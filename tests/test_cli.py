@@ -305,12 +305,67 @@ class TestErrors:
         assert code == 2
         assert "CoefficientRangeError" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["approx", "--series", "builtin:one_minus_z1z2", "--alpha", "0", "--n", "-1"],
+         "basis order must be nonnegative"),
+        (["approx", "--series", "builtin:one_minus_z1z2", "--alpha", "0", "--n", "2",
+          "--basis", "diag:0,1"], "pattern exponents must be >= 1"),
+        (["norm", "--series", "builtin:one_minus_pow:0,0", "--alpha", "0"],
+         "pattern exponents must be >= 1"),
+        (["decay", "--series", "builtin:one_minus_z1z2", "--alpha", "nan", "--nmin", "1",
+          "--nmax", "3", "--basis", "diag:1,1"], "alpha must be finite"),
+    ])
+    def test_argument_errors_are_structured(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"error: ArgumentError: {message}" in err
+
+    def test_series_file_checked_by_the_library(self, capsys, tmp_path):
+        series = tmp_path / "nan.json"
+        series.write_text(json.dumps({"deg": [0, 1], "coeffs": [[1.0, 0.0], [float("nan"), 0.0]]}))
+        code, out, err = run_cli(capsys, "norm", "--series", str(series), "--alpha", "0")
+        assert (code, out) == (2, "")
+        assert "error: ArgumentError: coefficients must be finite" in err
+
+    def test_diagonal_scan_past_the_grid_cap(self, capsys):
+        # the scan never builds the 5001 x 5001 grid of p; approx prints it, so refuses
+        code, out, _ = run_cli(
+            capsys, "decay", "--series", "builtin:one_minus_z1z2", "--alpha", "0",
+            "--nmin", "5000", "--nmax", "5000", "--basis", "diag:1,1",
+        )
+        assert code == 0
+        n, dist_sq = out.splitlines()[1].split(",")[:2]
+        assert (int(n), float(dist_sq)) == (5000, pytest.approx(1.0 / 5002, rel=1e-9))
+        code, out, err = run_cli(
+            capsys, "approx", "--series", "builtin:one_minus_z1z2", "--alpha", "0",
+            "--n", "5000", "--basis", "diag:1,1",
+        )
+        assert (code, out) == (2, "")
+        assert "GridSizeError" in err
+
     def test_step_validation(self, capsys):
         code, _, err = run_cli(
             capsys, "decay", "--series", "builtin:one_minus_z1z2", "--alpha", "0",
             "--nmin", "1", "--nmax", "5", "--step", "0",
         )
         assert code == 2
+
+
+# Diagonal optimal approximants printed by ``approx``: the lifted coefficient
+# grid and the certificates, pinned byte for byte.
+DIAGONAL_EXAMPLES = [
+    ("approx_diag_1_1.json", "bidisk approx --series builtin:one_minus_z1z2 --alpha 0.5 "
+                             "--n 12 --basis diag:1,1"),
+    ("approx_diag_2_3.json", "bidisk approx --series builtin:one_minus_pow:2,3 --alpha 0.5 "
+                             "--n 30 --basis diag:2,3"),
+]
+
+
+@pytest.mark.parametrize("expected, command", DIAGONAL_EXAMPLES)
+def test_diagonal_approx_output_is_unchanged(capsys, expected, command):
+    code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == 0, err
+    assert out == (GOLDEN / expected).read_text()
 
 
 class TestReadmeExamples:
