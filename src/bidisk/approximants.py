@@ -7,18 +7,21 @@ equations ``G c = e`` with ``G[i,j] = <m_j f, m_i f>`` over basis monomials
 ``m_i``.  The squared minimum is the squared distance from 1 to ``f``
 times the polynomial space.
 
+Every basis is a lattice box: the exponents ``a (M, N) + (0, c)`` for
+``0 <= a <= A`` and ``0 <= c <= C``, at position ``a (C + 1) + c``.
 ``G[i, j]`` vanishes unless the supports of ``m_i f`` and ``m_j f`` overlap,
-so in the basis order ``G`` is banded.  Its upper band is assembled directly
-from pairs of nonzero coefficients of ``f`` and factored by banded Cholesky.
-A one-variable problem is the two-variable problem on a single column: the
-weight ``(0+1)^alpha`` of the second variable is 1.  A pattern-supported
-``f = F(z1^M z2^N)`` is solved and certified as the one-variable problem for
-``F`` under the weights ``((Mk+1)(Nk+1))^alpha``, the exact image of the
-pattern subspace; its result keeps the one-variable solution and lifts it to
-two variables only when ``p`` is read.
+so in the basis order ``G`` is banded.  Each pair of nonzero coefficients
+of ``f`` either misses the box or adds one strided block to one row of the
+upper band; the band is assembled pair by pair and factored by banded
+Cholesky.  A one-variable problem is the two-variable problem on a single
+column: the weight ``(0+1)^alpha`` of the second variable is 1.  A
+pattern-supported ``f = F(z1^M z2^N)`` is solved and certified as the
+one-variable problem for ``F`` under the weights ``((Mk+1)(Nk+1))^alpha``,
+the exact image of the pattern subspace; its result keeps the one-variable
+solution and lifts it to two variables only when ``p`` is read.
 
-Solver policy: normal equations with a banded Cholesky factorization and a
-single ridge-regularized retry, whose ridge is recorded on the result;
+Solver policy: normal equations with a banded Cholesky factorization, solved
+by LAPACK ``pbtrs``, and a single ridge-regularized retry, whose ridge is recorded on the result;
 residuals are always recomputed from the returned coefficients by explicit
 series arithmetic, never read off the solver; every solve carries an
 orthogonality certificate and a 1-norm condition estimate.  The residual
@@ -30,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ArgumentError,
@@ -77,6 +81,28 @@ SOLVER_CAP = 10_000
 
 Series = Union[TwoVarSeries, OneVarSeries]
 
+# LAPACK's solve with a banded Cholesky factor, the routine behind
+# ``scipy.linalg.cho_solve_banded``, called without its per-call wrapper.
+_pbtrs = scipy.linalg.get_lapack_funcs("pbtrs", dtype=np.complex128)
+
+
+class Lattice(NamedTuple):
+    """The lattice box ``{a (M, N) + (0, c) : 0 <= a <= A, 0 <= c <= C}`` of basis exponents.
+
+    The exponent with lattice coordinates ``(a, c)`` sits at position
+    ``a (C + 1) + c`` of the basis.
+    """
+
+    M: int
+    N: int
+    A: int
+    C: int
+
+    def exponents(self) -> np.ndarray:
+        """The exponents as a ``(B, 2)`` array in basis order."""
+        a, c = np.divmod(np.arange((self.A + 1) * (self.C + 1)), self.C + 1)
+        return np.column_stack((self.M * a, self.N * a + c))
+
 
 @dataclass(frozen=True)
 class BasisSpec:
@@ -112,15 +138,19 @@ class BasisSpec:
     def onevar(cls, n: int) -> "BasisSpec":
         return cls(n=n, kind="onevar")
 
-    def indices2(self) -> List[Tuple[int, int]]:
-        """Monomial exponents for a two-variable problem, constant first."""
+    def lattice(self) -> Lattice:
+        """The basis as a lattice box; ``z^k`` of a one-variable problem is ``(k, 0)``."""
         if self.kind == "full":
-            return [(k, l) for k in range(self.n + 1) for l in range(self.n + 1)]
+            return Lattice(1, 0, self.n, self.n)
         if self.kind == "diagonal":
             M, N = self.pattern.M, self.pattern.N
-            kmax = self.n // max(M, N)
-            return [(M * k, N * k) for k in range(kmax + 1)]
-        return [(k, 0) for k in range(self.n + 1)]
+            return Lattice(M, N, self.n // max(M, N), 0)
+        return Lattice(1, 0, self.n, 0)
+
+    def indices2(self) -> List[Tuple[int, int]]:
+        """Monomial exponents for a two-variable problem, constant first."""
+        M, N, A, C = self.lattice()
+        return [(M * a, N * a + c) for a in range(A + 1) for c in range(C + 1)]
 
     def indices1(self) -> List[int]:
         """Monomial exponents for a one-variable problem."""
@@ -214,41 +244,48 @@ def _exponents(basis, onevar: bool) -> np.ndarray:
     return np.column_stack((e, np.zeros_like(e))) if onevar else e.reshape(-1, 2)
 
 
-def _gram_band(grid: np.ndarray, aw, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Upper band of ``G`` and the right-hand side.
+def _gram_band(grid: np.ndarray, aw, lat: Lattice) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper band of ``G`` and the right-hand side over the lattice box ``lat``.
 
     ``m_j f`` and ``m_i f`` overlap where ``m_j + p = m_i + q`` for nonzero
     coefficients ``f[p]``, ``f[q]``; each such pair adds ``f[p] conj(f[q])``
-    times the weight at ``m_j + p`` to ``G[i, j]``.  For a fixed pair the map
-    ``j -> i`` is injective, so its entries are added in one vectorized step.
+    times the weight at ``m_j + p`` to ``G[i, j]``.  The pair reaches the
+    lattice only if ``p - q = da (M, N) + dc (0, 1)`` in integers.  Then
+    ``i - j = da (C + 1) + dc`` is the same for all ``j``, and the columns
+    ``j`` with ``m_j + p - q`` in the box form a rectangle of lattice
+    coordinates: the pair adds one strided block to one band row.
     """
+    M, N, A, C = lat
     F1, F2 = grid.shape
-    ks, ls = e[:, 0], e[:, 1]
-    kmax, lmax = int(ks.max()), int(ls.max())
-    size = len(e)
-    w1 = aw.weights(kmax + F1 - 1)
-    w2 = aw.weights(lmax + F2 - 1)
-    # lookup[k + F1 - 1, l + F2 - 1] is the position of (k, l) in the basis, -1 if absent
-    lookup = np.full((kmax + 2 * F1 - 1, lmax + 2 * F2 - 1), -1, dtype=np.intp)
-    lookup[ks + F1 - 1, ls + F2 - 1] = np.arange(size)
-    cols = np.arange(size)
-    nonzero = np.argwhere(grid)
-    entries = []
+    w1 = aw.weights(M * A + F1 - 1)
+    w2 = aw.weights(N * A + C + F2 - 1)
+    # w2_at[a, t] = w2[N a + t], the second-variable weight at a (M, N) + (0, t); a view
+    step = w2.strides[0]
+    w2_at = as_strided(w2, shape=(A + 1, C + F2), strides=(N * step, step), writeable=False)
+    nonzero = np.argwhere(grid).tolist()
+    blocks = []  # (j - i, p, q, lattice rectangle of the columns j)
     for p1, p2 in nonzero:
-        weighted = grid[p1, p2] * w1[ks + p1] * w2[ls + p2]
         for q1, q2 in nonzero:
-            rows = lookup[ks + (p1 - q1 + F1 - 1), ls + (p2 - q2 + F2 - 1)]
-            keep = (rows >= 0) & (rows <= cols)
-            entries.append((rows[keep], cols[keep], weighted[keep] * np.conj(grid[q1, q2])))
-    u = max(int(np.max(j - i, initial=0)) for i, j, _ in entries)
-    band = np.zeros((u + 1, size), dtype=np.complex128)
-    for i, j, v in entries:
-        band[u + i - j, j] += v
+            da, rem = divmod(p1 - q1, M)
+            dc = p2 - q2 - N * da
+            a0, a1 = max(0, -da), min(A, A - da)
+            c0, c1 = max(0, -dc), min(C, C - dc)
+            offset = da * (C + 1) + dc
+            if rem == 0 and offset <= 0 and a0 <= a1 and c0 <= c1:
+                blocks.append((-offset, p1, p2, q1, q2, a0, a1, c0, c1))
+    u = max((block[0] for block in blocks), default=0)
+    band = np.zeros((u + 1, (A + 1) * (C + 1)), dtype=np.complex128)
+    rows = band.reshape(u + 1, A + 1, C + 1)
+    p = None
+    for d, p1, p2, q1, q2, a0, a1, c0, c1 in blocks:
+        if (p1, p2) != p:
+            # f[p] times the weight at m_j + p, for every column j
+            p = (p1, p2)
+            weighted = (grid[p] * w1[p1:M * A + p1 + 1:M])[:, None] * w2_at[:, p2:C + p2 + 1]
+        rows[u - d, a0:a1 + 1, c0:c1 + 1] += weighted[a0:a1 + 1, c0:c1 + 1] * np.conj(grid[q1, q2])
     band[u] = band[u].real  # the diagonal of a Hermitian matrix is real
-    rhs = np.zeros(size, dtype=np.complex128)
-    constant = lookup[F1 - 1, F2 - 1]
-    if constant >= 0:
-        rhs[constant] = np.conj(grid[0, 0])
+    rhs = np.zeros(band.shape[1], dtype=np.complex128)
+    rhs[0] = np.conj(grid[0, 0])  # position 0 is the constant monomial
     return band, rhs
 
 
@@ -257,28 +294,37 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
 
     ``G[i,j] = <m_j f, m_i f>`` and ``rhs[i] = <1, m_i f>``; the right-hand
     side is supported on the constant monomial only, where it equals the
-    conjugate of ``f``'s constant coefficient.  The cost is ``O(B nnz(f)^2)``
-    for ``B`` unknowns.  ``a`` is a space parameter, or a
+    conjugate of ``f``'s constant coefficient.  The upper band is built on
+    the lattice box of ``b`` (:meth:`BasisSpec.lattice`): each of the
+    ``nnz(f)^2`` pairs of nonzero coefficients either misses the box or adds
+    one strided rectangular block, ``f[p]`` times the weights times
+    ``conj(f[q])``, to one band row.  The cost is ``O(B nnz(f)^2)`` for
+    ``B`` unknowns.  ``a`` is a space parameter, or a
     :class:`PatternWeight` for a one-variable ``f``.
     """
     aw = a if isinstance(a, PatternWeight) else as_alpha(a)
-    onevar = isinstance(f, OneVarSeries)
-    basis = b.indices1() if onevar else b.indices2()
+    basis = b.indices1() if isinstance(f, OneVarSeries) else b.indices2()
     _check_basis_size(len(basis))
     if not np.any(f.coeffs):
         raise ArgumentError("f must not be identically zero")
-    band, rhs = _gram_band(_grid(f), aw, _exponents(basis, onevar))
+    band, rhs = _gram_band(_grid(f), aw, b.lattice())
     return GramSystem(basis=tuple(basis), band=band, rhs=rhs)
 
 
 def _band_norm1(band: np.ndarray) -> float:
     """``||G||_1`` of the Hermitian matrix whose upper band is ``band``."""
-    u = band.shape[0] - 1
-    mags = np.abs(band)
-    sums = mags.sum(axis=0)  # column j above and on the diagonal
-    for d in range(1, u + 1):
-        sums[:-d] += mags[u - d, d:]  # column i below the diagonal: conj(G[i, i + d])
-    return float(sums.max())
+    u, size = band.shape[0] - 1, band.shape[1]
+    mags = np.empty((u + 1, size + u))
+    mags[:, size:] = 0.0
+    np.abs(band, out=mags[:, :size])
+    # the sums of the columns on and above the diagonal replace the diagonal
+    mags[u, :size] = mags[:, :size].sum(axis=0)
+    # skew[0] is that row and skew[d, i] = mags[u - d, i + d] = |G[i + d, i]| for
+    # d >= 1 (zero past the end): summing skew over d adds the part of column i
+    # below the diagonal one d after another, in the order of a loop over d
+    step0, step1 = mags.strides
+    skew = as_strided(mags[u], shape=(u + 1, size), strides=(step1 - step0, step1), writeable=False)
+    return float(skew.sum(axis=0).max())
 
 
 def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> float:
@@ -341,15 +387,18 @@ def _solve_normal(gram: GramSystem, n: int) -> Tuple[np.ndarray, float, float]:
     factor, band, ridge = _factor(gram, n)
 
     def solve(x):
-        return scipy.linalg.cho_solve_banded((factor, False), x, check_finite=False)
+        y, info = _pbtrs(factor, x)
+        if info != 0:
+            raise NumericalError(f"banded solve at order n={n} failed: LAPACK pbtrs info {info}")
+        return y
 
     c = solve(gram.rhs)
     cond = _band_norm1(band) * _inverse_norm1(solve, len(c))
     return c, ridge, cond
 
 
-def _series_from_solution(c: np.ndarray, basis, onevar: bool) -> Series:
-    e = _exponents(basis, onevar)
+def _series_from_solution(c: np.ndarray, e: np.ndarray, onevar: bool) -> Series:
+    """The series with coefficient ``c[i]`` at the exponent ``e[i]``."""
     grid = np.zeros(tuple(e.max(axis=0) + 1), dtype=np.complex128)
     grid[e[:, 0], e[:, 1]] = c
     return OneVarSeries(grid[:, 0]) if onevar else TwoVarSeries(grid)
@@ -404,11 +453,9 @@ def _solve(f: Series, aw, b: BasisSpec, n: int, ortho_tol: Optional[float]) -> A
     onevar = isinstance(f, OneVarSeries)
     gram = gram_assemble(f, aw, b)
     c, ridge, cond = _solve_normal(gram, n)
-    p = _series_from_solution(c, gram.basis, onevar)
-    res_sq, ortho = _certify(
-        p, f, aw, _exponents(gram.basis, onevar), n=n, ridge=ridge, cond=cond,
-        ortho_tol=ortho_tol,
-    )
+    e = b.lattice().exponents()
+    p = _series_from_solution(c, e, onevar)
+    res_sq, ortho = _certify(p, f, aw, e, n=n, ridge=ridge, cond=cond, ortho_tol=ortho_tol)
     return ApproximantResult(
         solved=p,
         residual_sq=res_sq,
@@ -499,21 +546,12 @@ def riesz_diagonal(
 def cesaro(f: TwoVarSeries, n: int, eps0: float = 1e-12) -> TwoVarSeries:
     """Order-``n`` Cesaro mean of the reciprocal series.
 
-    Computed as the ``alpha = 0`` Riesz mean and cross-checked against the
-    average of the Taylor sections ``t_0, ..., t_n`` in the ``max(k, l)``
-    grading; the two agree identically, and a disagreement raises
-    :class:`NumericalError`.
+    The average of the Taylor sections ``t_0, ..., t_n`` in the ``max(k, l)``
+    grading: coefficient ``(k, l)`` appears in the sections ``t_m`` with
+    ``m >= max(k, l)``, so it is weighted by ``1 - max(k, l) / (n + 1)``,
+    which is the ``alpha = 0`` Riesz mean.
     """
-    b = reciprocal2(f, n, n, eps0)
-    p = TwoVarSeries(_square_riesz_weights(as_alpha(0.0), n) * b.coeffs)
-    idx = np.arange(n + 1)
-    grading = np.maximum.outer(idx, idx)
-    # coefficient (k,l) appears in sections t_m for m >= max(k,l)
-    mean = (n + 1.0 - grading) / (n + 1.0) * b.coeffs
-    scale = np.max(np.abs(b.coeffs)) + 1.0
-    if not np.allclose(p.coeffs, mean, rtol=0.0, atol=1e-13 * scale):
-        raise NumericalError("Cesaro mean disagrees with averaged Taylor sections")
-    return p
+    return riesz_approximant(f, 0.0, n, eps0)
 
 
 def closed_form_twisted(a: AlphaLike, n: int, pat: DiagonalPattern) -> float:
@@ -586,10 +624,11 @@ def perturbation_check(
     rng = np.random.default_rng(seed)
     p, basis = result.p, result.basis
     onevar = isinstance(p, OneVarSeries)
+    e = _exponents(basis, onevar)
     worst = 0.0
     for _ in range(n_directions):
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        q = _series_from_solution(coeffs, basis, onevar)
+        q = _series_from_solution(coeffs, e, onevar)
         qnorm = norm1(q, aw) if onevar else norm2(q, aw)
         q = q * (1.0 / qnorm)
         perturbed = p + eps * q

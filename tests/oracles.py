@@ -14,6 +14,10 @@ product and forms every inner product pairwise, then solves with plain
   side factors, so ``dist^2 = 1 - (1 - dist_g^2)(1 - dist_h^2)``, evaluated
   as ``dist_g^2 + dist_h^2 - dist_g^2 dist_h^2`` to avoid cancellation when
   both distances are small.
+
+``reference_gram_band`` is the band assembly by position lookup that the
+library's lattice assembly replaced; it is kept to pin the new assembly bit
+for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from bidisk.series import OneVarSeries, TwoVarSeries, constant2, monomial2, multiply2
-from bidisk.spaces import inner2
+from bidisk.spaces import PatternWeight, as_alpha, inner2
 
 
 def brute_gram_dist_sq(f: TwoVarSeries, alpha: float, indices) -> tuple[float, np.ndarray]:
@@ -37,6 +41,53 @@ def brute_gram_dist_sq(f: TwoVarSeries, alpha: float, indices) -> tuple[float, n
     c = np.linalg.solve(G, rhs)
     dist_sq = 1.0 - float(np.vdot(rhs, c).real)
     return dist_sq, c
+
+
+def reference_gram_band(f, a, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Upper band of ``G`` and the right-hand side, placed through a position lookup.
+
+    ``a`` is a space parameter or a ``PatternWeight``; ``basis`` a
+    ``BasisSpec``.  For every pair of nonzero coefficients ``f[p]``,
+    ``f[q]``, each basis monomial ``m_j`` is looked up at ``m_j + p - q``;
+    the hits with ``i <= j`` receive ``f[p] w(m_j + p) conj(f[q])``, and the
+    entries are scattered into the band in pair order.
+    """
+    aw = a if isinstance(a, PatternWeight) else as_alpha(a)
+    if isinstance(f, OneVarSeries):
+        grid = f.coeffs[:, None]
+        e = np.asarray(basis.indices1(), dtype=np.intp)
+        e = np.column_stack((e, np.zeros_like(e)))
+    else:
+        grid = f.coeffs
+        e = np.asarray(basis.indices2(), dtype=np.intp).reshape(-1, 2)
+    F1, F2 = grid.shape
+    ks, ls = e[:, 0], e[:, 1]
+    kmax, lmax = int(ks.max()), int(ls.max())
+    size = len(e)
+    w1 = aw.weights(kmax + F1 - 1)
+    w2 = aw.weights(lmax + F2 - 1)
+    # lookup[k + F1 - 1, l + F2 - 1] is the position of (k, l) in the basis, -1 if absent
+    lookup = np.full((kmax + 2 * F1 - 1, lmax + 2 * F2 - 1), -1, dtype=np.intp)
+    lookup[ks + F1 - 1, ls + F2 - 1] = np.arange(size)
+    cols = np.arange(size)
+    nonzero = np.argwhere(grid)
+    entries = []
+    for p1, p2 in nonzero:
+        weighted = grid[p1, p2] * w1[ks + p1] * w2[ls + p2]
+        for q1, q2 in nonzero:
+            rows = lookup[ks + (p1 - q1 + F1 - 1), ls + (p2 - q2 + F2 - 1)]
+            keep = (rows >= 0) & (rows <= cols)
+            entries.append((rows[keep], cols[keep], weighted[keep] * np.conj(grid[q1, q2])))
+    u = max(int(np.max(j - i, initial=0)) for i, j, _ in entries)
+    band = np.zeros((u + 1, size), dtype=np.complex128)
+    for i, j, v in entries:
+        band[u + i - j, j] += v
+    band[u] = band[u].real
+    rhs = np.zeros(size, dtype=np.complex128)
+    constant = lookup[F1 - 1, F2 - 1]
+    if constant >= 0:
+        rhs[constant] = np.conj(grid[0, 0])
+    return band, rhs
 
 
 def onevar_one_minus_z_dist_sq(alpha: float, n: int) -> float:

@@ -21,6 +21,7 @@ from bidisk.approximants import (
 from bidisk.errors import (
     BasisSizeError,
     ConditioningError,
+    NumericalError,
     SingularReciprocalError,
     UnsupportedRateError,
 )
@@ -41,6 +42,7 @@ from oracles import (
     brute_gram_dist_sq,
     onevar_one_minus_z_dist_sq,
     random_two_var,
+    reference_gram_band,
     separable_dist_sq,
 )
 
@@ -170,6 +172,83 @@ class TestGramAssemble:
                 assert exact / 10 <= estimate <= exact * (1 + 1e-8)
 
 
+def random_with_holes(rng, shape):
+    """Random complex coefficients with about a third of them zero, not all."""
+    grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    grid *= rng.random(shape) > 0.35
+    if not grid.any():
+        grid.flat[-1] = 1.0 - 0.5j
+    return grid
+
+
+class TestLatticeAssembly:
+    """The lattice-box band equals the position-lookup band bit for bit."""
+
+    def random_problems(self, rng):
+        """One problem of every kind: (f, space parameter or weight, basis)."""
+        n = int(rng.integers(0, 13))
+        alpha = float(rng.uniform(-2.0, 2.0))
+        pat = DiagonalPattern(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        two = TwoVarSeries(random_with_holes(rng, tuple(rng.integers(1, 5, 2))))
+        one = OneVarSeries(random_with_holes(rng, int(rng.integers(1, 7))))
+        return [
+            (two, alpha, BasisSpec.full(n)),
+            (one, alpha, BasisSpec.onevar(n)),
+            (two, alpha, BasisSpec.onevar(n)),
+            (two, alpha, BasisSpec.diagonal(n, pat)),
+            (one, PatternWeight(AlphaWeight(alpha), pat), BasisSpec.onevar(n)),
+        ]
+
+    def test_band_and_rhs_equal_reference(self):
+        rng = np.random.default_rng(90)
+        checked = set()
+        for _ in range(60):
+            for f, a, b in self.random_problems(rng):
+                gs = gram_assemble(f, a, b)
+                band, rhs = reference_gram_band(f, a, b)
+                assert gs.band.shape == band.shape
+                assert np.array_equal(gs.band, band)
+                assert np.array_equal(gs.rhs, rhs)
+                checked.add((b.kind, isinstance(f, OneVarSeries), isinstance(a, PatternWeight)))
+        assert len(checked) == 5
+
+    def test_orders_below_the_degree_of_f(self):
+        f = TwoVarSeries(random_with_holes(np.random.default_rng(91), (5, 4)))
+        for n in range(4):
+            for b in (BasisSpec.full(n), BasisSpec.onevar(n), BasisSpec.diagonal(n, PAT11)):
+                gs = gram_assemble(f, 0.5, b)
+                band, rhs = reference_gram_band(f, 0.5, b)
+                assert np.array_equal(gs.band, band) and np.array_equal(gs.rhs, rhs)
+
+    @pytest.mark.parametrize("basis", [
+        BasisSpec.full(4),
+        BasisSpec.onevar(6),
+        BasisSpec.diagonal(7, DiagonalPattern(2, 3)),
+        BasisSpec.diagonal(5, DiagonalPattern(3, 1)),
+    ])
+    def test_lattice_lists_the_basis(self, basis):
+        lattice = basis.lattice()
+        e = lattice.exponents()
+        assert e.tolist() == [list(m) for m in basis.indices2()]
+        assert len(e) == (lattice.A + 1) * (lattice.C + 1)
+
+    def test_band_norm1_matches_row_loop(self):
+        def loop(band):
+            u = band.shape[0] - 1
+            mags = np.abs(band)
+            sums = mags.sum(axis=0)
+            for d in range(1, u + 1):
+                sums[:-d] += mags[u - d, d:]
+            return float(sums.max())
+
+        rng = np.random.default_rng(92)
+        for _ in range(200):
+            u, size = int(rng.integers(0, 40)), int(rng.integers(1, 300))
+            band = rng.standard_normal((u + 1, size)) + 1j * rng.standard_normal((u + 1, size))
+            band *= 10.0 ** rng.uniform(-8, 8, (u + 1, size))
+            assert approximants._band_norm1(band) == loop(band)
+
+
 class TestRidge:
     def test_ridge_recorded_after_failed_factorization(self, monkeypatch):
         real = scipy.linalg.cholesky_banded
@@ -199,6 +278,27 @@ class TestRidge:
         monkeypatch.setattr(scipy.linalg, "cholesky_banded", always_fail)
         with pytest.raises(ConditioningError, match=r"order n=3 .*ridge \d"):
             solve_optimal(F_PROD, 0.0, BasisSpec.full(3))
+
+
+class TestBandedSolve:
+    def test_direct_solve_equals_cho_solve_banded(self):
+        rng = np.random.default_rng(93)
+        for f, b in ((F_PROD, BasisSpec.full(5)), (F_ONEVAR, BasisSpec.onevar(40))):
+            gs = gram_assemble(f, float(rng.uniform(-1, 1)), b)
+            factor = scipy.linalg.cholesky_banded(gs.band)
+            size = gs.band.shape[1]
+            for x in (gs.rhs, rng.standard_normal(size),
+                      rng.standard_normal(size) + 1j * rng.standard_normal(size)):
+                y, info = approximants._pbtrs(factor, x)
+                assert info == 0
+                assert np.array_equal(y, scipy.linalg.cho_solve_banded((factor, False), x))
+
+    def test_failed_solve_names_the_order(self, monkeypatch):
+        monkeypatch.setattr(approximants, "_pbtrs", lambda factor, x: (x, -2))
+        with pytest.raises(NumericalError, match=r"order n=7 .*info -2"):
+            solve_optimal(F_ONEVAR, 0.5, BasisSpec.onevar(7))
+        with pytest.raises(NumericalError, match=r"order n=6 "):
+            diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11)
 
 
 class TestSolveOptimal:
