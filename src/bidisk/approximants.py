@@ -58,7 +58,7 @@ from .series import (
     restrict,
     shifted_pairings,
 )
-from .spaces import AlphaLike, PatternWeight, as_alpha, norm1, norm2, phi
+from .spaces import AlphaLike, PatternWeight, _norms2, as_alpha, norm1, norm2, phi
 
 __all__ = [
     "SOLVER_CAP",
@@ -102,6 +102,13 @@ class Lattice(NamedTuple):
         """The exponents as a ``(B, 2)`` array in basis order."""
         a, c = np.divmod(np.arange((self.A + 1) * (self.C + 1)), self.C + 1)
         return np.column_stack((self.M * a, self.N * a + c))
+
+    def basis(self, onevar: bool) -> tuple:
+        """The exponents as Python ints in basis order; for ``onevar``, ``a`` alone."""
+        if onevar:
+            return tuple(range(self.A + 1))
+        M, N, A, C = self
+        return tuple((M * a, N * a + c) for a in range(A + 1) for c in range(C + 1))
 
 
 @dataclass(frozen=True)
@@ -149,14 +156,16 @@ class BasisSpec:
 
     def indices2(self) -> List[Tuple[int, int]]:
         """Monomial exponents for a two-variable problem, constant first."""
-        M, N, A, C = self.lattice()
-        return [(M * a, N * a + c) for a in range(A + 1) for c in range(C + 1)]
+        return list(self.lattice().basis(onevar=False))
 
     def indices1(self) -> List[int]:
         """Monomial exponents for a one-variable problem."""
+        self._require_onevar()
+        return list(range(self.n + 1))
+
+    def _require_onevar(self) -> None:
         if self.kind != "onevar":
             raise ArgumentError("one-variable problems take a onevar basis")
-        return list(range(self.n + 1))
 
 
 @dataclass(frozen=True)
@@ -165,12 +174,19 @@ class GramSystem:
 
     ``G`` is Hermitian and banded.  ``band`` holds its upper band in LAPACK
     storage: ``band[u + i - j, j] = G[i, j]`` for ``0 <= j - i <= u``, where
-    ``u = band.shape[0] - 1`` is the bandwidth.
+    ``u = band.shape[0] - 1`` is the bandwidth.  The basis is the lattice
+    box ``lattice``; ``basis`` lists its exponents, built on first read.
     """
 
-    basis: tuple
+    lattice: Lattice
+    onevar: bool
     band: np.ndarray
     rhs: np.ndarray
+
+    @cached_property
+    def basis(self) -> tuple:
+        """Exponents of the basis monomials in basis order: ints for a one-variable problem."""
+        return self.lattice.basis(self.onevar)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -188,13 +204,14 @@ class ApproximantResult:
     """A solved approximant with its recomputed residual and certificates.
 
     ``solved`` is the series the normal equations were solved for, over the
-    exponents ``solved_basis``.  For a diagonal solve ``pattern`` is its
-    pattern and ``solved`` the one-variable solution ``P``; otherwise
-    ``pattern`` is None.  ``p`` and ``basis`` are built on first read and
-    cached: ``solved`` and ``solved_basis`` as they are, or the lifted
-    ``P(z1^M z2^N)`` and the exponents ``(Mk, Nk)``.  Only reading ``p``
-    fills a diagonal result's ``(Mm+1) x (Nm+1)`` grid, so the grid cap
-    applies there, not to the solve.
+    lattice box ``solved_lattice`` whose exponents ``solved_basis`` lists.
+    For a diagonal solve ``pattern`` is its pattern and ``solved`` the
+    one-variable solution ``P``; otherwise ``pattern`` is None.
+    ``solved_basis``, ``p`` and ``basis`` are built on first read and
+    cached: ``p`` and ``basis`` are ``solved`` and ``solved_basis`` as they
+    are, or the lifted ``P(z1^M z2^N)`` and the exponents ``(Mk, Nk)``.
+    Only reading ``p`` fills a diagonal result's ``(Mm+1) x (Nm+1)`` grid,
+    so the grid cap applies there, not to the solve.
 
     ``ridge`` is the diagonal shift of the regularized retry, 0.0 when the
     Gram matrix factored as assembled; ``cond_estimate`` is a 1-norm
@@ -207,9 +224,14 @@ class ApproximantResult:
     basis_kind: str
     cond_estimate: float
     ortho_residual: float
-    solved_basis: tuple = ()
+    solved_lattice: Lattice
     ridge: float = 0.0
     pattern: Optional[DiagonalPattern] = None
+
+    @cached_property
+    def solved_basis(self) -> tuple:
+        """Exponents of the basis monomials of ``solved``, constant first."""
+        return self.solved_lattice.basis(isinstance(self.solved, OneVarSeries))
 
     @cached_property
     def p(self) -> Series:
@@ -303,12 +325,15 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     :class:`PatternWeight` for a one-variable ``f``.
     """
     aw = a if isinstance(a, PatternWeight) else as_alpha(a)
-    basis = b.indices1() if isinstance(f, OneVarSeries) else b.indices2()
-    _check_basis_size(len(basis))
+    onevar = isinstance(f, OneVarSeries)
+    if onevar:
+        b._require_onevar()
+    lat = b.lattice()
+    _check_basis_size((lat.A + 1) * (lat.C + 1))
     if not np.any(f.coeffs):
         raise ArgumentError("f must not be identically zero")
-    band, rhs = _gram_band(_grid(f), aw, b.lattice())
-    return GramSystem(basis=tuple(basis), band=band, rhs=rhs)
+    band, rhs = _gram_band(_grid(f), aw, lat)
+    return GramSystem(lattice=lat, onevar=onevar, band=band, rhs=rhs)
 
 
 def _band_norm1(band: np.ndarray) -> float:
@@ -413,9 +438,7 @@ def residual_norm_sq(p: Series, f: Series, a: AlphaLike) -> float:
 
 def _norm_sq(grid: np.ndarray, aw) -> float:
     """Squared weighted norm of a coefficient grid, rounded as ``norm2(...)**2`` rounds it."""
-    w1 = aw.weights(grid.shape[0] - 1)
-    w2 = aw.weights(grid.shape[1] - 1)
-    return float(np.sqrt(np.einsum("k,l,kl->", w1, w2, np.abs(grid) ** 2).real)) ** 2
+    return float(_norms2(grid, aw.weights(grid.shape[0] - 1), aw.weights(grid.shape[1] - 1))) ** 2
 
 
 def _certify(
@@ -453,7 +476,7 @@ def _solve(f: Series, aw, b: BasisSpec, n: int, ortho_tol: Optional[float]) -> A
     onevar = isinstance(f, OneVarSeries)
     gram = gram_assemble(f, aw, b)
     c, ridge, cond = _solve_normal(gram, n)
-    e = b.lattice().exponents()
+    e = gram.lattice.exponents()
     p = _series_from_solution(c, e, onevar)
     res_sq, ortho = _certify(p, f, aw, e, n=n, ridge=ridge, cond=cond, ortho_tol=ortho_tol)
     return ApproximantResult(
@@ -463,7 +486,7 @@ def _solve(f: Series, aw, b: BasisSpec, n: int, ortho_tol: Optional[float]) -> A
         basis_kind=b.kind,
         cond_estimate=cond,
         ortho_residual=ortho,
-        solved_basis=gram.basis,
+        solved_lattice=gram.lattice,
         ridge=ridge,
     )
 

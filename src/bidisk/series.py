@@ -286,7 +286,12 @@ def monomial1(k: int, c: Scalar = 1.0) -> OneVarSeries:
 def separable(g: OneVarSeries, h: OneVarSeries) -> TwoVarSeries:
     """The product series ``g(z1) h(z2)`` (outer product of coefficients)."""
     _check_entries((g.deg + 1) * (h.deg + 1))
-    return TwoVarSeries(np.outer(g.coeffs, h.coeffs))
+    return TwoVarSeries(_separable(g.coeffs, h.coeffs))
+
+
+def _separable(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Outer products ``g[..., k] h[..., l]`` of stacked coefficient rows."""
+    return g[..., :, None] * h[..., None, :]
 
 
 def multiply2(f: TwoVarSeries, g: TwoVarSeries) -> TwoVarSeries:
@@ -299,10 +304,23 @@ def multiply2(f: TwoVarSeries, g: TwoVarSeries) -> TwoVarSeries:
     a, b = f.coeffs, g.coeffs
     if np.count_nonzero(a) > np.count_nonzero(b):
         a, b = b, a
-    out = np.zeros((d1 + 1, d2 + 1), dtype=np.complex128)
-    for k, l in zip(*np.nonzero(a)):
-        out[k : k + b.shape[0], l : l + b.shape[1]] += a[k, l] * b
-    return TwoVarSeries(out)
+    return TwoVarSeries(_shift_add(a, b))
+
+
+def _shift_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of stacked coefficient grids ``a[..., :, :]`` and ``b[..., :, :]``.
+
+    One shifted copy of ``b``, scaled by ``a[..., k, l]``, is added for each
+    position ``(k, l)`` where some grid of the stack ``a`` is nonzero, in
+    row-major order; the cost is one vectorized update per such position.
+    """
+    (a1, a2), (b1, b2) = a.shape[-2:], b.shape[-2:]
+    lead = np.broadcast(a[..., 0, 0], b[..., 0, 0]).shape
+    out = np.zeros(lead + (a1 + b1 - 1, a2 + b2 - 1), dtype=np.complex128)
+    support = a.reshape(-1, a1, a2).any(axis=0)
+    for k, l in zip(*np.nonzero(support)):
+        out[..., k : k + b1, l : l + b2] += a[..., k, l, None, None] * b
+    return out
 
 
 def multiply1(F: OneVarSeries, G: OneVarSeries) -> OneVarSeries:
@@ -392,33 +410,51 @@ def slice_series(f: TwoVarSeries, fix, w: complex) -> OneVarSeries:
     """
     if abs(w) >= 1.0:
         raise DomainError(f"slice point must satisfy |w| < 1, got |w| = {abs(w):.6g}")
-    which = _fix_index(fix)
-    if which == 2:
-        powers = np.power(complex(w), np.arange(f.deg2 + 1))
-        return OneVarSeries(f.coeffs @ powers)
-    powers = np.power(complex(w), np.arange(f.deg1 + 1))
-    return OneVarSeries(powers @ f.coeffs)
+    return OneVarSeries(_slice(f.coeffs, complex(w), _fix_index(fix)))
+
+
+def _slice(x: np.ndarray, w, which: int) -> np.ndarray:
+    """Slices of stacked grids ``x[..., k, l]``, the variable ``which`` fixed at ``w[...]``."""
+    if which == 1:
+        x = np.swapaxes(x, -1, -2)
+    powers = np.power(np.asarray(w, dtype=np.complex128)[..., None], np.arange(x.shape[-1]))
+    return np.matvec(x, powers)
 
 
 def diag_restrict(f: TwoVarSeries) -> OneVarSeries:
     """The diagonal restriction ``f(z, z)``: coefficient ``n`` is ``sum_{k+l=n} a[k,l]``."""
-    d1, d2 = f.deg1, f.deg2
-    out = np.zeros(d1 + d2 + 1, dtype=np.complex128)
-    flipped = f.coeffs[::-1, :]
-    for n in range(d1 + d2 + 1):
-        out[n] = flipped.diagonal(offset=n - d1).sum()
-    return OneVarSeries(out)
+    return OneVarSeries(_diag_restrict(f.coeffs))
+
+
+def _diag_restrict(x: np.ndarray) -> np.ndarray:
+    """Diagonal restrictions of stacked grids, each ``sum_{k+l=n}`` taken in decreasing ``k``."""
+    d1, d2 = x.shape[-2] - 1, x.shape[-1] - 1
+    out = np.zeros(x.shape[:-2] + (d1 + d2 + 1,), dtype=np.complex128)
+    for k in range(d1, -1, -1):
+        out[..., k : k + d2 + 1] += x[..., k, :]
+    return out
 
 
 def lift(F: OneVarSeries, pat: DiagonalPattern) -> TwoVarSeries:
     """The substitution ``F(z1^M z2^N)``; coefficient ``F[k]`` lands at ``(M k, N k)``."""
-    d1 = pat.M * F.deg
-    d2 = pat.N * F.deg
-    _check_entries((d1 + 1) * (d2 + 1))
-    grid = np.zeros((d1 + 1, d2 + 1), dtype=np.complex128)
-    ks = np.arange(F.deg + 1)
-    grid[pat.M * ks, pat.N * ks] = F.coeffs
-    return TwoVarSeries(grid)
+    _check_entries((pat.M * F.deg + 1) * (pat.N * F.deg + 1))
+    return TwoVarSeries(_lift(F.coeffs, pat))
+
+
+def _lift(F: np.ndarray, pat: DiagonalPattern) -> np.ndarray:
+    """Lifts of stacked coefficient rows ``F[..., k]`` to ``(M deg + 1, N deg + 1)`` grids."""
+    d = F.shape[-1] - 1
+    grid = np.zeros(F.shape[:-1] + (pat.M * d + 1, pat.N * d + 1), dtype=np.complex128)
+    ks = np.arange(d + 1)
+    grid[..., pat.M * ks, pat.N * ks] = F
+    return grid
+
+
+def _pattern_positions(shape, pat: DiagonalPattern):
+    """Row and column indices of the pattern points ``(M k, N k)`` inside a grid of ``shape``."""
+    kmax = min((shape[-2] - 1) // pat.M, (shape[-1] - 1) // pat.N)
+    ks = np.arange(kmax + 1)
+    return pat.M * ks, pat.N * ks
 
 
 def _offending_index(f: TwoVarSeries, pat: DiagonalPattern):
@@ -440,15 +476,22 @@ def restrict(f: TwoVarSeries, pat: DiagonalPattern) -> OneVarSeries:
         raise PatternViolationError(
             f"series has support at {bad}, off the ({pat.M},{pat.N})-diagonal"
         )
-    kmax = min(f.deg1 // pat.M, f.deg2 // pat.N)
-    ks = np.arange(kmax + 1)
-    return OneVarSeries(f.coeffs[pat.M * ks, pat.N * ks])
+    return OneVarSeries(_restrict(f.coeffs, pat))
+
+
+def _restrict(x: np.ndarray, pat: DiagonalPattern) -> np.ndarray:
+    """Coefficients ``x[..., M k, N k]`` of stacked grids; off-pattern entries are not checked."""
+    return x[(...,) + _pattern_positions(x.shape, pat)]
 
 
 def diagonal_project(r: TwoVarSeries, pat: DiagonalPattern) -> TwoVarSeries:
     """Zero every coefficient off the ``(M, N)``-diagonal, keeping degrees."""
-    grid = np.zeros_like(r.coeffs)
-    kmax = min(r.deg1 // pat.M, r.deg2 // pat.N)
-    ks = np.arange(kmax + 1)
-    grid[pat.M * ks, pat.N * ks] = r.coeffs[pat.M * ks, pat.N * ks]
-    return TwoVarSeries(grid)
+    return TwoVarSeries(_diagonal_project(r.coeffs, pat))
+
+
+def _diagonal_project(x: np.ndarray, pat: DiagonalPattern) -> np.ndarray:
+    """Stacked grids with every coefficient off the pattern zeroed."""
+    at = (...,) + _pattern_positions(x.shape, pat)
+    grid = np.zeros_like(x)
+    grid[at] = x[at]
+    return grid

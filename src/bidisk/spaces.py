@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ArgumentError, DivergentKernelError, UnsupportedRateError
+from .errors import ArgumentError, DivergentKernelError, NumericalError, UnsupportedRateError
 from .series import DiagonalPattern, OneVarSeries, TwoVarSeries
 
 __all__ = [
@@ -39,9 +39,14 @@ __all__ = [
 ]
 
 
+def _weight_rows(alpha, deg: int) -> np.ndarray:
+    """Weights ``(k+1)^alpha`` for ``k`` in ``0..deg``, one row per entry of ``alpha``."""
+    return np.power(np.arange(1.0, deg + 2.0), np.asarray(alpha, dtype=float)[..., None])
+
+
 @lru_cache(maxsize=128)
 def _weight_table(alpha: float, size: int) -> np.ndarray:
-    w = np.power(np.arange(1.0, size + 1.0), alpha)
+    w = _weight_rows(alpha, size - 1)
     w.setflags(write=False)
     return w
 
@@ -99,18 +104,45 @@ def as_alpha(a: AlphaLike) -> AlphaWeight:
     return AlphaWeight(float(a))
 
 
+def _norms2(x: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Norms ``sqrt(sum_{k,l} w1[..., k] w2[..., l] |x[..., k, l]|^2)`` of stacked grids."""
+    return np.sqrt(np.einsum("...k,...l,...kl->...", w1, w2, np.abs(x) ** 2))
+
+
+def _norms1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Norms ``sqrt(sum_k w[..., k] |x[..., k]|^2)`` of stacked coefficient rows."""
+    return np.sqrt(np.vecdot(w, np.abs(x) ** 2))
+
+
+def _finite_norm(value: np.ndarray, aw: AlphaWeight) -> float:
+    if not math.isfinite(value):
+        raise NumericalError(
+            f"the weighted norm at alpha = {aw.alpha!r} is not finite ({float(value)}); "
+            "the weights or the weighted coefficients overflow"
+        )
+    return float(value)
+
+
 def norm2(f: TwoVarSeries, a: AlphaLike) -> float:
-    """Two-variable norm ``sqrt(sum (k+1)^a (l+1)^a |coeff|^2)`` (exact finite sum)."""
+    """Two-variable norm ``sqrt(sum (k+1)^a (l+1)^a |coeff|^2)`` (exact finite sum).
+
+    Raises :class:`NumericalError` when the weighted sum overflows.
+    """
     aw = as_alpha(a)
-    w1 = aw.weights(f.deg1)
-    w2 = aw.weights(f.deg2)
-    return float(np.sqrt(np.einsum("k,l,kl->", w1, w2, np.abs(f.coeffs) ** 2).real))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _norms2(f.coeffs, aw.weights(f.deg1), aw.weights(f.deg2))
+    return _finite_norm(value, aw)
 
 
 def norm1(F: OneVarSeries, a: AlphaLike) -> float:
-    """One-variable norm ``sqrt(sum (k+1)^a |coeff|^2)``."""
+    """One-variable norm ``sqrt(sum (k+1)^a |coeff|^2)``.
+
+    Raises :class:`NumericalError` when the weighted sum overflows.
+    """
     aw = as_alpha(a)
-    return float(np.sqrt(np.dot(aw.weights(F.deg), np.abs(F.coeffs) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _norms1(F.coeffs, aw.weights(F.deg))
+    return _finite_norm(value, aw)
 
 
 def inner2(f: TwoVarSeries, g: TwoVarSeries, a: AlphaLike) -> complex:
@@ -168,30 +200,65 @@ def beta_of_alpha(alpha: float) -> float:
     return alpha - 1.0 if alpha >= 0.0 else 2.0 * alpha - 1.0
 
 
-def kernel_norm_sq(a: AlphaLike, w: complex, tol: float = 1e-12) -> float:
+# Default tail bound of the truncated kernel series.
+_KERNEL_TOL = 1e-12
+
+
+def kernel_norm_sq(a: AlphaLike, w: complex, tol: float = _KERNEL_TOL) -> float:
     """Squared reproducing-kernel norm ``sum_k (k+1)^(-alpha) |w|^(2k)``.
 
     The sum is truncated once a rigorous geometric majorant bounds the tail
     below ``tol``: past the index where ``q_k = ((k+2)/(k+1))^|alpha| |w|^2``
     drops under 1, the terms are dominated by a geometric series with ratio
-    ``q_k``.
+    ``q_k``.  Raises :class:`NumericalError` when a term overflows.
     """
     alpha = as_alpha(a).alpha
-    r2 = abs(w) ** 2
-    if r2 >= 1.0:
+    if abs(w) >= 1.0:
         raise DivergentKernelError(
             f"kernel norm diverges for |w| = {abs(w):.6g} >= 1"
         )
-    total = 0.0
-    k = 0
-    term = 1.0
-    while True:
-        total += term
-        q = ((k + 2.0) / (k + 1.0)) ** abs(alpha) * r2
-        if q < 1.0 and term * q / (1.0 - q) < tol:
-            break
-        k += 1
-        term = (k + 1.0) ** (-alpha) * r2**k
+    return float(_kernel_norms_sq(alpha, w, tol))
+
+
+# Terms of the kernel series formed in the first pass of ``_kernel_norms_sq``;
+# each further pass forms twice as many.
+_KERNEL_CHUNK = 64
+
+
+def _kernel_norms_sq(alpha, w, tol: float = _KERNEL_TOL) -> np.ndarray:
+    """Sums of :func:`kernel_norm_sq` for broadcast arrays ``alpha`` and ``w``, ``|w| < 1``.
+
+    Each sum stops at the first index ``k`` whose term ``t_k`` and ratio
+    ``q_k`` satisfy ``q_k < 1`` and ``t_k q_k / (1 - q_k) < tol``; the terms
+    up to it are added in increasing ``k``, one at a time.  Each pass forms
+    the next chunk of terms for the sums that have not stopped, the first
+    ``_KERNEL_CHUNK`` long and each further one twice as long.
+    """
+    alpha, r2 = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.abs(w) ** 2)
+    total = np.zeros(alpha.shape)
+    open_ = np.ones(alpha.shape, dtype=bool)
+    start, chunk = 0, _KERNEL_CHUNK
+    while open_.any():
+        a, r = alpha[open_][:, None], r2[open_][:, None]
+        k = np.arange(start, start + chunk, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            term = (k + 1.0) ** (-a) * r**k
+            q = ((k + 2.0) / (k + 1.0)) ** np.abs(a) * r
+            done = (q < 1.0) & (term * q / (1.0 - q) < tol)
+        stopped = done.any(axis=1)
+        last = np.where(stopped, done.argmax(axis=1), chunk - 1)
+        used = np.arange(chunk) <= last[:, None]
+        overflow = used & ~(np.isfinite(term) & np.isfinite(q))
+        if overflow.any():
+            raise NumericalError(
+                "a kernel-series term overflows at alpha = "
+                f"{float(a[overflow.any(axis=1)][0, 0])!r}"
+            )
+        # running sums from the carried total, added one term at a time
+        sums = np.cumsum(np.concatenate((total[open_][:, None], term), axis=1), axis=1)
+        total[open_] = sums[np.arange(len(last)), last + 1]
+        open_[open_] = ~stopped
+        start, chunk = start + chunk, 2 * chunk
     return total
 
 

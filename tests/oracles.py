@@ -17,15 +17,39 @@ product and forms every inner product pairwise, then solves with plain
 
 ``reference_gram_band`` is the band assembly by position lookup that the
 library's lattice assembly replaced; it is kept to pin the new assembly bit
-for bit.
+for bit.  ``reference_suite_margins`` is the per-trial loop of each
+randomized suite, one ``Series`` at a time, that the block evaluation of
+``bidisk.suites`` replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from bidisk.series import OneVarSeries, TwoVarSeries, constant2, monomial2, multiply2
-from bidisk.spaces import PatternWeight, as_alpha, inner2
+from bidisk.series import (
+    DiagonalPattern,
+    OneVarSeries,
+    TwoVarSeries,
+    constant2,
+    diag_restrict,
+    diagonal_project,
+    lift,
+    monomial2,
+    multiply2,
+    restrict,
+    separable,
+    slice_series,
+)
+from bidisk.spaces import (
+    PatternWeight,
+    as_alpha,
+    beta_of_alpha,
+    comparison_constants,
+    inner2,
+    kernel_norm_sq,
+    norm1,
+    norm2,
+)
 
 
 def brute_gram_dist_sq(f: TwoVarSeries, alpha: float, indices) -> tuple[float, np.ndarray]:
@@ -142,3 +166,82 @@ def random_invertible(rng: np.random.Generator, max_deg: int = 5) -> TwoVarSerie
         grid *= 0.9 * abs(a00) / tail
     grid[0, 0] = a00
     return TwoVarSeries(grid)
+
+
+def _trial_restriction(rng, t):
+    f = random_two_var(rng, max_deg=10)
+    g = diag_restrict(f)
+    alpha = (-2.0, -1.0, 0.0, 1.0, 2.0)[int(rng.integers(0, 5))]
+    lhs = norm1(g, beta_of_alpha(alpha))
+    rhs = norm2(f, alpha)
+    return rhs - lhs, rhs, rhs - lhs < -1e-9 * rhs
+
+
+def _trial_separable(rng, t):
+    g = random_one_var(rng)
+    h = random_one_var(rng)
+    alpha = float(rng.uniform(-2.0, 2.0))
+    lhs = norm2(separable(g, h), alpha)
+    rhs = norm1(g, alpha) * norm1(h, alpha)
+    gap = abs(lhs - rhs)
+    return -gap, rhs, gap > 1e-12 * max(rhs, 1e-300)
+
+
+def _trial_polyextraction(rng, t):
+    pat = DiagonalPattern(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+    f = lift(random_one_var(rng, max_deg=6), pat)
+    r = random_two_var(rng, max_deg=8)
+    s = diagonal_project(r, pat)
+    alpha = float(rng.uniform(-1.5, 1.5))
+    lhs = norm2(multiply2(r, f) - 1.0, alpha)
+    rhs = norm2(multiply2(s, f) - 1.0, alpha)
+    return lhs - rhs, lhs, lhs - rhs < -1e-9 * max(lhs, 1.0)
+
+
+_PATTERNS = [DiagonalPattern(M, N) for M in (1, 2, 3) for N in (1, 2, 3)]
+
+
+def _trial_comparison(rng, t):
+    pat = _PATTERNS[t % len(_PATTERNS)]
+    f = lift(random_one_var(rng, max_deg=10), pat)
+    alpha = float(rng.uniform(-2.0, 2.0))
+    cc = comparison_constants(alpha, pat)
+    mid = norm2(f, alpha)
+    base = norm1(restrict(f, pat), 2.0 * alpha)
+    margin = min(mid - cc.c2 * base, cc.c1 * base - mid)
+    return margin, mid, margin < -1e-9 * max(mid, 1.0)
+
+
+def _trial_slice(rng, t):
+    f = random_two_var(rng, max_deg=10)
+    alpha = float(rng.uniform(-1.5, 1.5))
+    radius = float(rng.uniform(0.0, 0.9))
+    angle = float(rng.uniform(0.0, 2.0 * np.pi))
+    w = radius * np.exp(1j * angle)
+    fix = "z2" if rng.integers(0, 2) else "z1"
+    lhs = norm1(slice_series(f, fix, w), alpha)
+    rhs = np.sqrt(kernel_norm_sq(alpha, w)) * norm2(f, alpha)
+    return rhs - lhs, rhs, rhs - lhs < -1e-9 * max(rhs, 1.0)
+
+
+def reference_suite_margins(name: str, trials: int, seed: int):
+    """Per-trial margins, sides and violation flags of a suite, one trial at a time.
+
+    Each trial draws its series and parameters from the seeded generator and
+    checks its inequality through the ``Series``-level maps and norms.  The
+    side is the norm the slack is relative to.
+    """
+    rng = np.random.default_rng(seed)
+    trial = _TRIALS[name]
+    rows = [trial(rng, t) for t in range(trials)]
+    margins, sides, violated = (np.array(column) for column in zip(*rows))
+    return margins, sides, violated
+
+
+_TRIALS = {
+    "restriction": _trial_restriction,
+    "separable": _trial_separable,
+    "polyextraction": _trial_polyextraction,
+    "comparison": _trial_comparison,
+    "slice": _trial_slice,
+}

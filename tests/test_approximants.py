@@ -559,6 +559,15 @@ class TestLazyLift:
         assert res.p is first
         assert len(calls) == 1
 
+    def test_basis_is_built_when_read(self):
+        gs = gram_assemble(F_PROD, 0.5, BasisSpec.full(3))
+        res = solve_optimal(F_ONEVAR, 0.5, BasisSpec.onevar(5))
+        assert "basis" not in vars(gs) and "solved_basis" not in vars(res)
+        assert gs.basis == tuple(BasisSpec.full(3).indices2())
+        assert res.solved_basis == tuple(range(6))
+        assert all(type(k) is int for k in res.solved_basis)
+        assert gs.basis is gs.basis and res.solved_basis is res.solved_basis
+
 
 class TestClosedForm:
     def test_small_values(self):

@@ -2,11 +2,13 @@
 
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bidisk import suites
 from bidisk.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -283,6 +285,31 @@ class TestErrors:
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", trials)
         assert (code, out) == (2, "")
         assert "InputError" in err
+
+    @pytest.mark.parametrize("suite", ["slice", "all"])
+    def test_negative_seed_refused(self, capsys, suite):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--trials", "1", "--seed", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert "ArgumentError: the seed must be nonnegative (got seed=-1)" in err
+
+    @pytest.mark.parametrize("alpha", ["800", "1e308"])
+    def test_overflowing_norm_refused(self, capsys, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "norm", "--series", "builtin:one_minus_z1z2", "--alpha", alpha
+            )
+        assert (code, out) == (3, "")
+        assert f"NumericalError: the weighted norm at alpha = {float(alpha)!r}" in err
+
+    def test_violation_fails_verify(self, capsys, monkeypatch):
+        restrict_stack = suites._diag_restrict
+        monkeypatch.setattr(suites, "_diag_restrict", lambda x: 1e3 * restrict_stack(x))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "restriction", "--trials", "3")
+        assert code == 3
+        assert out.startswith("suite restriction: FAIL (trials=3, violations=3, worst_margin=-")
 
     @pytest.mark.parametrize(
         "rows, error",

@@ -1,12 +1,23 @@
 """Norms, inner products, rate gauges, kernel norms, comparison constants."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
-from bidisk.errors import DivergentKernelError, InputError, UnsupportedRateError
+from bidisk import suites
+from bidisk.errors import (
+    ArgumentError,
+    DivergentKernelError,
+    InputError,
+    NumericalError,
+    UnsupportedRateError,
+)
 from bidisk.series import DiagonalPattern, OneVarSeries, TwoVarSeries, lift, monomial1
 from bidisk.spaces import (
     AlphaWeight,
+    _kernel_norms_sq,
     beta_of_alpha,
     comparison_constants,
     inner1,
@@ -17,9 +28,9 @@ from bidisk.spaces import (
     phi,
     phi_inv,
 )
-from bidisk.suites import run_suite
+from bidisk.suites import BLOCK, available_suites, run_suite
 
-from oracles import random_one_var, random_two_var
+from oracles import random_one_var, random_two_var, reference_suite_margins
 
 ONE_MINUS_Z1Z2 = TwoVarSeries.from_terms({(0, 0): 1, (1, 1): -1})
 PRODUCT = TwoVarSeries([[1, -1], [-1, 1]])
@@ -64,6 +75,27 @@ class TestNorms:
         lam = 0.3 - 1.7j
         assert inner2(lam * f, g, 0.5) == pytest.approx(lam * inner2(f, g, 0.5))
         assert inner2(f, lam * g, 0.5) == pytest.approx(np.conj(lam) * inner2(f, g, 0.5))
+
+    def test_bits_of_the_direct_sums(self):
+        # the stacked kernels round a single series as the plain sums do
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            f = random_two_var(rng, max_deg=12)
+            F = random_one_var(rng, max_deg=20)
+            alpha = float(rng.uniform(-3.0, 3.0))
+            w = np.power(np.arange(1.0, 22.0), alpha)
+            direct2 = np.einsum("k,l,kl->", w[: f.deg1 + 1], w[: f.deg2 + 1], np.abs(f.coeffs) ** 2)
+            assert norm2(f, alpha) == float(np.sqrt(direct2))
+            assert norm1(F, alpha) == float(np.sqrt(np.dot(w[: F.deg + 1], np.abs(F.coeffs) ** 2)))
+
+    @pytest.mark.parametrize("alpha", [800.0, 1e308])
+    def test_overflow_raises(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape(f"alpha = {alpha!r}")):
+                norm2(ONE_MINUS_Z1Z2, alpha)
+            with pytest.raises(NumericalError, match=re.escape(f"alpha = {alpha!r}")):
+                norm1(OneVarSeries([1.0, 0.0, -1.0]), alpha)
 
     def test_weight_table_memoized(self):
         aw = AlphaWeight(0.5)
@@ -131,6 +163,32 @@ class TestKernel:
         tight = kernel_norm_sq(1.0, 0.9, tol=1e-13)
         assert abs(loose - tight) < 2e-4
 
+    def test_stack_matches_the_term_loop(self):
+        # the loop the chunked sums replaced: same terms, same stopping index
+        def loop(alpha, r2, tol=1e-12):
+            total, k, term = 0.0, 0, 1.0
+            while True:
+                total += term
+                q = ((k + 2.0) / (k + 1.0)) ** abs(alpha) * r2
+                if q < 1.0 and term * q / (1.0 - q) < tol:
+                    return total
+                k += 1
+                term = (k + 1.0) ** (-alpha) * r2**k
+
+        rng = np.random.default_rng(41)
+        alpha = rng.uniform(-3.0, 3.0, 300)
+        w = rng.uniform(0.0, 0.98, 300) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 300))
+        stacked = _kernel_norms_sq(alpha, w)
+        for a, z, got in zip(alpha, w, stacked):
+            assert got == kernel_norm_sq(a, z)
+            assert got == pytest.approx(loop(a, abs(z) ** 2), rel=1e-14)
+
+    def test_overflowing_terms_raise(self):
+        with pytest.raises(NumericalError, match="alpha = 2000.0"):
+            kernel_norm_sq(2000.0, 0.5)
+        with pytest.raises(NumericalError, match="alpha = -2000.0"):
+            kernel_norm_sq(-2000.0, 0.5)
+
 
 class TestComparisonConstants:
     def test_isometric_pattern(self):
@@ -178,6 +236,33 @@ class TestInequalitySuites:
     def test_vacuous_run_refused(self, trials):
         with pytest.raises(InputError):
             run_suite("slice", trials=trials, seed=7)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ArgumentError, match="seed=-1"):
+            run_suite("slice", trials=1, seed=-1)
+
+    @pytest.mark.parametrize("trials", [1, BLOCK, BLOCK + 1, 500])
+    @pytest.mark.parametrize("seed", [7, 11, 2024])
+    @pytest.mark.parametrize("name", available_suites())
+    def test_blocks_match_the_per_trial_loop(self, name, seed, trials):
+        want, side, violated = reference_suite_margins(name, trials, seed)
+        got = np.concatenate([margin for margin, _ in suites._MARGINS[name](trials, seed)])
+        result = run_suite(name, trials=trials, seed=seed)
+        assert result.violations == np.count_nonzero(violated)
+        if name in ("separable", "comparison"):
+            # identities: the printed worst margin is a rounding discrepancy
+            assert np.array_equal(got, want)
+            assert result.worst == min(0.0, float(want.min()))
+        else:
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(side, 1.0))
+
+    def test_violation_is_counted(self, monkeypatch):
+        restrict_stack = suites._diag_restrict
+        monkeypatch.setattr(suites, "_diag_restrict", lambda x: 1e3 * restrict_stack(x))
+        result = run_suite("restriction", trials=BLOCK + 1, seed=7)
+        assert not result.passed
+        assert result.violations == BLOCK + 1
+        assert result.worst < 0.0
 
     def test_comparison_suite_per_pattern(self):
         # patterns rotate round-robin, so 1800 trials is 200 per pattern
