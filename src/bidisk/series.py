@@ -418,7 +418,7 @@ def _slice(x: np.ndarray, w, which: int) -> np.ndarray:
     if which == 1:
         x = np.swapaxes(x, -1, -2)
     powers = np.power(np.asarray(w, dtype=np.complex128)[..., None], np.arange(x.shape[-1]))
-    return np.matvec(x, powers)
+    return (x @ powers[..., None])[..., 0]
 
 
 def diag_restrict(f: TwoVarSeries) -> OneVarSeries:

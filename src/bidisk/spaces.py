@@ -110,8 +110,13 @@ def _norms2(x: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
 
 
 def _norms1(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Norms ``sqrt(sum_k w[..., k] |x[..., k]|^2)`` of stacked coefficient rows."""
-    return np.sqrt(np.vecdot(w, np.abs(x) ** 2))
+    """Norms ``sqrt(sum_k w[..., k] |x[..., k]|^2)`` of stacked coefficient rows.
+
+    Each row is a ``(1, n) @ (n, 1)`` product, which numpy hands to the same
+    ``dot`` loop as ``np.dot`` of two vectors, so a single row rounds as
+    ``np.dot(w, |x|^2)`` does.
+    """
+    return np.sqrt((w[..., None, :] @ (np.abs(x) ** 2)[..., :, None])[..., 0, 0])
 
 
 def _finite_norm(value: np.ndarray, aw: AlphaWeight) -> float:
@@ -221,8 +226,10 @@ def kernel_norm_sq(a: AlphaLike, w: complex, tol: float = _KERNEL_TOL) -> float:
 
 
 # Terms of the kernel series formed in the first pass of ``_kernel_norms_sq``;
-# each further pass forms twice as many.
+# each further pass forms twice as many per open sum, up to about
+# ``_KERNEL_PASS_TERMS`` over all open sums together.
 _KERNEL_CHUNK = 64
+_KERNEL_PASS_TERMS = 1 << 15
 
 
 def _kernel_norms_sq(alpha, w, tol: float = _KERNEL_TOL) -> np.ndarray:
@@ -232,13 +239,17 @@ def _kernel_norms_sq(alpha, w, tol: float = _KERNEL_TOL) -> np.ndarray:
     ``q_k`` satisfy ``q_k < 1`` and ``t_k q_k / (1 - q_k) < tol``; the terms
     up to it are added in increasing ``k``, one at a time.  Each pass forms
     the next chunk of terms for the sums that have not stopped, the first
-    ``_KERNEL_CHUNK`` long and each further one twice as long.
+    ``_KERNEL_CHUNK`` long and each further one twice as long, but never
+    more than ``_KERNEL_PASS_TERMS`` terms in all (or ``_KERNEL_CHUNK`` per
+    open sum), so memory does not grow with the number of terms a sum needs.
     """
     alpha, r2 = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.abs(w) ** 2)
     total = np.zeros(alpha.shape)
     open_ = np.ones(alpha.shape, dtype=bool)
     start, chunk = 0, _KERNEL_CHUNK
     while open_.any():
+        rows = np.count_nonzero(open_)
+        chunk = min(chunk, max(_KERNEL_CHUNK, _KERNEL_PASS_TERMS // rows))
         a, r = alpha[open_][:, None], r2[open_][:, None]
         k = np.arange(start, start + chunk, dtype=float)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -1,6 +1,7 @@
 """Norms, inner products, rate gauges, kernel norms, comparison constants."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -163,18 +164,20 @@ class TestKernel:
         tight = kernel_norm_sq(1.0, 0.9, tol=1e-13)
         assert abs(loose - tight) < 2e-4
 
-    def test_stack_matches_the_term_loop(self):
+    @staticmethod
+    def loop(alpha, r2, tol=1e-12):
         # the loop the chunked sums replaced: same terms, same stopping index
-        def loop(alpha, r2, tol=1e-12):
-            total, k, term = 0.0, 0, 1.0
-            while True:
-                total += term
-                q = ((k + 2.0) / (k + 1.0)) ** abs(alpha) * r2
-                if q < 1.0 and term * q / (1.0 - q) < tol:
-                    return total
-                k += 1
-                term = (k + 1.0) ** (-alpha) * r2**k
+        total, k, term = 0.0, 0, 1.0
+        while True:
+            total += term
+            q = ((k + 2.0) / (k + 1.0)) ** abs(alpha) * r2
+            if q < 1.0 and term * q / (1.0 - q) < tol:
+                return total
+            k += 1
+            term = (k + 1.0) ** (-alpha) * r2**k
 
+    def test_stack_matches_the_term_loop(self):
+        loop = self.loop
         rng = np.random.default_rng(41)
         alpha = rng.uniform(-3.0, 3.0, 300)
         w = rng.uniform(0.0, 0.98, 300) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 300))
@@ -182,6 +185,25 @@ class TestKernel:
         for a, z, got in zip(alpha, w, stacked):
             assert got == kernel_norm_sq(a, z)
             assert got == pytest.approx(loop(a, abs(z) ** 2), rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 2.0])
+    def test_long_sums_match_the_term_loop(self, alpha):
+        # about 1.8e5 terms at alpha = 0: many passes at the capped chunk length
+        w = 0.9999 * np.exp(0.3j)
+        got = kernel_norm_sq(alpha, w)
+        assert got == pytest.approx(self.loop(alpha, abs(w) ** 2), rel=1e-12)
+        assert np.array_equal(_kernel_norms_sq([alpha, alpha], [w, 0.5]), [got, kernel_norm_sq(alpha, 0.5)])
+
+    def test_memory_does_not_grow_with_the_terms(self):
+        # about 1.4e6 terms; unbounded doubling would hold chunks of 2^20 terms
+        tracemalloc.start()
+        try:
+            got = kernel_norm_sq(0.0, 0.99999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(1.0 / (1.0 - 0.99999**2), rel=1e-10)
+        assert peak < 4 << 20
 
     def test_overflowing_terms_raise(self):
         with pytest.raises(NumericalError, match="alpha = 2000.0"):
