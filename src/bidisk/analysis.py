@@ -23,12 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .approximants import (
-    ApproximantResult,
-    BasisSpec,
-    diagonal_reduce_solve,
-    solve_optimal,
-)
+from .approximants import ApproximantResult, BasisSpec, solve_optimal
 from .errors import (
     ArgumentError,
     BidiskError,
@@ -121,18 +116,6 @@ class TheoryRate:
         return 1.0
 
 
-def _solve_for(
-    f: TwoVarSeries, a, n: int, basis: str, pattern, ortho_tol: Optional[float]
-) -> ApproximantResult:
-    if basis == "diagonal":
-        return diagonal_reduce_solve(f, a, n, pattern, ortho_tol=ortho_tol)
-    if basis == "full":
-        return solve_optimal(f, a, BasisSpec.full(n), ortho_tol=ortho_tol)
-    if basis == "onevar":
-        return solve_optimal(f, a, BasisSpec.onevar(n), ortho_tol=ortho_tol)
-    raise ArgumentError(f"unknown basis kind {basis!r}")
-
-
 def decay_scan(
     f: TwoVarSeries,
     a: AlphaLike,
@@ -143,6 +126,9 @@ def decay_scan(
 ) -> DecaySeries:
     """One optimal solve per order in ``n_values`` (strictly increasing).
 
+    Each order ``n`` is solved by :func:`solve_optimal` over
+    ``BasisSpec(n, basis, pattern)``; a diagonal basis defaults to the
+    pattern ``(1, 1)``, and a ``pattern`` with any other basis is refused.
     ``ortho_tol`` is the orthogonality-certificate tolerance of every solve
     (default ``1e-8 * ||f||^2``).  The mathematical monotonicity of the
     squared distances is asserted after the fact — any increase beyond
@@ -157,7 +143,7 @@ def decay_scan(
     results = []
     for n in n_values:
         try:
-            results.append(_solve_for(f, aw, n, basis, pattern, ortho_tol))
+            results.append(solve_optimal(f, aw, BasisSpec(n, basis, pattern), ortho_tol=ortho_tol))
         except BidiskError as exc:
             # Re-raise the same error, its type and attributes intact, naming
             # the order once: the solver's own messages usually name it.

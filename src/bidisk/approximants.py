@@ -14,11 +14,12 @@ so in the basis order ``G`` is banded.  Each pair of nonzero coefficients
 of ``f`` either misses the box or adds one strided block to one row of the
 upper band; the band is assembled pair by pair and factored by banded
 Cholesky.  A one-variable problem is the two-variable problem on a single
-column: the weight ``(0+1)^alpha`` of the second variable is 1.  A
-pattern-supported ``f = F(z1^M z2^N)`` is solved and certified as the
-one-variable problem for ``F`` under the weights ``((Mk+1)(Nk+1))^alpha``,
-the exact image of the pattern subspace; its result keeps the one-variable
-solution and lifts it to two variables only when ``p`` is read.
+column: the weight ``(0+1)^alpha`` of the second variable is 1.  On a
+diagonal basis, :func:`solve_optimal` solves and certifies a pattern-supported
+``f = F(z1^M z2^N)`` as the one-variable problem for ``F`` under the weights
+``((Mk+1)(Nk+1))^alpha``, the exact image of the pattern subspace; its result
+keeps the one-variable solution and lifts it only when ``p`` is read.  An
+``f`` off the pattern is solved on the two-variable diagonal lattice.
 
 Solver policy: normal equations with a banded Cholesky factorization, solved
 by LAPACK ``pbtrs``, and a single ridge-regularized retry, whose ridge is recorded on the result;
@@ -43,13 +44,17 @@ from .errors import (
     ArgumentError,
     BasisSizeError,
     ConditioningError,
+    GridSizeError,
     NumericalError,
     UnsupportedRateError,
 )
 from .series import (
+    MAX_GRID_ENTRIES,
     DiagonalPattern,
     OneVarSeries,
     TwoVarSeries,
+    _restrict,
+    is_diagonal,
     lift,
     multiply1,
     multiply2,
@@ -364,8 +369,14 @@ def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> floa
     """
 
     def sign(y):
+        # y / |y| overflows for subnormal |y| (numpy's complex division forms
+        # 1 / |y|), so those entries take their phase from the angle
         mag = np.abs(y)
-        return np.where(mag > 0.0, y / np.where(mag > 0.0, mag, 1.0), 1.0)
+        small = mag < np.finfo(float).tiny
+        out = y / np.where(small, 1.0, mag)
+        if small.any():
+            out[small] = np.where(mag[small] > 0.0, np.exp(1j * np.angle(y[small])), 1.0)
+        return out
 
     y = solve(np.full(size, 1.0 / size, dtype=np.complex128))
     est = float(np.abs(y).sum())
@@ -500,12 +511,31 @@ def solve_optimal(
 ) -> ApproximantResult:
     """Solve for the optimal approximant of order ``b.n`` in basis ``b``.
 
+    The one place that maps a basis to a solver: a two-variable ``f`` on
+    the pattern of a diagonal ``b`` is solved on the pattern, as by
+    :func:`diagonal_reduce_solve`; any other problem, an off-pattern ``f``
+    included, on the lattice box of ``b``, refused with :class:`GridSizeError`
+    before assembly if the grid of ``p`` would exceed ``MAX_GRID_ENTRIES``.
+
     The residual is recomputed from the solution coefficients by series
     arithmetic, and the orthogonality certificate
     ``max_i |<p f - 1, m_i f>|`` must come out below ``ortho_tol``
     (default ``1e-8 * ||f||^2``), else a conditioning error is raised.
     """
-    return _solve(f, as_alpha(a), b, b.n, ortho_tol)
+    aw = as_alpha(a)
+    if b.kind == "diagonal" and isinstance(f, TwoVarSeries) and is_diagonal(f, b.pattern):
+        return _pattern_solve(OneVarSeries(_restrict(f.coeffs, b.pattern)), aw, b, ortho_tol)
+    M, N, A, C = b.lattice()
+    entries = (M * A + 1) * (N * A + C + 1)
+    if entries > MAX_GRID_ENTRIES:
+        raise GridSizeError(f"order n={b.n} needs a grid of {entries} entries, over {MAX_GRID_ENTRIES}")
+    return _solve(f, aw, b, b.n, ortho_tol)
+
+
+def _pattern_solve(F: OneVarSeries, aw, b: BasisSpec, ortho_tol: Optional[float]) -> ApproximantResult:
+    """The diagonal solve over ``b`` of ``F(z1^M z2^N)``, given the restriction ``F``."""
+    res = _solve(F, PatternWeight(aw, b.pattern), BasisSpec.onevar(b.lattice().A), b.n, ortho_tol)
+    return replace(res, basis_kind="diagonal", pattern=b.pattern)
 
 
 def _phi_grid(alpha: float, values: np.ndarray) -> np.ndarray:
@@ -517,14 +547,20 @@ def _phi_grid(alpha: float, values: np.ndarray) -> np.ndarray:
     return values.astype(float) ** (1.0 - alpha)
 
 
-def _square_riesz_weights(aw, n: int) -> np.ndarray:
-    """Weights ``1 - phi(max(k, l)) / phi(n + 1)`` on the square grid of order ``n``."""
-    idx = np.arange(n + 1)
-    grading = np.maximum.outer(idx, idx)
+def _rate_gauge(a: AlphaLike):
+    """The weights of ``a``, refused above ``alpha = 1``, where no rate gauge is defined."""
+    aw = as_alpha(a)
+    if aw.alpha > 1.0:
+        raise UnsupportedRateError(f"no rate gauge is defined for alpha = {aw.alpha} > 1")
+    return aw
+
+
+def _riesz_weights(aw, grading: np.ndarray, n: int) -> np.ndarray:
+    """Weights ``1 - phi(grading) / phi(n + 1)`` of the order-``n`` Riesz mean."""
     denom = phi(aw, n + 1)
     if denom == 0.0:
         # only reachable at alpha = 1, n = 0, where the sole weight is 1
-        return np.ones_like(grading, dtype=float)
+        return np.ones(grading.shape)
     return 1.0 - _phi_grid(aw.alpha, grading) / denom
 
 
@@ -536,11 +572,10 @@ def riesz_approximant(f: TwoVarSeries, a: AlphaLike, n: int, eps0: float = 1e-12
     of ``f`` truncated at ``(n, n)``.  At ``alpha = 0`` this is the order-``n``
     Cesaro mean of the reciprocal's expansion in the ``max(k, l)`` grading.
     """
-    aw = as_alpha(a)
-    if aw.alpha > 1.0:
-        raise UnsupportedRateError(f"no rate gauge is defined for alpha = {aw.alpha} > 1")
+    aw = _rate_gauge(a)
     b = reciprocal2(f, n, n, eps0)
-    return TwoVarSeries(_square_riesz_weights(aw, n) * b.coeffs)
+    idx = np.arange(n + 1)
+    return TwoVarSeries(_riesz_weights(aw, np.maximum.outer(idx, idx), n) * b.coeffs)
 
 
 def riesz_diagonal(
@@ -553,17 +588,9 @@ def riesz_diagonal(
     the approximant is a degree-``n`` polynomial in ``z1^M z2^N``.  For the
     pattern ``(1, 1)`` this coincides with :func:`riesz_approximant`.
     """
-    aw = as_alpha(a)
-    if aw.alpha > 1.0:
-        raise UnsupportedRateError(f"no rate gauge is defined for alpha = {aw.alpha} > 1")
-    F = restrict(f, pat)
-    B = reciprocal1(F, n, eps0)
-    denom = phi(aw, n + 1)
-    if denom == 0.0:
-        weights = np.ones(n + 1)
-    else:
-        weights = 1.0 - _phi_grid(aw.alpha, np.arange(n + 1)) / denom
-    return lift(OneVarSeries(weights * B.coeffs), pat)
+    aw = _rate_gauge(a)
+    B = reciprocal1(restrict(f, pat), n, eps0)
+    return lift(OneVarSeries(_riesz_weights(aw, np.arange(n + 1), n) * B.coeffs), pat)
 
 
 def cesaro(f: TwoVarSeries, n: int, eps0: float = 1e-12) -> TwoVarSeries:
@@ -584,9 +611,7 @@ def closed_form_twisted(a: AlphaLike, n: int, pat: DiagonalPattern) -> float:
     (Mk+1)^alpha (Nk+1)^alpha``, which is what
     ``residual_norm_sq(riesz_diagonal(...))`` computes term by term.
     """
-    aw = as_alpha(a)
-    if aw.alpha > 1.0:
-        raise UnsupportedRateError(f"no rate gauge is defined for alpha = {aw.alpha} > 1")
+    aw = _rate_gauge(a)
     denom = phi(aw, n + 1)
     if denom == 0.0:
         # alpha = 1, n = 0: the approximant is the constant 1, residual -z1^M z2^N
@@ -620,12 +645,11 @@ def diagonal_reduce_solve(
     ``(Mk, Nk)``, both only when read.  A scan that reads neither never
     fills an ``(Mm+1) x (Nm+1)`` grid, so it reaches orders up to the
     solver cap; reading ``p`` beyond the grid cap raises
-    :class:`GridSizeError`.
+    :class:`GridSizeError`.  An ``f`` off the pattern raises
+    :class:`PatternViolationError`, where :func:`solve_optimal` solves it
+    on the diagonal lattice.
     """
-    aw = as_alpha(a)
-    m = n // max(pat.M, pat.N)
-    res = _solve(restrict(f, pat), PatternWeight(aw, pat), BasisSpec.onevar(m), n, ortho_tol)
-    return replace(res, basis_kind="diagonal", pattern=pat)
+    return _pattern_solve(restrict(f, pat), as_alpha(a), BasisSpec.diagonal(n, pat), ortho_tol)
 
 
 def perturbation_check(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -69,32 +70,23 @@ def cmd_norm(args) -> int:
     return 0
 
 
-def _approximant(info: SeriesInfo, args):
-    basis = _parse_basis(args.basis, args.n)
+def _approximant(info: SeriesInfo, args, basis: approximants.BasisSpec):
     if args.method == "optimal":
-        result = (
-            approximants.diagonal_reduce_solve(
-                info.series, args.alpha, args.n, basis.pattern, ortho_tol=args.tol_ortho
-            )
-            if basis.kind == "diagonal"
-            else approximants.solve_optimal(
-                info.series, args.alpha, basis, ortho_tol=args.tol_ortho
-            )
-        )
+        result = approximants.solve_optimal(info.series, args.alpha, basis, ortho_tol=args.tol_ortho)
         return result.p, result.residual_sq, result.cond_estimate, result.ortho_residual
     if args.method == "riesz":
         if basis.kind == "diagonal":
             p = approximants.riesz_diagonal(
-                info.series, args.alpha, args.n, basis.pattern, eps0=args.tol_eps0
+                info.series, args.alpha, basis.n, basis.pattern, eps0=args.tol_eps0
             )
         elif basis.kind == "full":
-            p = approximants.riesz_approximant(info.series, args.alpha, args.n, eps0=args.tol_eps0)
+            p = approximants.riesz_approximant(info.series, args.alpha, basis.n, eps0=args.tol_eps0)
         else:
             raise InputError("--method riesz supports --basis full or diag:M,N")
     elif args.method == "cesaro":
-        if args.basis != "full":
+        if basis.kind != "full":
             raise InputError("--method cesaro supports --basis full only")
-        p = approximants.cesaro(info.series, args.n, eps0=args.tol_eps0)
+        p = approximants.cesaro(info.series, basis.n, eps0=args.tol_eps0)
     else:
         raise InputError(f"unknown method {args.method!r}")
     res_sq = approximants.residual_norm_sq(p, info.series, args.alpha)
@@ -103,7 +95,7 @@ def _approximant(info: SeriesInfo, args):
 
 def cmd_approx(args) -> int:
     info = resolve_series(args.series)
-    p, res_sq, cond, ortho = _approximant(info, args)
+    p, res_sq, cond, ortho = _approximant(info, args, _parse_basis(args.basis, args.n))
     payload = {
         "series": info.label,
         "alpha": args.alpha,
@@ -135,23 +127,10 @@ def cmd_decay(args) -> int:
         raise InputError("empty order range; check --nmin/--nmax/--step")
     basis = _parse_basis(args.basis, n_values[0])
     if args.method == "optimal":
-        ds = analysis.decay_scan(
-            info.series,
-            args.alpha,
-            n_values,
-            basis=basis.kind,
-            pattern=basis.pattern,
-            ortho_tol=args.tol_ortho,
-        )
-        values = ds.values
+        values = analysis.decay_scan(info.series, args.alpha, n_values, basis=basis.kind,
+                                     pattern=basis.pattern, ortho_tol=args.tol_ortho).values
     else:
-        values = []
-        for n in n_values:
-            ns = argparse.Namespace(**vars(args))
-            ns.n = n
-            _, res_sq, _, _ = _approximant(info, ns)
-            values.append(res_sq)
-        values = np.array(values)
+        values = np.array([_approximant(info, args, replace(basis, n=n))[1] for n in n_values])
     theory = _theory_for(info, args.alpha)
     lines = ["n,dist_sq,predicted,ratio"]
     for n, v in zip(n_values, values):

@@ -13,6 +13,7 @@ from bidisk.analysis import (
 )
 from bidisk.approximants import closed_form_twisted
 from bidisk.errors import (
+    ArgumentError,
     DegenerateFitError,
     InsufficientPointsError,
     MonotonicityError,
@@ -37,6 +38,33 @@ class TestDecayScan:
     def test_diagonal_matches_oracle(self):
         ds = decay_scan(F_DIAG, 0.0, range(1, 11), basis="diagonal")
         assert np.allclose(ds.values, [1.0 / (n + 2) for n in range(1, 11)], atol=1e-12)
+
+    def test_every_order_goes_through_solve_optimal(self):
+        from bidisk.approximants import BasisSpec, diagonal_reduce_solve, solve_optimal
+
+        pat = DiagonalPattern(2, 3)
+        f = TwoVarSeries.from_terms({(0, 0): 1, (2, 3): -0.5})
+        ds = decay_scan(f, 0.25, [3, 6, 9], basis="diagonal", pattern=pat)
+        for n, res in zip((3, 6, 9), ds.results):
+            assert res == diagonal_reduce_solve(f, 0.25, n, pat) and res.pattern == pat
+        # an off-pattern f is solved on the diagonal lattice, not refused
+        ds = decay_scan(F_PROD, 0.0, [1, 4], basis="diagonal")
+        for n, res in zip((1, 4), ds.results):
+            assert res == solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(n, PAT11))
+            assert res.pattern is None
+        assert ds.meta["pattern"] == PAT11
+
+    @pytest.mark.parametrize("basis", ["full", "onevar"])
+    def test_pattern_refused_off_the_diagonal_basis(self, basis):
+        with pytest.raises(ArgumentError, match="other kinds must not carry one"):
+            decay_scan(F_DIAG, 0.0, [1, 2], basis=basis, pattern=PAT11)
+
+    def test_off_pattern_grid_refused_naming_the_order(self):
+        from bidisk.errors import GridSizeError
+
+        with pytest.raises(GridSizeError, match="n=5000") as err:
+            decay_scan(F_PROD, 0.0, [4, 5000], basis="diagonal")
+        assert str(err.value).count("n=5000") == 1
 
     def test_exact_inversion_all_zero(self):
         ds = decay_scan(constant2(1.0), 0.3, [1, 2, 3, 4, 5], basis="full")

@@ -1,5 +1,7 @@
 """Gram assembly, optimal solves, explicit constructions, certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,7 +23,9 @@ from bidisk.approximants import (
 from bidisk.errors import (
     BasisSizeError,
     ConditioningError,
+    GridSizeError,
     NumericalError,
+    PatternViolationError,
     SingularReciprocalError,
     UnsupportedRateError,
 )
@@ -160,6 +164,16 @@ class TestGramAssemble:
             res = solve_optimal(F, alpha, BasisSpec.onevar(6))
             assert isinstance(res.p, OneVarSeries)
             assert res.residual_sq == pytest.approx(oracle, abs=1e-10)
+
+    def test_condition_estimate_without_overflow_on_subnormal_solves(self):
+        # past n ~ 1030 the solves behind the estimate have entries below the
+        # smallest normal number, where y / |y| overflows
+        f, basis = OneVarSeries([1, -0.5]), BasisSpec.onevar(1100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            estimate = solve_optimal(f, 0.0, basis).cond_estimate
+        exact = np.linalg.cond(gram_assemble(f, 0.0, basis).matrix, 1)
+        assert exact / 10 <= estimate <= exact * (1 + 1e-8)
 
     def test_condition_estimate_brackets_one_norm_condition(self):
         rng = np.random.default_rng(39)
@@ -408,13 +422,63 @@ class TestDiagonalReduce:
 
     @pytest.mark.parametrize("alpha", [-1.0, -0.25, 0.5, 1.0])
     def test_isometry_path_matches_direct_gram(self, alpha):
-        # one-variable route vs. the explicit two-variable diagonal system
+        # one-variable route vs. a dense solve of the explicit two-variable diagonal system
         for n in (4, 9):
             via_onevar = diagonal_reduce_solve(F_DIAG, alpha, n, PAT11)
-            direct = solve_optimal(F_DIAG, alpha, BasisSpec.diagonal(n, PAT11))
-            assert abs(via_onevar.residual_sq - direct.residual_sq) <= 1e-10
+            gram = gram_assemble(F_DIAG, alpha, BasisSpec.diagonal(n, PAT11))
+            c = np.linalg.solve(gram.matrix, gram.rhs)
+            p = TwoVarSeries.from_terms(dict(zip(gram.basis, c)))
+            direct = residual_norm_sq(p, F_DIAG, alpha)
+            assert abs(via_onevar.residual_sq - direct) <= 1e-10
             oracle = onevar_one_minus_z_dist_sq(2.0 * alpha, n)
             assert via_onevar.residual_sq == pytest.approx(oracle, rel=1e-10)
+
+
+class TestDispatch:
+    """``solve_optimal`` alone chooses between the pattern path and the lattice path."""
+
+    def test_off_pattern_f_on_a_diagonal_basis_solves_the_lattice(self):
+        for MN in ((1, 1), (2, 3)):
+            for n in (2, 4, 7):
+                b = BasisSpec.diagonal(n, DiagonalPattern(*MN))
+                res = solve_optimal(F_PROD, 0.0, b)
+                assert res.pattern is None and res.basis_kind == "diagonal"
+                assert res.basis == tuple(b.indices2())
+                oracle, _ = brute_gram_dist_sq(F_PROD, 0.0, b.indices2())
+                assert res.residual_sq == pytest.approx(oracle, rel=1e-12)
+        # the value of the diagonal span, above the full-basis optimum
+        res = solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(4, PAT11))
+        assert res.residual_sq == pytest.approx(0.73205128205128, rel=1e-13)
+        assert res.residual_sq > solve_optimal(F_PROD, 0.0, BasisSpec.full(4)).residual_sq
+        # the public pattern solve still refuses it
+        with pytest.raises(PatternViolationError):
+            diagonal_reduce_solve(F_PROD, 0.0, 4, PAT11)
+
+    def test_public_solves_do_not_call_each_other(self, monkeypatch):
+        # a tracer that wraps both names must see one span per solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("one public solve called the other")
+
+        monkeypatch.setattr(approximants, "diagonal_reduce_solve", refuse)
+        solve_optimal(F_DIAG, 0.5, BasisSpec.diagonal(6, PAT11))
+        monkeypatch.undo()
+        monkeypatch.setattr(approximants, "solve_optimal", refuse)
+        diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11)
+
+    def test_lattice_grid_refused_before_assembly(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("reached assembly")
+
+        monkeypatch.setattr(approximants, "gram_assemble", refuse)
+        with pytest.raises(GridSizeError, match=r"order n=5000\b"):
+            solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(5000, PAT11))
+        # a 4096 x 4096 grid is at the cap, so order 4095 passes the check
+        with pytest.raises(AssertionError, match="reached assembly"):
+            solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(4095, PAT11))
+        monkeypatch.undo()
+        # on the pattern no two-variable grid is built, so the same order solves
+        res = solve_optimal(F_DIAG, 0.0, BasisSpec.diagonal(5000, PAT11))
+        assert res.residual_sq == pytest.approx(1.0 / 5002, rel=1e-9)
 
 
 PATTERNS = [(1, 1), (2, 3), (3, 1), (2, 1)]
@@ -495,8 +559,12 @@ class TestPatternNativeSolve:
         f = TwoVarSeries.from_terms({(0, 0): 1, MN: -1})
         monkeypatch.setattr(approximants, "multiply2", refuse)
         res = diagonal_reduce_solve(f, 0.5, 12, pat)
+        routed = solve_optimal(f, 0.5, BasisSpec.diagonal(12, pat))
         monkeypatch.undo()
         assert res.residual_sq == pytest.approx(residual_norm_sq(res.p, f, 0.5), rel=1e-12)
+        # the dispatch sends a pattern-supported f to the same solve, bit for bit
+        assert routed == res and routed.pattern == pat and routed.basis_kind == "diagonal"
+        assert np.array_equal(routed.solved.coeffs, res.solved.coeffs)
 
     def test_one_product_per_solve(self, monkeypatch):
         calls = []

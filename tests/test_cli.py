@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from bidisk import suites
+from bidisk.approximants import BasisSpec
 from bidisk.cli import main
+from bidisk.series import DiagonalPattern, OneVarSeries, separable
+
+from oracles import brute_gram_dist_sq
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,6 +104,19 @@ class TestApprox:
         assert code2 == 0
         assert json.loads(out2)["norm"] > 0
 
+    def test_diagonal_basis_off_the_pattern(self, capsys):
+        # an off-pattern series is solved over the diagonal span, not refused
+        code, out, err = run_cli(
+            capsys, "approx", "--series", "builtin:product_one_minus",
+            "--alpha", "0", "--n", "4", "--basis", "diag:1,1",
+        )
+        assert (code, err) == (0, "")
+        product = separable(OneVarSeries([1.0, -1.0]), OneVarSeries([1.0, -1.0]))
+        indices = BasisSpec.diagonal(4, DiagonalPattern(1, 1)).indices2()
+        oracle, _ = brute_gram_dist_sq(product, 0.0, indices)
+        assert json.loads(out)["residual_sq"] == pytest.approx(oracle, rel=1e-12)
+        assert oracle == pytest.approx(0.73205128205128, rel=1e-13)
+
 
 class TestDecay:
     def test_diagonal_oracle_column(self, capsys):
@@ -162,6 +179,20 @@ class TestDecay:
         for row in out.strip().splitlines()[1:]:
             n, dist_sq, _, _ = row.split(",")
             assert float(dist_sq) == pytest.approx(1.0 / (int(n) + 1), abs=1e-12)
+
+    @pytest.mark.parametrize("method, basis", [("riesz", "diag:2,3"), ("riesz", "full"),
+                                               ("cesaro", "full")])
+    def test_explicit_scan_rows_match_approx(self, capsys, method, basis):
+        series = ["--series", "builtin:one_minus_pow:2,3", "--alpha", "0.25", "--method", method,
+                  "--basis", basis]
+        code, out, _ = run_cli(capsys, "decay", *series, "--nmin", "2", "--nmax", "8",
+                               "--step", "3")
+        assert code == 0
+        for row in out.strip().splitlines()[1:]:
+            n, dist_sq = row.split(",")[:2]
+            code, approx, _ = run_cli(capsys, "approx", *series, "--n", n)
+            assert code == 0
+            assert dist_sq == format(json.loads(approx)["residual_sq"], ".17g")
 
 
 class TestEnergyAndAnnihilate:
@@ -369,6 +400,14 @@ class TestErrors:
         )
         assert (code, out) == (2, "")
         assert "GridSizeError" in err
+
+    def test_off_pattern_diagonal_scan_refused_at_the_grid_cap(self, capsys):
+        code, out, err = run_cli(
+            capsys, "decay", "--series", "builtin:product_one_minus", "--alpha", "0",
+            "--nmin", "5000", "--nmax", "5000", "--basis", "diag:1,1",
+        )
+        assert (code, out) == (2, "")
+        assert "error: GridSizeError: order n=5000 " in err
 
     def test_step_validation(self, capsys):
         code, _, err = run_cli(
