@@ -216,9 +216,7 @@ def fit_log_mode(ds: DecaySeries, n_min: int = 10, n_max: Optional[int] = None) 
     )
 
 
-def predicted_rate(
-    alpha: float, family: str, pattern: Optional[DiagonalPattern] = None
-) -> TheoryRate:
+def predicted_rate(alpha: float, family: str) -> TheoryRate:
     """Sharp theoretical decay mode for a family at parameter ``alpha``.
 
     ``separable`` and ``onevar`` decay like ``(n+1)^-(1-alpha)`` below the
@@ -252,22 +250,22 @@ class CyclicityVerdict:
     detail: str
 
 
-def cyclicity_verdict(
-    ds: DecaySeries,
-    *,
-    decay_factor: float = 0.5,
-    r2_min: float = 0.9,
-    log_stability_min: float = 0.8,
-    plateau_rel: float = 1e-3,
-    plateau_floor: float = 0.05,
-    n_min: int = 10,
-) -> CyclicityVerdict:
+# Thresholds of :func:`cyclicity_verdict`.
+_DECAY_FACTOR = 0.5  # a decaying scan ends below this fraction of its first value
+_R2_MIN = 0.9  # least r_squared of an acceptable power fit
+_LOG_STABILITY_MIN = 0.8  # least stability score of an acceptable logarithmic fit
+_PLATEAU_REL = 1e-3  # largest relative change over the last step of a plateau
+_PLATEAU_FLOOR = 0.05  # least level of a plateau
+_VERDICT_N_MIN = 10  # the fits of a verdict start at this order
+
+
+def cyclicity_verdict(ds: DecaySeries) -> CyclicityVerdict:
     """Conservative classification of a decay scan.
 
-    ``decaying`` needs the last value under ``decay_factor`` times the first
+    ``decaying`` needs the last value under ``_DECAY_FACTOR`` times the first
     and a good power fit or a stable logarithmic mode; ``plateau`` needs the
-    last two values to agree to ``plateau_rel`` relatively while staying
-    above ``plateau_floor``; everything else is ``inconclusive``.  This is
+    last two values to agree to ``_PLATEAU_REL`` relatively while staying
+    above ``_PLATEAU_FLOOR``; everything else is ``inconclusive``.  This is
     numerical evidence about a finite window, not a proof of an asymptotic
     property.
     """
@@ -287,14 +285,14 @@ def cyclicity_verdict(
         )
     power = log = None
     try:
-        power = fit_power(ds, n_min=n_min)
-        log = fit_log_mode(ds, n_min=n_min)
+        power = fit_power(ds, n_min=_VERDICT_N_MIN)
+        log = fit_log_mode(ds, n_min=_VERDICT_N_MIN)
     except (DegenerateFitError, InsufficientPointsError):
         pass
     last, prev, first = vals[-1], vals[-2], vals[0]
-    if last < decay_factor * first and (
-        (power is not None and power.r_squared >= r2_min)
-        or (log is not None and log.r_squared >= log_stability_min)
+    if last < _DECAY_FACTOR * first and (
+        (power is not None and power.r_squared >= _R2_MIN)
+        or (log is not None and log.r_squared >= _LOG_STABILITY_MIN)
     ):
         return CyclicityVerdict(
             verdict="decaying",
@@ -302,7 +300,7 @@ def cyclicity_verdict(
             log_fit=log,
             detail=f"last/first = {last / first:.3g} with an acceptable fit",
         )
-    if last >= plateau_floor and abs(last - prev) < plateau_rel * max(last, prev):
+    if last >= _PLATEAU_FLOOR and abs(last - prev) < _PLATEAU_REL * max(last, prev):
         return CyclicityVerdict(
             verdict="plateau",
             power_fit=power,

@@ -46,7 +46,6 @@ from .errors import (
     ConditioningError,
     GridSizeError,
     NumericalError,
-    UnsupportedRateError,
 )
 from .series import (
     MAX_GRID_ENTRIES,
@@ -63,7 +62,7 @@ from .series import (
     restrict,
     shifted_pairings,
 )
-from .spaces import AlphaLike, PatternWeight, _norms2, as_alpha, norm1, norm2, phi
+from .spaces import AlphaLike, PatternWeight, _norms2, _rate_gauge, as_alpha, norm1, norm2, phi
 
 __all__ = [
     "SOLVER_CAP",
@@ -545,14 +544,6 @@ def _phi_grid(alpha: float, values: np.ndarray) -> np.ndarray:
         out[pos] = np.log(values[pos])
         return out
     return values.astype(float) ** (1.0 - alpha)
-
-
-def _rate_gauge(a: AlphaLike):
-    """The weights of ``a``, refused above ``alpha = 1``, where no rate gauge is defined."""
-    aw = as_alpha(a)
-    if aw.alpha > 1.0:
-        raise UnsupportedRateError(f"no rate gauge is defined for alpha = {aw.alpha} > 1")
-    return aw
 
 
 def _riesz_weights(aw, grading: np.ndarray, n: int) -> np.ndarray:

@@ -38,7 +38,6 @@ class SeriesInfo:
     series: TwoVarSeries
     label: str
     family: Optional[str] = None  # "separable" | "diagonal" | "onevar" | None
-    pattern: Optional[DiagonalPattern] = None
 
 
 def builtin_series(name: str, **params) -> SeriesInfo:
@@ -50,7 +49,7 @@ def builtin_series(name: str, **params) -> SeriesInfo:
     """
     if name == "one_minus_z1z2":
         s = TwoVarSeries.from_terms({(0, 0): 1.0, (1, 1): -1.0})
-        return SeriesInfo(s, name, family="diagonal", pattern=DiagonalPattern(1, 1))
+        return SeriesInfo(s, name, family="diagonal")
     if name == "product_one_minus":
         g = OneVarSeries([1.0, -1.0])
         return SeriesInfo(separable(g, g), name, family="separable")
@@ -62,19 +61,16 @@ def builtin_series(name: str, **params) -> SeriesInfo:
             M, N = int(params["M"]), int(params["N"])
         except KeyError as exc:
             raise InputError("one_minus_pow needs integer params M and N") from exc
+        DiagonalPattern(M, N)  # refuses exponents below 1
         s = TwoVarSeries.from_terms({(0, 0): 1.0, (M, N): -1.0})
-        return SeriesInfo(
-            s, f"one_minus_pow({M},{N})", family="diagonal", pattern=DiagonalPattern(M, N)
-        )
+        return SeriesInfo(s, f"one_minus_pow({M},{N})", family="diagonal")
     if name == "cos_pair":
         try:
             theta = float(params["theta"])
         except KeyError as exc:
             raise InputError("cos_pair needs a real param theta") from exc
         s = TwoVarSeries.from_terms({(0, 0): 1.0, (1, 1): -2.0 * math.cos(theta), (2, 2): 1.0})
-        return SeriesInfo(
-            s, f"cos_pair({theta:g})", family="diagonal", pattern=DiagonalPattern(1, 1)
-        )
+        return SeriesInfo(s, f"cos_pair({theta:g})", family="diagonal")
     raise InputError(f"unknown builtin series {name!r}")
 
 
@@ -114,22 +110,26 @@ def _parse_builtin_token(token: str) -> SeriesInfo:
     return builtin_series(name)
 
 
+def _read_json(spec: str, kind: str):
+    """The parsed contents of the JSON file ``spec``, a ``kind`` file."""
+    try:
+        return json.loads(Path(spec).read_text())
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} file {spec!r}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{kind} file {spec!r} is not valid JSON: {exc}")
+
+
 def resolve_series(spec: str) -> SeriesInfo:
     """Resolve a ``--series`` value: ``builtin:name[:params]`` or a JSON file path."""
     if spec.startswith("builtin:"):
         return _parse_builtin_token(spec[len("builtin:") :])
-    path = Path(spec)
-    try:
-        obj = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read series file {spec!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"series file {spec!r} is not valid JSON: {exc}")
+    obj = _read_json(spec, "series")
     if isinstance(obj, dict) and "builtin" in obj:
         return builtin_series(obj["builtin"], **obj.get("params", {}))
     if not isinstance(obj, dict):
         raise InputError("series JSON must be an object")
-    return SeriesInfo(_series_from_grid(obj), label=path.name)
+    return SeriesInfo(_series_from_grid(obj), label=Path(spec).name)
 
 
 _BUILTIN_MEASURES = {
@@ -139,29 +139,21 @@ _BUILTIN_MEASURES = {
 }
 
 
+def _builtin_measure(name: str, K: int) -> FourierMeasure:
+    if name not in _BUILTIN_MEASURES:
+        raise InputError(
+            f"unknown builtin measure {name!r}; available: " + ", ".join(sorted(_BUILTIN_MEASURES))
+        )
+    return _BUILTIN_MEASURES[name](K)
+
+
 def resolve_measure(spec: str, K: int) -> FourierMeasure:
     """Resolve a ``--measure`` value: ``builtin:name`` (cutoff ``K``) or a JSON file."""
     if spec.startswith("builtin:"):
-        name = spec[len("builtin:") :]
-        if name not in _BUILTIN_MEASURES:
-            raise InputError(
-                f"unknown builtin measure {name!r}; available: "
-                + ", ".join(sorted(_BUILTIN_MEASURES))
-            )
-        return _BUILTIN_MEASURES[name](K)
-    path = Path(spec)
-    try:
-        obj = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read measure file {spec!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"measure file {spec!r} is not valid JSON: {exc}")
+        return _builtin_measure(spec[len("builtin:") :], K)
+    obj = _read_json(spec, "measure")
     if isinstance(obj, dict) and "builtin" in obj:
-        name = obj["builtin"]
-        params = obj.get("params", {})
-        if name not in _BUILTIN_MEASURES:
-            raise InputError(f"unknown builtin measure {name!r}")
-        return _BUILTIN_MEASURES[name](int(params.get("K", K)))
+        return _builtin_measure(obj["builtin"], int(obj.get("params", {}).get("K", K)))
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise InputError("measure JSON needs 'coeffs': [[k, l, re, im], ...]")
     try:

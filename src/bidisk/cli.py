@@ -115,7 +115,7 @@ def _theory_for(info: SeriesInfo, alpha: float):
     if info.family is None:
         return None
     try:
-        return analysis.predicted_rate(alpha, info.family, info.pattern)
+        return analysis.predicted_rate(alpha, info.family)
     except UnsupportedRateError:
         return None
 
@@ -215,6 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="write output to this file instead of stdout")
 
+    def add_solver(p):
+        p.add_argument("--basis", default="full", help="full | diag:M,N | onevar")
+        p.add_argument("--method", default="optimal", choices=["optimal", "riesz", "cesaro"])
+        p.add_argument("--tol-eps0", dest="tol_eps0", type=float, default=1e-12,
+                       help="reciprocal admissibility threshold on |a00|")
+        p.add_argument("--tol-ortho", dest="tol_ortho", type=float, default=None,
+                       help="absolute orthogonality-certificate tolerance "
+                            "(default 1e-8 * ||f||^2)")
+
     p = sub.add_parser("norm", help="weighted norm of a series")
     add_common(p, series=True, alpha=True)
     p.set_defaults(func=cmd_norm)
@@ -222,13 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="approximant of one order")
     add_common(p, series=True, alpha=True)
     p.add_argument("--n", type=int, required=True, help="approximant order")
-    p.add_argument("--basis", default="full", help="full | diag:M,N | onevar")
-    p.add_argument("--method", default="optimal", choices=["optimal", "riesz", "cesaro"])
-    p.add_argument("--tol-eps0", dest="tol_eps0", type=float, default=1e-12,
-                   help="reciprocal admissibility threshold on |a00|")
-    p.add_argument("--tol-ortho", dest="tol_ortho", type=float, default=None,
-                   help="absolute orthogonality-certificate tolerance "
-                        "(default 1e-8 * ||f||^2)")
+    add_solver(p)
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("decay", help="scan residuals over a range of orders (CSV)")
@@ -236,12 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmin", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--step", type=int, default=1)
-    p.add_argument("--basis", default="full", help="full | diag:M,N | onevar")
-    p.add_argument("--method", default="optimal", choices=["optimal", "riesz", "cesaro"])
-    p.add_argument("--tol-eps0", dest="tol_eps0", type=float, default=1e-12)
-    p.add_argument("--tol-ortho", dest="tol_ortho", type=float, default=None,
-                   help="absolute orthogonality-certificate tolerance "
-                        "(default 1e-8 * ||f||^2)")
+    add_solver(p)
     p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("energy", help="partial logarithmic energy of a measure")

@@ -3,10 +3,15 @@
 A ``TwoVarSeries`` stores the dense coefficient grid of
 ``f(z1, z2) = sum_{k,l} a[k,l] z1^k z2^l`` up to an explicit truncation
 degree in each variable; a ``OneVarSeries`` is the univariate analogue.
-Values are immutable and compare equal iff their grids, zero-extended to
-common degrees, agree entrywise.  All arithmetic here is exact polynomial
-arithmetic on the stored coefficients (no hidden truncation: products grow
-the grid, and binary operations zero-extend to common degrees).
+Both share one base class, which holds the read-only coefficient array and
+all arithmetic: ``pad``, ``==``, ``isclose``, ``+``, ``-`` and ``*`` with a
+scalar or a series of the same class.  Values are immutable and compare
+equal iff their arrays, zero-extended to common degrees, agree entrywise.
+All arithmetic here is exact polynomial arithmetic on the stored
+coefficients (no hidden truncation: products grow the grid, and binary
+operations zero-extend to common degrees).  Each class keeps its own
+product: ``multiply1`` convolves, ``multiply2`` shift-adds, and the two
+round differently.
 
 Structural maps between one and two variables also live here: slices
 ``f(., w)``, the diagonal restriction ``f(z, z)``, and the lifting
@@ -16,7 +21,7 @@ Structural maps between one and two variables also live here: slices
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple, Union
+from typing import ClassVar, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -78,18 +83,91 @@ def _as_grid(values, ndim: int) -> np.ndarray:
     return arr
 
 
+_SCALARS = (int, float, complex)
+
+
 @dataclass(frozen=True, eq=False)
-class TwoVarSeries:
+class _Series:
+    """Coefficient array of a series in ``ndim`` variables, and the arithmetic of both kinds.
+
+    A binary operation takes a scalar or a series of the same class; two
+    series are zero-extended to common degrees first, and a scalar is added
+    to the constant term.  A subclass sets ``ndim`` and gives its exact
+    product in ``_product``.
+    """
+
+    coeffs: np.ndarray
+    ndim: ClassVar[int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _as_grid(self.coeffs, self.ndim))
+
+    def pad(self, *degs: int):
+        """Zero-extend to degrees at least ``degs``, one per variable."""
+        if len(degs) != self.ndim:
+            raise TypeError(f"pad() takes {self.ndim} degree(s), got {len(degs)}")
+        shape = tuple(max(d + 1, n) for d, n in zip(degs, self.coeffs.shape))
+        if shape == self.coeffs.shape:
+            return self
+        grid = np.zeros(shape, dtype=np.complex128)
+        grid[tuple(slice(0, n) for n in self.coeffs.shape)] = self.coeffs
+        return type(self)(grid)
+
+    def _aligned(self, other) -> Tuple[np.ndarray, np.ndarray]:
+        """The grids of ``self`` and ``other`` zero-extended to common degrees."""
+        degs = [max(m, n) - 1 for m, n in zip(self.coeffs.shape, other.coeffs.shape)]
+        return self.pad(*degs).coeffs, other.pad(*degs).coeffs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return bool(np.array_equal(*self._aligned(other)))
+
+    def isclose(self, other, rtol: float = 1e-12, atol: float = 1e-12) -> bool:
+        return bool(np.allclose(*self._aligned(other), rtol=rtol, atol=atol))
+
+    def __add__(self, other):
+        if isinstance(other, type(self)):
+            a, b = self._aligned(other)
+            return type(self)(a + b)
+        if isinstance(other, _SCALARS):
+            grid = np.array(self.coeffs)
+            grid[(0,) * self.ndim] += other
+            return type(self)(grid)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(-self.coeffs)
+
+    def __sub__(self, other):
+        if isinstance(other, (type(self),) + _SCALARS):
+            return self + (-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        if isinstance(other, _SCALARS):
+            return type(self)(self.coeffs * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+@dataclass(frozen=True, eq=False)
+class TwoVarSeries(_Series):
     """Bivariate polynomial / truncated power series on a dense grid.
 
     ``coeffs[k, l]`` is the coefficient of ``z1^k z2^l``; the grid shape is
     exactly ``(deg1 + 1, deg2 + 1)``.
     """
 
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_grid(self.coeffs, 2))
+    ndim = 2
 
     @property
     def deg1(self) -> int:
@@ -119,74 +197,18 @@ class TwoVarSeries:
             return complex(self.coeffs[k, l])
         return 0.0
 
-    def pad(self, deg1: int, deg2: int) -> "TwoVarSeries":
-        """Zero-extend to degrees at least ``(deg1, deg2)``."""
-        d1 = max(deg1, self.deg1)
-        d2 = max(deg2, self.deg2)
-        if (d1, d2) == (self.deg1, self.deg2):
-            return self
-        grid = np.zeros((d1 + 1, d2 + 1), dtype=np.complex128)
-        grid[: self.deg1 + 1, : self.deg2 + 1] = self.coeffs
-        return TwoVarSeries(grid)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwoVarSeries):
-            return NotImplemented
-        d1 = max(self.deg1, other.deg1)
-        d2 = max(self.deg2, other.deg2)
-        return bool(np.array_equal(self.pad(d1, d2).coeffs, other.pad(d1, d2).coeffs))
-
-    def isclose(self, other: "TwoVarSeries", rtol: float = 1e-12, atol: float = 1e-12) -> bool:
-        d1 = max(self.deg1, other.deg1)
-        d2 = max(self.deg2, other.deg2)
-        return bool(np.allclose(self.pad(d1, d2).coeffs, other.pad(d1, d2).coeffs,
-                                rtol=rtol, atol=atol))
-
-    def __add__(self, other):
-        if isinstance(other, TwoVarSeries):
-            d1 = max(self.deg1, other.deg1)
-            d2 = max(self.deg2, other.deg2)
-            return TwoVarSeries(self.pad(d1, d2).coeffs + other.pad(d1, d2).coeffs)
-        if isinstance(other, (int, float, complex)):
-            grid = np.array(self.coeffs)
-            grid[0, 0] += other
-            return TwoVarSeries(grid)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TwoVarSeries(-self.coeffs)
-
-    def __sub__(self, other):
-        if isinstance(other, (TwoVarSeries, int, float, complex)):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, TwoVarSeries):
-            return multiply2(self, other)
-        if isinstance(other, (int, float, complex)):
-            return TwoVarSeries(self.coeffs * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _product(self, other: "TwoVarSeries") -> "TwoVarSeries":
+        return multiply2(self, other)
 
     def __repr__(self) -> str:
         return f"TwoVarSeries(deg1={self.deg1}, deg2={self.deg2})"
 
 
 @dataclass(frozen=True, eq=False)
-class OneVarSeries:
+class OneVarSeries(_Series):
     """Univariate polynomial / truncated power series."""
 
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_grid(self.coeffs, 1))
+    ndim = 1
 
     @property
     def deg(self) -> int:
@@ -197,54 +219,8 @@ class OneVarSeries:
             return complex(self.coeffs[k])
         return 0.0
 
-    def pad(self, deg: int) -> "OneVarSeries":
-        if deg <= self.deg:
-            return self
-        grid = np.zeros(deg + 1, dtype=np.complex128)
-        grid[: self.deg + 1] = self.coeffs
-        return OneVarSeries(grid)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OneVarSeries):
-            return NotImplemented
-        d = max(self.deg, other.deg)
-        return bool(np.array_equal(self.pad(d).coeffs, other.pad(d).coeffs))
-
-    def isclose(self, other: "OneVarSeries", rtol: float = 1e-12, atol: float = 1e-12) -> bool:
-        d = max(self.deg, other.deg)
-        return bool(np.allclose(self.pad(d).coeffs, other.pad(d).coeffs, rtol=rtol, atol=atol))
-
-    def __add__(self, other):
-        if isinstance(other, OneVarSeries):
-            d = max(self.deg, other.deg)
-            return OneVarSeries(self.pad(d).coeffs + other.pad(d).coeffs)
-        if isinstance(other, (int, float, complex)):
-            grid = np.array(self.coeffs)
-            grid[0] += other
-            return OneVarSeries(grid)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OneVarSeries(-self.coeffs)
-
-    def __sub__(self, other):
-        if isinstance(other, (OneVarSeries, int, float, complex)):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, OneVarSeries):
-            return multiply1(self, other)
-        if isinstance(other, (int, float, complex)):
-            return OneVarSeries(self.coeffs * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _product(self, other: "OneVarSeries") -> "OneVarSeries":
+        return multiply1(self, other)
 
     def __repr__(self) -> str:
         return f"OneVarSeries(deg={self.deg})"

@@ -169,15 +169,21 @@ def inner1(F: OneVarSeries, G: OneVarSeries, a: AlphaLike) -> complex:
     return complex(np.dot(w, F.coeffs[: d + 1] * np.conj(G.coeffs[: d + 1])))
 
 
+def _rate_gauge(a: AlphaLike) -> AlphaWeight:
+    """The weights of ``a``, refused above ``alpha = 1``, where no rate gauge is defined."""
+    aw = as_alpha(a)
+    if aw.alpha > 1.0:
+        raise UnsupportedRateError(f"no rate gauge is defined for alpha = {aw.alpha} > 1")
+    return aw
+
+
 def phi(a: AlphaLike, s: float) -> float:
     """Decay gauge: ``s^(1-alpha)`` for ``alpha < 1``, ``max(log s, 0)`` at ``alpha = 1``.
 
     Undefined for ``alpha > 1`` (the spaces are algebras there and no rate is
     attached to them).
     """
-    alpha = as_alpha(a).alpha
-    if alpha > 1.0:
-        raise UnsupportedRateError(f"no rate gauge is defined for alpha = {alpha} > 1")
+    alpha = _rate_gauge(a).alpha
     if s < 0.0:
         raise ArgumentError("the rate gauge is defined on s >= 0")
     if alpha == 1.0:
@@ -187,9 +193,7 @@ def phi(a: AlphaLike, s: float) -> float:
 
 def phi_inv(a: AlphaLike, t: float) -> float:
     """Inverse of :func:`phi` on the branch ``s >= 1``."""
-    alpha = as_alpha(a).alpha
-    if alpha > 1.0:
-        raise UnsupportedRateError(f"no rate gauge is defined for alpha = {alpha} > 1")
+    alpha = _rate_gauge(a).alpha
     if alpha == 1.0:
         if t < 0.0:
             raise ArgumentError("the logarithmic gauge only takes values t >= 0")

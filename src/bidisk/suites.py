@@ -39,7 +39,6 @@ from .series import (
     _slice,
 )
 from .spaces import (
-    AlphaWeight,
     _kernel_norms_sq,
     _norms1,
     _norms2,
@@ -138,8 +137,8 @@ def separable_margins(trials: int, seed: int) -> Margins:
         for i in range(size):
             g = _random_row(rng)
             h = _random_row(rng)
-            aw = AlphaWeight(float(rng.uniform(-2.0, 2.0)))
-            wg, wh = aw.weights(len(g) - 1), aw.weights(len(h) - 1)
+            alpha = float(rng.uniform(-2.0, 2.0))
+            wg, wh = _weight_rows(alpha, len(g) - 1), _weight_rows(alpha, len(h) - 1)
             lhs = _norms2(_separable(g, h), wg, wh)
             rhs[i] = _norms1(g, wg) * _norms1(h, wh)
             gaps[i] = abs(lhs - rhs[i])
@@ -186,10 +185,10 @@ def comparison_margins(trials: int, seed: int) -> Margins:
             F = _random_row(rng, max_deg=10)
             alpha = float(rng.uniform(-2.0, 2.0))
             cc = comparison_constants(alpha, pat)
-            aw = AlphaWeight(alpha)
             f = _lift(F, pat)
-            mid[i] = _norms2(f, aw.weights(f.shape[0] - 1), aw.weights(f.shape[1] - 1))
-            base = _norms1(_restrict(f, pat), AlphaWeight(2.0 * alpha).weights(len(F) - 1))
+            w = _weight_rows(alpha, max(f.shape) - 1)
+            mid[i] = _norms2(f, w[: f.shape[0]], w[: f.shape[1]])
+            base = _norms1(_restrict(f, pat), _weight_rows(2.0 * alpha, len(F) - 1))
             margin[i] = min(mid[i] - cc.c2 * base, cc.c1 * base - mid[i])
         yield margin, _REL_SLACK * np.maximum(mid, 1.0)
 

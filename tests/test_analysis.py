@@ -189,11 +189,11 @@ class TestFitLogMode:
 
 class TestPredictedRate:
     def test_examples(self):
-        tr = predicted_rate(0.0, "diagonal", PAT11)
+        tr = predicted_rate(0.0, "diagonal")
         assert (tr.mode, tr.exponent) == ("power", -1.0)
         tr = predicted_rate(0.0, "separable")
         assert (tr.mode, tr.exponent) == ("power", -1.0)
-        assert predicted_rate(1.0, "diagonal", PAT11).mode == "plateau"
+        assert predicted_rate(1.0, "diagonal").mode == "plateau"
 
     def test_log_thresholds(self):
         assert predicted_rate(1.0, "separable").mode == "logarithmic"
@@ -209,7 +209,7 @@ class TestPredictedRate:
             predicted_rate(0.0, "mystery")
 
     def test_predicted_values(self):
-        tr = predicted_rate(0.0, "diagonal", PAT11)
+        tr = predicted_rate(0.0, "diagonal")
         assert tr.predicted_value(9) == pytest.approx(0.1)
         assert predicted_rate(1.0, "diagonal").predicted_value(7) == 1.0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bidisk.errors import (
+    ArgumentError,
     DomainError,
     GridSizeError,
     PatternViolationError,
@@ -97,6 +98,110 @@ class TestMultiply:
         big = monomial2(4000, 4000)
         with pytest.raises(GridSizeError):
             multiply2(big, monomial2(500, 500))
+
+
+# Each series type with its exact product and a small and a large shape.
+KINDS = [
+    pytest.param(OneVarSeries, multiply1, (2,), (5,), id="one"),
+    pytest.param(TwoVarSeries, multiply2, (2, 4), (3, 2), id="two"),
+]
+
+
+@pytest.mark.parametrize("cls, product, small, large", KINDS)
+class TestArithmetic:
+    """The arithmetic that one- and two-variable series share, checked bit for bit."""
+
+    @staticmethod
+    def draw(cls, shape, seed):
+        rng = np.random.default_rng(seed)
+        return cls(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    @staticmethod
+    def padded(x, shape):
+        out = np.zeros(shape, dtype=np.complex128)
+        out[tuple(slice(0, n) for n in x.shape)] = x
+        return out
+
+    def test_add_sub_zero_extend(self, cls, product, small, large):
+        a, b = self.draw(cls, small, 1), self.draw(cls, large, 2)
+        shape = tuple(np.maximum(small, large))
+        pa, pb = self.padded(a.coeffs, shape), self.padded(b.coeffs, shape)
+        cases = ((a + b, pa + pb), (b + a, pb + pa), (a - b, pa + -pb), (b - a, pb + -pa))
+        for got, want in cases:
+            assert type(got) is cls
+            assert np.array_equal(got.coeffs, want)
+            assert not got.coeffs.flags.writeable
+
+    def test_eq_zero_extends(self, cls, product, small, large):
+        a = self.draw(cls, small, 3)
+        bigger = tuple(s + 2 for s in small)
+        assert a == cls(self.padded(a.coeffs, bigger))
+        assert cls(self.padded(a.coeffs, bigger)) == a
+        tail = self.padded(a.coeffs, bigger)
+        tail[(-1,) * len(small)] = 1e-30
+        assert a != cls(tail)
+        assert a.isclose(cls(tail))
+        assert not a.isclose(a + 1e-6)
+
+    def test_scalars_either_side(self, cls, product, small, large):
+        f = self.draw(cls, small, 4)
+        origin = (0,) * len(small)
+        shifted = np.array(f.coeffs)
+        shifted[origin] += 2.5
+        assert np.array_equal((f + 2.5).coeffs, shifted)
+        assert np.array_equal((2.5 + f).coeffs, shifted)
+        lowered = np.array(f.coeffs)
+        lowered[origin] += -1
+        assert np.array_equal((f - 1).coeffs, lowered)
+        one_minus = -f.coeffs
+        one_minus[origin] += 1
+        assert np.array_equal((1 - f).coeffs, one_minus)
+        for c in (2, 0.5, 1j):
+            assert np.array_equal((c * f).coeffs, f.coeffs * c)
+            assert np.array_equal((f * c).coeffs, f.coeffs * c)
+        assert f.coeffs[origin] != shifted[origin]  # the operand is not modified
+
+    def test_unary_minus(self, cls, product, small, large):
+        f = self.draw(cls, small, 5)
+        assert type(-f) is cls
+        assert np.array_equal((-f).coeffs, -f.coeffs)
+        assert -(-f) == f
+
+    def test_series_product(self, cls, product, small, large):
+        a, b = self.draw(cls, small, 6), self.draw(cls, large, 7)
+        for x, y in ((a, b), (b, a)):
+            got = x * y
+            assert type(got) is cls
+            assert np.array_equal(got.coeffs, product(x, y).coeffs)
+
+    def test_pad(self, cls, product, small, large):
+        f = self.draw(cls, small, 8)
+        degs = [s - 1 for s in small]
+        assert f.pad(*degs) is f
+        assert f.pad(*(d - 1 for d in degs)) is f
+        grown = f.pad(*(d + 3 for d in degs))
+        assert grown.coeffs.shape == tuple(s + 3 for s in small)
+        assert np.array_equal(grown.coeffs, self.padded(f.coeffs, grown.coeffs.shape))
+        with pytest.raises(TypeError):
+            f.pad(*degs, 0)  # one degree per variable
+
+    def test_mixed_types_refused(self, cls, product, small, large):
+        f = self.draw(cls, small, 9)
+        other = constant2(1.0) if cls is OneVarSeries else constant1(1.0)
+        for x, y in ((f, other), (other, f)):
+            for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+                with pytest.raises(TypeError):
+                    op(x, y)
+            assert x != y
+        with pytest.raises(TypeError):
+            f + "1"
+
+    def test_nan_scalar_refused(self, cls, product, small, large):
+        f = self.draw(cls, small, 10)
+        for op in (lambda: f + np.nan, lambda: np.nan - f, lambda: f * np.nan,
+                   lambda: complex(0, np.inf) * f):
+            with pytest.raises(ArgumentError):
+                op()
 
 
 class TestReciprocal:

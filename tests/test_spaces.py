@@ -19,6 +19,7 @@ from bidisk.series import DiagonalPattern, OneVarSeries, TwoVarSeries, lift, mon
 from bidisk.spaces import (
     AlphaWeight,
     _kernel_norms_sq,
+    _weight_table,
     beta_of_alpha,
     comparison_constants,
     inner1,
@@ -285,6 +286,13 @@ class TestInequalitySuites:
         assert not result.passed
         assert result.violations == BLOCK + 1
         assert result.worst < 0.0
+
+    def test_identity_suites_leave_the_weight_cache_alone(self):
+        # each trial draws a fresh alpha; cached tables would only be evicted
+        before = _weight_table.cache_info().misses
+        for name in ("separable", "comparison"):
+            run_suite(name, trials=500, seed=7)
+        assert _weight_table.cache_info().misses == before
 
     def test_comparison_suite_per_pattern(self):
         # patterns rotate round-robin, so 1800 trials is 200 per pattern
