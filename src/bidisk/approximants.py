@@ -23,6 +23,8 @@ keeps the one-variable solution and lifts it only when ``p`` is read.  An
 
 Solver policy: normal equations with a banded Cholesky factorization, solved
 by LAPACK ``pbtrs``, and a single ridge-regularized retry, whose ridge is recorded on the result;
+``scipy.linalg``, which supplies both, is imported on the first factorization,
+so importing ``bidisk`` and work that solves nothing do not load it;
 residuals are always recomputed from the returned coefficients by explicit
 series arithmetic, never read off the solver; every solve carries an
 orthogonality certificate and a 1-norm condition estimate.  The residual
@@ -33,11 +35,10 @@ the certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
@@ -85,9 +86,22 @@ SOLVER_CAP = 10_000
 
 Series = Union[TwoVarSeries, OneVarSeries]
 
-# LAPACK's solve with a banded Cholesky factor, the routine behind
-# ``scipy.linalg.cho_solve_banded``, called without its per-call wrapper.
-_pbtrs = scipy.linalg.get_lapack_funcs("pbtrs", dtype=np.complex128)
+
+@cache
+def _lapack_pbtrs():
+    """LAPACK's solve with a banded Cholesky factor.
+
+    The routine behind ``scipy.linalg.cho_solve_banded``, called without its
+    per-call wrapper and looked up once, on the first solve.
+    """
+    import scipy.linalg
+
+    return scipy.linalg.get_lapack_funcs("pbtrs", dtype=np.complex128)
+
+
+def _pbtrs(factor: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``y`` with ``U^H U y = x`` for the upper banded factor ``U``, and LAPACK's ``info``."""
+    return _lapack_pbtrs()(factor, x)
 
 
 class Lattice(NamedTuple):
@@ -401,16 +415,18 @@ def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> floa
 
 def _factor(gram: GramSystem, n: int) -> Tuple[np.ndarray, np.ndarray, float]:
     """Banded Cholesky factor, the band it factors and the ridge added to it."""
+    import scipy.linalg  # here, not at module level: it is most of the package's import time
+
     try:
         return scipy.linalg.cholesky_banded(gram.band), gram.band, 0.0
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         pass
     band = gram.band.copy()
     ridge = 1e-12 * float(np.mean(band[-1].real))
     band[-1] += ridge
     try:
         return scipy.linalg.cholesky_banded(band), band, ridge
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise ConditioningError(
             f"Gram factorization at order n={n} failed even with ridge {ridge:.3e}",
             cond_estimate=float("inf"),

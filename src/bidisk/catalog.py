@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,13 +40,37 @@ class SeriesInfo:
     family: Optional[str] = None  # "separable" | "diagonal" | "onevar" | None
 
 
-def builtin_series(name: str, **params) -> SeriesInfo:
+# The builtin series and the params each one takes.
+_SERIES_PARAMS = {
+    "one_minus_z1z2": (),
+    "product_one_minus": (),
+    "one_minus_z1": (),
+    "one_minus_pow": ("M", "N"),
+    "cos_pair": ("theta",),
+}
+
+
+def _integer(value) -> int:
+    """``value`` as an ``int``; a number with a fractional part raises ``ValueError``."""
+    n = int(value)
+    if isinstance(value, float) and n != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return n
+
+
+def builtin_series(name: str, /, **params) -> SeriesInfo:
     """Construct one of the named example functions.
 
     ``one_minus_z1z2``, ``product_one_minus``, ``one_minus_z1``,
     ``one_minus_pow`` (params ``M``, ``N``), and ``cos_pair`` (param
-    ``theta``, giving ``z1^2 z2^2 - 2 cos(theta) z1 z2 + 1``).
+    ``theta``, giving ``z1^2 z2^2 - 2 cos(theta) z1 z2 + 1``).  Any other
+    param is refused.
     """
+    if name not in _SERIES_PARAMS:
+        raise InputError(f"unknown builtin series {name!r}")
+    extra = sorted(set(params) - set(_SERIES_PARAMS[name]))
+    if extra:
+        raise InputError(f"builtin series {name!r} takes no param {', '.join(extra)}")
     if name == "one_minus_z1z2":
         s = TwoVarSeries.from_terms({(0, 0): 1.0, (1, 1): -1.0})
         return SeriesInfo(s, name, family="diagonal")
@@ -58,20 +82,20 @@ def builtin_series(name: str, **params) -> SeriesInfo:
         return SeriesInfo(s, name, family="onevar")
     if name == "one_minus_pow":
         try:
-            M, N = int(params["M"]), int(params["N"])
-        except KeyError as exc:
-            raise InputError("one_minus_pow needs integer params M and N") from exc
+            M, N = _integer(params["M"]), _integer(params["N"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"one_minus_pow needs integer params M and N, got {params}") from exc
         DiagonalPattern(M, N)  # refuses exponents below 1
         s = TwoVarSeries.from_terms({(0, 0): 1.0, (M, N): -1.0})
         return SeriesInfo(s, f"one_minus_pow({M},{N})", family="diagonal")
-    if name == "cos_pair":
-        try:
-            theta = float(params["theta"])
-        except KeyError as exc:
-            raise InputError("cos_pair needs a real param theta") from exc
-        s = TwoVarSeries.from_terms({(0, 0): 1.0, (1, 1): -2.0 * math.cos(theta), (2, 2): 1.0})
-        return SeriesInfo(s, f"cos_pair({theta:g})", family="diagonal")
-    raise InputError(f"unknown builtin series {name!r}")
+    try:  # cos_pair
+        theta = float(params["theta"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"cos_pair needs a real param theta, got {params}") from exc
+    if not math.isfinite(theta):
+        raise InputError(f"cos_pair needs a finite param theta, got {theta}")
+    s = TwoVarSeries.from_terms({(0, 0): 1.0, (1, 1): -2.0 * math.cos(theta), (2, 2): 1.0})
+    return SeriesInfo(s, f"cos_pair({theta:g})", family="diagonal")
 
 
 def _series_from_grid(obj: dict) -> TwoVarSeries:
@@ -94,20 +118,14 @@ def _series_from_grid(obj: dict) -> TwoVarSeries:
 
 
 def _parse_builtin_token(token: str) -> SeriesInfo:
-    parts = token.split(":", 1)
-    name = parts[0]
-    args = parts[1].split(",") if len(parts) == 2 else []
-    if name == "one_minus_pow":
-        if len(args) != 2:
-            raise InputError("use builtin:one_minus_pow:M,N")
-        return builtin_series(name, M=int(args[0]), N=int(args[1]))
-    if name == "cos_pair":
-        if len(args) != 1:
-            raise InputError("use builtin:cos_pair:theta")
-        return builtin_series(name, theta=float(args[0]))
-    if args:
+    name, _, rest = token.partition(":")
+    args = rest.split(",") if rest else []
+    keys = _SERIES_PARAMS.get(name, ())
+    if len(args) != len(keys):
+        if keys:
+            raise InputError(f"use builtin:{name}:{','.join(keys)}")
         raise InputError(f"builtin series {name!r} takes no parameters")
-    return builtin_series(name)
+    return builtin_series(name, **dict(zip(keys, args)))
 
 
 def _read_json(spec: str, kind: str):
@@ -120,13 +138,24 @@ def _read_json(spec: str, kind: str):
         raise InputError(f"{kind} file {spec!r} is not valid JSON: {exc}")
 
 
+def _builtin_fields(obj: dict, kind: str) -> Tuple[str, dict]:
+    """The name and params of a ``kind`` file ``{"builtin": name, "params": {...}}``."""
+    name, params = obj["builtin"], obj.get("params", {})
+    if not isinstance(name, str):
+        raise InputError(f"{kind} JSON 'builtin' must be a name, not {name!r}")
+    if not isinstance(params, dict):
+        raise InputError(f"{kind} JSON 'params' must be an object, not {params!r}")
+    return name, params
+
+
 def resolve_series(spec: str) -> SeriesInfo:
     """Resolve a ``--series`` value: ``builtin:name[:params]`` or a JSON file path."""
     if spec.startswith("builtin:"):
         return _parse_builtin_token(spec[len("builtin:") :])
     obj = _read_json(spec, "series")
     if isinstance(obj, dict) and "builtin" in obj:
-        return builtin_series(obj["builtin"], **obj.get("params", {}))
+        name, params = _builtin_fields(obj, "series")
+        return builtin_series(name, **params)
     if not isinstance(obj, dict):
         raise InputError("series JSON must be an object")
     return SeriesInfo(_series_from_grid(obj), label=Path(spec).name)
@@ -153,7 +182,14 @@ def resolve_measure(spec: str, K: int) -> FourierMeasure:
         return _builtin_measure(spec[len("builtin:") :], K)
     obj = _read_json(spec, "measure")
     if isinstance(obj, dict) and "builtin" in obj:
-        return _builtin_measure(obj["builtin"], int(obj.get("params", {}).get("K", K)))
+        name, params = _builtin_fields(obj, "measure")
+        if set(params) - {"K"}:
+            raise InputError(f"measure JSON takes only the param K, got {params}")
+        try:
+            K = _integer(params.get("K", K))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"measure JSON needs an integer param K, got {params}") from exc
+        return _builtin_measure(name, K)
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise InputError("measure JSON needs 'coeffs': [[k, l, re, im], ...]")
     try:

@@ -378,6 +378,58 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert f"error: ArgumentError: {message}" in err
 
+    @pytest.mark.parametrize("kind, obj, message", [
+        ("measure", {"builtin": ["lebesgue"]}, "measure JSON 'builtin' must be a name"),
+        ("measure", {"builtin": "lebesgue", "params": [1]},
+         "measure JSON 'params' must be an object"),
+        ("measure", {"builtin": "lebesgue", "params": {"K": "x"}},
+         "measure JSON needs an integer param K"),
+        ("measure", {"builtin": "lebesgue", "params": {"K": float("inf")}},
+         "measure JSON needs an integer param K"),
+        ("measure", {"builtin": "lebesgue", "params": {"K": 2.9}},
+         "measure JSON needs an integer param K"),
+        ("measure", {"builtin": "lebesgue", "params": {"L": 2}},
+         "measure JSON takes only the param K"),
+        ("series", {"builtin": "one_minus_z1z2", "params": [1]},
+         "series JSON 'params' must be an object"),
+        ("series", {"builtin": "one_minus_pow", "params": {"M": "a", "N": 2}},
+         "one_minus_pow needs integer params M and N"),
+        ("series", {"builtin": "one_minus_pow", "params": {"M": float("inf"), "N": 1}},
+         "one_minus_pow needs integer params M and N"),
+        ("series", {"builtin": "one_minus_pow", "params": {"M": 2.5, "N": 3}},
+         "one_minus_pow needs integer params M and N"),
+        ("series", {"builtin": "one_minus_z1z2", "params": {"name": 1}},
+         "builtin series 'one_minus_z1z2' takes no param name"),
+        ("series", {"builtin": "one_minus_z1z2", "params": {"M": 3}},
+         "builtin series 'one_minus_z1z2' takes no param M"),
+        ("series", {"builtin": "cos_pair", "params": {"theta": None}},
+         "cos_pair needs a real param theta"),
+    ], ids=["measure-name", "measure-params", "measure-K", "measure-K-inf", "measure-K-frac",
+            "measure-extra", "series-params", "series-M", "series-M-inf", "series-M-frac",
+            "series-name-key", "series-extra", "series-theta"])
+    def test_malformed_builtin_file(self, capsys, tmp_path, kind, obj, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        if kind == "measure":
+            argv = ["energy", "--measure", str(path), "--K", "4"]
+        else:
+            argv = ["norm", "--series", str(path), "--alpha", "0"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: InputError: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("token, message", [
+        ("builtin:one_minus_pow:a,b", "one_minus_pow needs integer params M and N"),
+        ("builtin:cos_pair:x", "cos_pair needs a real param theta"),
+        ("builtin:cos_pair:inf", "cos_pair needs a finite param theta"),
+    ], ids=["one_minus_pow", "cos_pair", "cos_pair-inf"])
+    def test_malformed_builtin_token(self, capsys, token, message):
+        code, out, err = run_cli(capsys, "norm", "--series", token, "--alpha", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: InputError: {message}")
+        assert err.count("\n") == 1
+
     def test_series_file_checked_by_the_library(self, capsys, tmp_path):
         series = tmp_path / "nan.json"
         series.write_text(json.dumps({"deg": [0, 1], "coeffs": [[1.0, 0.0], [float("nan"), 0.0]]}))
