@@ -32,7 +32,7 @@ from .errors import (
     MonotonicityError,
     UnsupportedRateError,
 )
-from .series import DiagonalPattern, TwoVarSeries
+from .series import DiagonalPattern, TwoVarSeries, _check_tolerance
 from .spaces import AlphaLike, as_alpha
 
 __all__ = [
@@ -130,13 +130,15 @@ def decay_scan(
     ``BasisSpec(n, basis, pattern)``; a diagonal basis defaults to the
     pattern ``(1, 1)``, and a ``pattern`` with any other basis is refused.
     ``ortho_tol`` is the orthogonality-certificate tolerance of every solve
-    (default ``1e-8 * ||f||^2``).  The mathematical monotonicity of the
-    squared distances is asserted after the fact — any increase beyond
-    rounding is reported as a numerical failure.
+    (default ``1e-8 * ||f||^2``); a negative or NaN one is refused before any
+    solve.  The mathematical monotonicity of the squared distances is
+    asserted after the fact — any increase beyond rounding is reported as a
+    numerical failure.
     """
     n_values = [int(n) for n in n_values]
     if any(b <= a_ for a_, b in zip(n_values, n_values[1:])):
         raise ArgumentError("n_values must be strictly increasing")
+    _check_tolerance(ortho_tol, "ortho_tol")
     aw = as_alpha(a)
     if basis == "diagonal" and pattern is None:
         pattern = DiagonalPattern(1, 1)

@@ -30,11 +30,19 @@ series arithmetic, never read off the solver; every solve carries an
 orthogonality certificate and a 1-norm condition estimate.  The residual
 ``p f - 1`` is formed once per solve and yields both the squared residual and
 the certificate.
+
+The bookkeeping around the LAPACK calls is done once per solve, so that a
+small banded solve costs little more than its factorization and its solves:
+the assembly and the certificate each take one weight row, the longest they
+read, and slice it; ``p f - 1`` is formed on the array of the one product;
+the solution becomes a series once, and the result is built once, a
+diagonal one included.  Every output is bit-identical to forming each
+piece separately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
@@ -53,6 +61,7 @@ from .series import (
     DiagonalPattern,
     OneVarSeries,
     TwoVarSeries,
+    _check_tolerance,
     _restrict,
     is_diagonal,
     lift,
@@ -83,6 +92,10 @@ __all__ = [
 
 # Hard cap on the number of unknowns per normal-equation solve.
 SOLVER_CAP = 10_000
+
+# The smallest normal float; the condition estimate takes the phase of a
+# smaller entry from its angle.
+_TINY = np.finfo(float).tiny
 
 Series = Union[TwoVarSeries, OneVarSeries]
 
@@ -118,6 +131,8 @@ class Lattice(NamedTuple):
 
     def exponents(self) -> np.ndarray:
         """The exponents as a ``(B, 2)`` array in basis order."""
+        if self.C == 0:
+            return np.arange(self.A + 1)[:, None] * np.array((self.M, self.N))
         a, c = np.divmod(np.arange((self.A + 1) * (self.C + 1)), self.C + 1)
         return np.column_stack((self.M * a, self.N * a + c))
 
@@ -297,11 +312,14 @@ def _gram_band(grid: np.ndarray, aw, lat: Lattice) -> Tuple[np.ndarray, np.ndarr
     """
     M, N, A, C = lat
     F1, F2 = grid.shape
-    w1 = aw.weights(M * A + F1 - 1)
-    w2 = aw.weights(N * A + C + F2 - 1)
-    # w2_at[a, t] = w2[N a + t], the second-variable weight at a (M, N) + (0, t); a view
-    step = w2.strides[0]
-    w2_at = as_strided(w2, shape=(A + 1, C + F2), strides=(N * step, step), writeable=False)
+    # one weight row, as long as the longer variable needs; both read slices of it
+    w = aw.weights(max(M * A + F1, N * A + C + F2) - 1)
+    # w2_at[a, t] = w[N a + t], the second-variable weight at a (M, N) + (0, t)
+    if N == 0:
+        w2_at = w[None, :C + F2]  # the same for every a: broadcast
+    else:
+        step = w.strides[0]
+        w2_at = as_strided(w, shape=(A + 1, C + F2), strides=(N * step, step), writeable=False)
     nonzero = np.argwhere(grid).tolist()
     blocks = []  # (j - i, p, q, lattice rectangle of the columns j)
     for p1, p2 in nonzero:
@@ -321,9 +339,9 @@ def _gram_band(grid: np.ndarray, aw, lat: Lattice) -> Tuple[np.ndarray, np.ndarr
         if (p1, p2) != p:
             # f[p] times the weight at m_j + p, for every column j
             p = (p1, p2)
-            weighted = (grid[p] * w1[p1:M * A + p1 + 1:M])[:, None] * w2_at[:, p2:C + p2 + 1]
+            weighted = (grid[p] * w[p1:M * A + p1 + 1:M])[:, None] * w2_at[:, p2:C + p2 + 1]
         rows[u - d, a0:a1 + 1, c0:c1 + 1] += weighted[a0:a1 + 1, c0:c1 + 1] * np.conj(grid[q1, q2])
-    band[u] = band[u].real  # the diagonal of a Hermitian matrix is real
+    band[u].imag = 0.0  # the diagonal of a Hermitian matrix is real
     rhs = np.zeros(band.shape[1], dtype=np.complex128)
     rhs[0] = np.conj(grid[0, 0])  # position 0 is the constant monomial
     return band, rhs
@@ -348,7 +366,7 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
         b._require_onevar()
     lat = b.lattice()
     _check_basis_size((lat.A + 1) * (lat.C + 1))
-    if not np.any(f.coeffs):
+    if not f.coeffs.any():
         raise ArgumentError("f must not be identically zero")
     band, rhs = _gram_band(_grid(f), aw, lat)
     return GramSystem(lattice=lat, onevar=onevar, band=band, rhs=rhs)
@@ -357,16 +375,17 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
 def _band_norm1(band: np.ndarray) -> float:
     """``||G||_1`` of the Hermitian matrix whose upper band is ``band``."""
     u, size = band.shape[0] - 1, band.shape[1]
-    mags = np.empty((u + 1, size + u))
+    mags = np.empty((u + 1, size + u + 1))  # the last column only pads the flat view below
     mags[:, size:] = 0.0
     np.abs(band, out=mags[:, :size])
     # the sums of the columns on and above the diagonal replace the diagonal
     mags[u, :size] = mags[:, :size].sum(axis=0)
     # skew[0] is that row and skew[d, i] = mags[u - d, i + d] = |G[i + d, i]| for
     # d >= 1 (zero past the end): summing skew over d adds the part of column i
-    # below the diagonal one d after another, in the order of a loop over d
-    step0, step1 = mags.strides
-    skew = as_strided(mags[u], shape=(u + 1, size), strides=(step1 - step0, step1), writeable=False)
+    # below the diagonal one d after another, in the order of a loop over d.
+    # In the flat array that entry sits at u + (u - d)(size + u) + i.
+    width = size + u
+    skew = mags.reshape(-1)[u:u + (u + 1) * width].reshape(u + 1, width)[::-1, :size]
     return float(skew.sum(axis=0).max())
 
 
@@ -382,10 +401,12 @@ def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> floa
     """
 
     def sign(y):
+        mag = np.abs(y)
+        if mag.min() >= _TINY:
+            return y / mag
         # y / |y| overflows for subnormal |y| (numpy's complex division forms
         # 1 / |y|), so those entries take their phase from the angle
-        mag = np.abs(y)
-        small = mag < np.finfo(float).tiny
+        small = mag < _TINY
         out = y / np.where(small, 1.0, mag)
         if small.any():
             out[small] = np.where(mag[small] > 0.0, np.exp(1j * np.angle(y[small])), 1.0)
@@ -395,7 +416,7 @@ def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> floa
     est = float(np.abs(y).sum())
     if size == 1:
         return est
-    j = int(np.argmax(np.abs(solve(sign(y)))))
+    j = int(np.abs(solve(sign(y))).argmax())
     for _ in range(4):
         unit = np.zeros(size, dtype=np.complex128)
         unit[j] = 1.0
@@ -405,11 +426,11 @@ def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> floa
             break
         est = candidate
         z = np.abs(solve(sign(y)))
-        j_last, j = j, int(np.argmax(z))
+        j_last, j = j, int(z.argmax())
         if z[j_last] == z[j]:
             break
-    i = np.arange(size)
-    alternating = np.where(i % 2 == 0, 1.0, -1.0) * (1.0 + i / (size - 1.0))
+    alternating = 1.0 + np.arange(size) / (size - 1.0)
+    alternating[1::2] *= -1.0
     return max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3.0 * size))
 
 
@@ -462,9 +483,9 @@ def residual_norm_sq(p: Series, f: Series, a: AlphaLike) -> float:
     return norm2(multiply2(p, f) - 1.0, a) ** 2
 
 
-def _norm_sq(grid: np.ndarray, aw) -> float:
-    """Squared weighted norm of a coefficient grid, rounded as ``norm2(...)**2`` rounds it."""
-    return float(_norms2(grid, aw.weights(grid.shape[0] - 1), aw.weights(grid.shape[1] - 1))) ** 2
+def _norm_sq(grid: np.ndarray, w: np.ndarray) -> float:
+    """Squared norm of a coefficient grid under the weight row ``w``, rounded as ``norm2(...)**2``."""
+    return float(_norms2(grid, w[:grid.shape[0]], w[:grid.shape[1]])) ** 2
 
 
 def _certify(
@@ -483,37 +504,55 @@ def _certify(
     ``e`` holds the basis exponents.  Raises a conditioning error when the
     certificate exceeds ``ortho_tol`` (default ``1e-8 * ||f||^2``).
     """
-    r = _grid((multiply1(p, f) if isinstance(p, OneVarSeries) else multiply2(p, f)) - 1.0)
-    wr = aw.weights(r.shape[0] - 1)[:, None] * aw.weights(r.shape[1] - 1)[None, :] * r
+    onevar = isinstance(p, OneVarSeries)
+    r = np.array((multiply1(p, f) if onevar else multiply2(p, f)).coeffs)
+    r[(0,) * r.ndim] += -1.0  # p f - 1, on the product's array
+    if onevar:
+        r = r[:, None]
+    # one weight row, as long as the longer side of r; every weight below is a slice of it
+    w = aw.weights(max(r.shape) - 1)
+    wr = w[:r.shape[0], None] * w[None, :r.shape[1]] * r
     fg = _grid(f)
-    ortho = float(np.max(np.abs(shifted_pairings(np.conj(fg), wr, e))))
-    tol = 1e-8 * _norm_sq(fg, aw) if ortho_tol is None else ortho_tol
+    ortho = float(np.abs(shifted_pairings(np.conj(fg), wr, e)).max())
+    tol = 1e-8 * _norm_sq(fg, w) if ortho_tol is None else ortho_tol
     if ortho > tol:
         raise ConditioningError(
             f"orthogonality certificate {ortho:.3e} exceeds tolerance {tol:.3e} "
             f"at order n={n} (condition estimate {cond:.3e}, ridge {ridge:.3e})",
             cond_estimate=cond,
         )
-    return _norm_sq(r, aw), ortho
+    return _norm_sq(r, w), ortho
 
 
-def _solve(f: Series, aw, b: BasisSpec, n: int, ortho_tol: Optional[float]) -> ApproximantResult:
-    """Assemble, factor and certify over ``b`` under the weights ``aw``; errors name ``n``."""
-    onevar = isinstance(f, OneVarSeries)
+def _solve(
+    f: Series,
+    aw,
+    b: BasisSpec,
+    ortho_tol: Optional[float],
+    *,
+    n: int,
+    kind: str,
+    pattern: Optional[DiagonalPattern] = None,
+) -> ApproximantResult:
+    """Assemble, factor and certify over ``b`` under the weights ``aw``; errors name ``n``.
+
+    ``n``, ``kind`` and ``pattern`` describe the requested basis on the result.
+    """
     gram = gram_assemble(f, aw, b)
     c, ridge, cond = _solve_normal(gram, n)
     e = gram.lattice.exponents()
-    p = _series_from_solution(c, e, onevar)
+    p = OneVarSeries(c) if gram.onevar else _series_from_solution(c, e, False)
     res_sq, ortho = _certify(p, f, aw, e, n=n, ridge=ridge, cond=cond, ortho_tol=ortho_tol)
     return ApproximantResult(
         solved=p,
         residual_sq=res_sq,
         n=n,
-        basis_kind=b.kind,
+        basis_kind=kind,
         cond_estimate=cond,
         ortho_residual=ortho,
         solved_lattice=gram.lattice,
         ridge=ridge,
+        pattern=pattern,
     )
 
 
@@ -535,8 +574,10 @@ def solve_optimal(
     The residual is recomputed from the solution coefficients by series
     arithmetic, and the orthogonality certificate
     ``max_i |<p f - 1, m_i f>|`` must come out below ``ortho_tol``
-    (default ``1e-8 * ||f||^2``), else a conditioning error is raised.
+    (default ``1e-8 * ||f||^2``), else a conditioning error is raised.  A
+    negative or NaN ``ortho_tol`` is refused with :class:`ArgumentError`.
     """
+    _check_tolerance(ortho_tol, "ortho_tol")
     aw = as_alpha(a)
     if b.kind == "diagonal" and isinstance(f, TwoVarSeries) and is_diagonal(f, b.pattern):
         return _pattern_solve(OneVarSeries(_restrict(f.coeffs, b.pattern)), aw, b, ortho_tol)
@@ -544,13 +585,13 @@ def solve_optimal(
     entries = (M * A + 1) * (N * A + C + 1)
     if entries > MAX_GRID_ENTRIES:
         raise GridSizeError(f"order n={b.n} needs a grid of {entries} entries, over {MAX_GRID_ENTRIES}")
-    return _solve(f, aw, b, b.n, ortho_tol)
+    return _solve(f, aw, b, ortho_tol, n=b.n, kind=b.kind)
 
 
 def _pattern_solve(F: OneVarSeries, aw, b: BasisSpec, ortho_tol: Optional[float]) -> ApproximantResult:
     """The diagonal solve over ``b`` of ``F(z1^M z2^N)``, given the restriction ``F``."""
-    res = _solve(F, PatternWeight(aw, b.pattern), BasisSpec.onevar(b.lattice().A), b.n, ortho_tol)
-    return replace(res, basis_kind="diagonal", pattern=b.pattern)
+    return _solve(F, PatternWeight(aw, b.pattern), BasisSpec.onevar(b.lattice().A), ortho_tol,
+                  n=b.n, kind="diagonal", pattern=b.pattern)
 
 
 def _phi_grid(alpha: float, values: np.ndarray) -> np.ndarray:
@@ -656,6 +697,7 @@ def diagonal_reduce_solve(
     :class:`PatternViolationError`, where :func:`solve_optimal` solves it
     on the diagonal lattice.
     """
+    _check_tolerance(ortho_tol, "ortho_tol")
     return _pattern_solve(restrict(f, pat), as_alpha(a), BasisSpec.diagonal(n, pat), ortho_tol)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, approximants, capacity, suites
 from .catalog import SeriesInfo, resolve_measure, resolve_series
 from .errors import BidiskError, InputError, UnsupportedRateError
-from .series import DiagonalPattern
+from .series import DiagonalPattern, _check_tolerance
 from .spaces import norm2
 
 __all__ = ["main", "run", "build_parser"]
@@ -271,6 +271,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise InputError("--step must be >= 1")
         if getattr(args, "nmin", 0) < 0:
             raise InputError("--nmin must be >= 0")
+        _check_tolerance(getattr(args, "tol_eps0", None), "--tol-eps0")
+        _check_tolerance(getattr(args, "tol_ortho", None), "--tol-ortho")
         return args.func(args)
     except BidiskError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ Structural maps between one and two variables also live here: slices
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, Tuple, Union
+from typing import ClassVar, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -75,7 +75,7 @@ def _as_grid(values, ndim: int) -> np.ndarray:
         raise ArgumentError(f"expected a {ndim}-dimensional coefficient array, got shape {arr.shape}")
     if arr.size == 0:
         raise ArgumentError("coefficient array must be nonempty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ArgumentError("coefficients must be finite (no NaN/Inf)")
     _check_entries(arr.size)
     arr = arr.copy()
@@ -311,13 +311,23 @@ def shifted_pairings(coeffs: np.ndarray, target: np.ndarray, shifts: np.ndarray)
     must fit inside ``target``.  The sum runs over the nonzero entries of
     ``coeffs`` only, one vectorized gather over all shifts per entry.
     """
+    width = target.shape[1]
+    flat = target.reshape(-1)
+    at = shifts[:, 0] * width + shifts[:, 1]  # flat positions of the shifts
     out = np.zeros(len(shifts), dtype=np.complex128)
-    for p1, p2 in np.argwhere(coeffs):
-        out += coeffs[p1, p2] * target[shifts[:, 0] + p1, shifts[:, 1] + p2]
+    for p1, p2 in zip(*np.nonzero(coeffs)):
+        out += coeffs[p1, p2] * flat.take(at + (p1 * width + p2))
     return out
 
 
+def _check_tolerance(value: Optional[float], name: str) -> None:
+    """Refuse a tolerance that is set but not a nonnegative number, NaN included."""
+    if value is not None and not value >= 0.0:
+        raise ArgumentError(f"{name} must be a nonnegative number, got {value!r}")
+
+
 def _require_invertible(a00: complex, eps0: float) -> None:
+    _check_tolerance(eps0, "eps0")
     if abs(a00) <= eps0:
         raise SingularReciprocalError(
             f"constant term has modulus {abs(a00):.3e} <= eps0 = {eps0:.3e}; "

@@ -95,7 +95,8 @@ class PatternWeight:
     def weights(self, deg: int) -> np.ndarray:
         """Array ``[((Mk+1)(Nk+1))^alpha for k in 0..deg]``."""
         M, N = self.pattern.M, self.pattern.N
-        return self.aw.weights(M * deg)[::M] * self.aw.weights(N * deg)[::N]
+        w = self.aw.weights(max(M, N) * deg)  # one row; both factors are slices of it
+        return w[:M * deg + 1:M] * w[:N * deg + 1:N]
 
 
 def as_alpha(a: AlphaLike) -> AlphaWeight:

@@ -14,9 +14,12 @@ zero-padded stacks, and the structural maps and norms of :mod:`.series`
 and :mod:`.spaces` evaluate the whole stack at once (the projection suite
 stacks the trials of each pattern).  Memory therefore does not grow with
 the number of trials.  The two identity suites, ``separable`` and
-``comparison``, report the largest rounding discrepancy; they evaluate
-their norms one trial at a time, so that discrepancy does not depend on how
-trials are grouped.
+``comparison``, report the largest rounding discrepancy, so that
+discrepancy must not depend on how trials are grouped: they take the weight
+rows, the one-variable norms and the products with the comparison
+constants per block, which round as one trial at a time does, but each
+two-variable norm one trial at a time, since ``einsum`` rounds the norm of
+a zero-padded grid differently.
 """
 
 from __future__ import annotations
@@ -133,16 +136,17 @@ def separable_margins(trials: int, seed: int) -> Margins:
     """Norm of a product series factors into the one-variable norms."""
     rng = np.random.default_rng(seed)
     for size in _blocks(trials):
-        gaps, rhs = np.empty(size), np.empty(size)
+        gs, hs, alphas = [], [], np.empty(size)
         for i in range(size):
-            g = _random_row(rng)
-            h = _random_row(rng)
-            alpha = float(rng.uniform(-2.0, 2.0))
-            wg, wh = _weight_rows(alpha, len(g) - 1), _weight_rows(alpha, len(h) - 1)
-            lhs = _norms2(_separable(g, h), wg, wh)
-            rhs[i] = _norms1(g, wg) * _norms1(h, wh)
-            gaps[i] = abs(lhs - rhs[i])
-        yield -gaps, 1e-12 * np.maximum(rhs, 1e-300)
+            gs.append(_random_row(rng))
+            hs.append(_random_row(rng))
+            alphas[i] = float(rng.uniform(-2.0, 2.0))
+        g, h = _stack(gs), _stack(hs)
+        w = _weight_rows(alphas, max(g.shape[1], h.shape[1]) - 1)
+        lhs = np.array([_norms2(_separable(gi, hi), wi[:len(gi)], wi[:len(hi)])
+                        for gi, hi, wi in zip(gs, hs, w)])
+        rhs = _norms1(g, w[:, :g.shape[1]]) * _norms1(h, w[:, :h.shape[1]])
+        yield -np.abs(lhs - rhs), 1e-12 * np.maximum(rhs, 1e-300)
 
 
 def polyextraction_margins(trials: int, seed: int) -> Margins:
@@ -178,19 +182,24 @@ def comparison_margins(trials: int, seed: int) -> Margins:
     patterns = [DiagonalPattern(M, N) for M in (1, 2, 3) for N in (1, 2, 3)]
     t = 0
     for size in _blocks(trials):
-        margin, mid = np.empty(size), np.empty(size)
+        pats, Fs, alphas = [], [], np.empty(size)
         for i in range(size):
-            pat = patterns[t % len(patterns)]
+            pats.append(patterns[t % len(patterns)])
             t += 1
-            F = _random_row(rng, max_deg=10)
-            alpha = float(rng.uniform(-2.0, 2.0))
-            cc = comparison_constants(alpha, pat)
+            Fs.append(_random_row(rng, max_deg=10))
+            alphas[i] = float(rng.uniform(-2.0, 2.0))
+        # the largest lifted grid is (3 deg + 1) square
+        w = _weight_rows(alphas, 3 * max(len(F) for F in Fs) - 3)
+        mid, c1, c2, restricted = np.empty(size), np.empty(size), np.empty(size), []
+        for i, (pat, F, alpha) in enumerate(zip(pats, Fs, alphas.tolist())):
             f = _lift(F, pat)
-            w = _weight_rows(alpha, max(f.shape) - 1)
-            mid[i] = _norms2(f, w[: f.shape[0]], w[: f.shape[1]])
-            base = _norms1(_restrict(f, pat), _weight_rows(2.0 * alpha, len(F) - 1))
-            margin[i] = min(mid[i] - cc.c2 * base, cc.c1 * base - mid[i])
-        yield margin, _REL_SLACK * np.maximum(mid, 1.0)
+            mid[i] = _norms2(f, w[i, : f.shape[0]], w[i, : f.shape[1]])
+            restricted.append(_restrict(f, pat))
+            cc = comparison_constants(alpha, pat)
+            c1[i], c2[i] = cc.c1, cc.c2
+        R = _stack(restricted)
+        base = _norms1(R, _weight_rows(2.0 * alphas, R.shape[1] - 1))
+        yield np.minimum(mid - c2 * base, c1 * base - mid), _REL_SLACK * np.maximum(mid, 1.0)
 
 
 def slice_margins(trials: int, seed: int) -> Margins:

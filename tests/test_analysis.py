@@ -35,6 +35,18 @@ def synthetic_series(ns, values, **meta):
 
 
 class TestDecayScan:
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-8])
+    def test_nan_or_negative_ortho_tol_refused_before_solving(self, monkeypatch, tol):
+        import bidisk.analysis
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved with an invalid tolerance")
+
+        monkeypatch.setattr(bidisk.analysis, "solve_optimal", refuse)
+        with pytest.raises(ArgumentError, match="ortho_tol") as info:
+            decay_scan(F_DIAG, 0.0, range(1, 4), basis="diagonal", ortho_tol=tol)
+        assert "order n=" not in str(info.value)
+
     def test_diagonal_matches_oracle(self):
         ds = decay_scan(F_DIAG, 0.0, range(1, 11), basis="diagonal")
         assert np.allclose(ds.values, [1.0 / (n + 2) for n in range(1, 11)], atol=1e-12)

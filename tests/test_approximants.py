@@ -21,6 +21,7 @@ from bidisk.approximants import (
     solve_optimal,
 )
 from bidisk.errors import (
+    ArgumentError,
     BasisSizeError,
     ConditioningError,
     GridSizeError,
@@ -316,6 +317,28 @@ class TestBandedSolve:
 
 
 class TestSolveOptimal:
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -0.0 - 1e-300, -np.inf])
+    def test_nan_or_negative_ortho_tol_refused(self, tol):
+        with pytest.raises(ArgumentError, match="ortho_tol"):
+            solve_optimal(F_PROD, 0.0, BasisSpec.full(3), ortho_tol=tol)
+        with pytest.raises(ArgumentError, match="ortho_tol"):
+            solve_optimal(F_DIAG, 0.0, BasisSpec.diagonal(3, PAT11), ortho_tol=tol)
+        with pytest.raises(ArgumentError, match="ortho_tol"):
+            diagonal_reduce_solve(F_DIAG, 0.0, 3, PAT11, ortho_tol=tol)
+
+    def test_zero_and_infinite_ortho_tol_accepted(self):
+        assert solve_optimal(F_DIAG, 0.0, BasisSpec.full(2), ortho_tol=np.inf).ortho_residual >= 0.0
+        with pytest.raises(ConditioningError):
+            solve_optimal(F_PROD, 0.5, BasisSpec.full(3), ortho_tol=0.0)
+
+    @pytest.mark.parametrize("eps0", [float("nan"), -1e-12])
+    def test_nan_or_negative_eps0_refused(self, eps0):
+        for build in (lambda: riesz_approximant(F_PROD, 0.0, 3, eps0=eps0),
+                      lambda: riesz_diagonal(F_DIAG, 0.0, 3, PAT11, eps0=eps0),
+                      lambda: cesaro(F_PROD, 3, eps0=eps0)):
+            with pytest.raises(ArgumentError, match="eps0"):
+                build()
+
     def test_onevar_order_zero(self):
         res = solve_optimal(F_ONEVAR, 0.0, BasisSpec.onevar(0))
         assert res.p.coeffs[0] == pytest.approx(0.5, abs=1e-14)

@@ -278,6 +278,30 @@ class TestErrors:
         assert code == 3
         assert "ConditioningError" in err
 
+    @pytest.mark.parametrize("command", [
+        ["approx", "--n", "3"],
+        ["approx", "--n", "3", "--method", "riesz"],
+        ["approx", "--n", "3", "--method", "cesaro"],
+        ["decay", "--nmin", "1", "--nmax", "3"],
+    ])
+    @pytest.mark.parametrize("flag", ["--tol-ortho", "--tol-eps0"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+    def test_nan_or_negative_tolerance_is_input_error(self, capsys, command, flag, value):
+        code, out, err = run_cli(
+            capsys, command[0], "--series", "builtin:product_one_minus", "--alpha", "0",
+            *command[1:], f"{flag}={value}",
+        )
+        assert code == 2 and out == ""
+        assert f"ArgumentError: {flag} must be a nonnegative number" in err
+
+    def test_zero_and_infinite_tolerances_are_accepted(self, capsys):
+        for extra in (["--tol-ortho", "inf"], ["--tol-eps0", "0", "--method", "riesz"]):
+            code, _, err = run_cli(
+                capsys, "approx", "--series", "builtin:product_one_minus", "--alpha", "0",
+                "--n", "3", *extra,
+            )
+            assert code == 0, err
+
     def test_unsupported_rate_is_input_error(self, capsys):
         code, _, err = run_cli(
             capsys, "approx", "--series", "builtin:one_minus_z1z2",

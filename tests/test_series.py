@@ -205,6 +205,13 @@ class TestArithmetic:
 
 
 class TestReciprocal:
+    @pytest.mark.parametrize("eps0", [float("nan"), -1.0])
+    def test_nan_or_negative_eps0_refused(self, eps0):
+        with pytest.raises(ArgumentError, match="eps0"):
+            reciprocal2(ONE_MINUS_Z1Z2, 3, 3, eps0)
+        with pytest.raises(ArgumentError, match="eps0"):
+            reciprocal1(OneVarSeries([1, -1]), 3, eps0)
+
     def test_geometric_diagonal(self):
         b = reciprocal2(ONE_MINUS_Z1Z2, 3, 3)
         assert b.isclose(TwoVarSeries(np.eye(4)))
