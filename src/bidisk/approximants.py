@@ -7,19 +7,20 @@ equations ``G c = e`` with ``G[i,j] = <m_j f, m_i f>`` over basis monomials
 ``m_i``.  The squared minimum is the squared distance from 1 to ``f``
 times the polynomial space.
 
-Every basis is a lattice box: the exponents ``a (M, N) + (0, c)`` for
-``0 <= a <= A`` and ``0 <= c <= C``, at position ``a (C + 1) + c``.
-``G[i, j]`` vanishes unless the supports of ``m_i f`` and ``m_j f`` overlap,
-so in the basis order ``G`` is banded.  Each pair of nonzero coefficients
-of ``f`` either misses the box or adds one strided block to one row of the
-upper band; the band is assembled pair by pair and factored by banded
-Cholesky.  A one-variable problem is the two-variable problem on a single
-column: the weight ``(0+1)^alpha`` of the second variable is 1.  On a
-diagonal basis, :func:`solve_optimal` solves and certifies a pattern-supported
-``f = F(z1^M z2^N)`` as the one-variable problem for ``F`` under the weights
-``((Mk+1)(Nk+1))^alpha``, the exact image of the pattern subspace; its result
-keeps the one-variable solution and lifts it only when ``p`` is read.  An
-``f`` off the pattern is solved on the two-variable diagonal lattice.
+Every basis is a lattice box: the exponents ``(a, c)`` for ``0 <= a <= A``
+and ``0 <= c <= C``, at position ``a (C + 1) + c``.  ``G[i, j]`` vanishes
+unless the supports of ``m_i f`` and ``m_j f`` overlap, so in the basis
+order ``G`` is banded.  Each pair of nonzero coefficients of ``f`` either
+misses the box or adds one strided block to one row of the upper band; the
+band is assembled pair by pair and factored by banded Cholesky.  A
+one-variable problem is a single column, with no second-variable weight.
+A diagonal basis ``{z1^(Mk) z2^(Nk)}`` is a sum of such problems: the
+exponents of ``f`` fall into disjoint cosets ``q0 + Z (M, N)``, each the
+row ``F_q0[j] = f[q0 + j (M, N)]`` under the weights
+``((q0_1+Mk+1)(q0_2+Nk+1))^alpha``, and ``||P(z1^M z2^N) f - 1||^2`` is the
+sum of their one-variable residuals, the ``-1`` on the coset ``(0, 0)``.
+A pattern-supported ``f`` is that coset alone.  A diagonal result keeps
+the one-variable ``P`` and lifts it only when ``p`` is read.
 
 Solver policy: normal equations with a banded Cholesky factorization, solved
 by LAPACK ``pbtrs``, and a single ridge-regularized retry, whose ridge is recorded on the result;
@@ -47,23 +48,13 @@ from functools import cache, cached_property
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .errors import (
-    ArgumentError,
-    BasisSizeError,
-    ConditioningError,
-    GridSizeError,
-    NumericalError,
-)
+from .errors import ArgumentError, BasisSizeError, ConditioningError, NumericalError
 from .series import (
-    MAX_GRID_ENTRIES,
     DiagonalPattern,
     OneVarSeries,
     TwoVarSeries,
     _check_tolerance,
-    _restrict,
-    is_diagonal,
     lift,
     multiply1,
     multiply2,
@@ -97,6 +88,9 @@ SOLVER_CAP = 10_000
 # smaller entry from its angle.
 _TINY = np.finfo(float).tiny
 
+# The second-variable weight of a single coefficient column, which has no second variable.
+_ONE = np.ones(1)
+
 Series = Union[TwoVarSeries, OneVarSeries]
 
 
@@ -118,30 +112,30 @@ def _pbtrs(factor: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 class Lattice(NamedTuple):
-    """The lattice box ``{a (M, N) + (0, c) : 0 <= a <= A, 0 <= c <= C}`` of basis exponents.
+    """The lattice box ``{(a, c) : 0 <= a <= A, 0 <= c <= C}`` of basis exponents.
 
-    The exponent with lattice coordinates ``(a, c)`` sits at position
-    ``a (C + 1) + c`` of the basis.
+    The exponent ``(a, c)`` sits at position ``a (C + 1) + c`` of the basis.
+    A diagonal basis is the box ``C = 0`` of its one-variable coset
+    problems, where ``a`` stands for the exponent ``a (M, N)``.
     """
 
-    M: int
-    N: int
     A: int
     C: int
 
     def exponents(self) -> np.ndarray:
         """The exponents as a ``(B, 2)`` array in basis order."""
         if self.C == 0:
-            return np.arange(self.A + 1)[:, None] * np.array((self.M, self.N))
-        a, c = np.divmod(np.arange((self.A + 1) * (self.C + 1)), self.C + 1)
-        return np.column_stack((self.M * a, self.N * a + c))
+            return np.arange(self.A + 1)[:, None] * np.array((1, 0))
+        return np.column_stack(np.divmod(np.arange((self.A + 1) * (self.C + 1)), self.C + 1))
 
-    def basis(self, onevar: bool) -> tuple:
-        """The exponents as Python ints in basis order; for ``onevar``, ``a`` alone."""
+    def basis(self, onevar: bool, pattern: Optional[DiagonalPattern] = None) -> tuple:
+        """The exponents as Python ints in basis order: ``a`` alone for ``onevar``, ``a (M, N)`` on a pattern."""
+        A, C = self
+        if pattern is not None:
+            return tuple((pattern.M * a, pattern.N * a) for a in range(A + 1))
         if onevar:
-            return tuple(range(self.A + 1))
-        M, N, A, C = self
-        return tuple((M * a, N * a + c) for a in range(A + 1) for c in range(C + 1))
+            return tuple(range(A + 1))
+        return tuple((a, c) for a in range(A + 1) for c in range(C + 1))
 
 
 @dataclass(frozen=True)
@@ -181,15 +175,14 @@ class BasisSpec:
     def lattice(self) -> Lattice:
         """The basis as a lattice box; ``z^k`` of a one-variable problem is ``(k, 0)``."""
         if self.kind == "full":
-            return Lattice(1, 0, self.n, self.n)
+            return Lattice(self.n, self.n)
         if self.kind == "diagonal":
-            M, N = self.pattern.M, self.pattern.N
-            return Lattice(M, N, self.n // max(M, N), 0)
-        return Lattice(1, 0, self.n, 0)
+            return Lattice(self.n // max(self.pattern.M, self.pattern.N), 0)
+        return Lattice(self.n, 0)
 
     def indices2(self) -> List[Tuple[int, int]]:
         """Monomial exponents for a two-variable problem, constant first."""
-        return list(self.lattice().basis(onevar=False))
+        return list(self.lattice().basis(False, self.pattern))
 
     def indices1(self) -> List[int]:
         """Monomial exponents for a one-variable problem."""
@@ -208,18 +201,20 @@ class GramSystem:
     ``G`` is Hermitian and banded.  ``band`` holds its upper band in LAPACK
     storage: ``band[u + i - j, j] = G[i, j]`` for ``0 <= j - i <= u``, where
     ``u = band.shape[0] - 1`` is the bandwidth.  The basis is the lattice
-    box ``lattice``; ``basis`` lists its exponents, built on first read.
+    box ``lattice``, on the pattern ``pattern`` of a diagonal basis;
+    ``basis`` lists its exponents, built on first read.
     """
 
     lattice: Lattice
     onevar: bool
     band: np.ndarray
     rhs: np.ndarray
+    pattern: Optional[DiagonalPattern] = None
 
     @cached_property
     def basis(self) -> tuple:
         """Exponents of the basis monomials in basis order: ints for a one-variable problem."""
-        return self.lattice.basis(self.onevar)
+        return self.lattice.basis(self.onevar, self.pattern)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -238,8 +233,8 @@ class ApproximantResult:
 
     ``solved`` is the series the normal equations were solved for, over the
     lattice box ``solved_lattice`` whose exponents ``solved_basis`` lists.
-    For a diagonal solve ``pattern`` is its pattern and ``solved`` the
-    one-variable solution ``P``; otherwise ``pattern`` is None.
+    For a diagonal solve, of any ``f``, ``pattern`` is its pattern and
+    ``solved`` the one-variable solution ``P``; otherwise ``pattern`` is None.
     ``solved_basis``, ``p`` and ``basis`` are built on first read and
     cached: ``p`` and ``basis`` are ``solved`` and ``solved_basis`` as they
     are, or the lifted ``P(z1^M z2^N)`` and the exponents ``(Mk, Nk)``.
@@ -274,10 +269,7 @@ class ApproximantResult:
     @cached_property
     def basis(self) -> tuple:
         """Exponents of the basis monomials of ``p``, constant first."""
-        if self.pattern is None:
-            return self.solved_basis
-        M, N = self.pattern.M, self.pattern.N
-        return tuple((M * k, N * k) for k in self.solved_basis)
+        return self.solved_basis if self.pattern is None else self.solved_lattice.basis(True, self.pattern)
 
 
 def _check_basis_size(size: int) -> None:
@@ -299,37 +291,50 @@ def _exponents(basis, onevar: bool) -> np.ndarray:
     return np.column_stack((e, np.zeros_like(e))) if onevar else e.reshape(-1, 2)
 
 
-def _gram_band(grid: np.ndarray, aw, lat: Lattice) -> Tuple[np.ndarray, np.ndarray]:
-    """Upper band of ``G`` and the right-hand side over the lattice box ``lat``.
+def _terms(f: Series, aw, b: BasisSpec) -> list:
+    """``f`` as a sum of terms ``(F, weights)``, the first of which carries the constant.
+
+    On a diagonal basis each term is a coset ``q0 + Z (M, N)`` of the
+    exponents ``q`` of ``f``, ``q0 = q - min(q1 // M, q2 // N) (M, N)``: the
+    row ``F[j] = f[q0 + j (M, N)]`` under :class:`PatternWeight` at offset
+    ``q0``, the coset ``(0, 0)`` first, even where ``f`` vanishes on it.
+    Any other problem is the single term ``(f, aw)``.
+    """
+    if b.kind != "diagonal":
+        return [(f, aw)]
+    (M, N), x = (b.pattern.M, b.pattern.N), f.coeffs
+    starts = {(0, 0)}
+    for q1, q2 in np.argwhere(x).tolist():
+        t = min(q1 // M, q2 // N)
+        starts.add((q1 - M * t, q2 - N * t))
+    return [(OneVarSeries(x[q1::M, q2::N].diagonal()), PatternWeight(aw, b.pattern, (q1, q2)))
+            for q1, q2 in sorted(starts)]
+
+
+def _gram_band(grid: np.ndarray, aw, lat: Lattice) -> np.ndarray:
+    """Upper band of ``G`` over the lattice box ``lat`` for the coefficient grid ``grid``.
 
     ``m_j f`` and ``m_i f`` overlap where ``m_j + p = m_i + q`` for nonzero
     coefficients ``f[p]``, ``f[q]``; each such pair adds ``f[p] conj(f[q])``
-    times the weight at ``m_j + p`` to ``G[i, j]``.  The pair reaches the
-    lattice only if ``p - q = da (M, N) + dc (0, 1)`` in integers.  Then
-    ``i - j = da (C + 1) + dc`` is the same for all ``j``, and the columns
-    ``j`` with ``m_j + p - q`` in the box form a rectangle of lattice
-    coordinates: the pair adds one strided block to one band row.
+    times the weight at ``m_j + p`` to ``G[i, j]``.  Then
+    ``i - j = (p1 - q1) (C + 1) + p2 - q2`` is the same for all ``j``, and
+    the columns ``j`` with ``m_j + p - q`` in the box form a rectangle of
+    the box: the pair adds one strided block to one band row.  A single
+    column (``C = 0`` and a one-column ``grid``) takes no second-variable weight.
     """
-    M, N, A, C = lat
+    A, C = lat
     F1, F2 = grid.shape
     # one weight row, as long as the longer variable needs; both read slices of it
-    w = aw.weights(max(M * A + F1, N * A + C + F2) - 1)
-    # w2_at[a, t] = w[N a + t], the second-variable weight at a (M, N) + (0, t)
-    if N == 0:
-        w2_at = w[None, :C + F2]  # the same for every a: broadcast
-    else:
-        step = w.strides[0]
-        w2_at = as_strided(w, shape=(A + 1, C + F2), strides=(N * step, step), writeable=False)
+    w = aw.weights(max(A + F1, C + F2) - 1)
     nonzero = np.argwhere(grid).tolist()
-    blocks = []  # (j - i, p, q, lattice rectangle of the columns j)
+    blocks = []  # (j - i, p, q, rectangle of the columns j)
     for p1, p2 in nonzero:
         for q1, q2 in nonzero:
-            da, rem = divmod(p1 - q1, M)
-            dc = p2 - q2 - N * da
+            da, dc = p1 - q1, p2 - q2
             a0, a1 = max(0, -da), min(A, A - da)
             c0, c1 = max(0, -dc), min(C, C - dc)
             offset = da * (C + 1) + dc
-            if rem == 0 and offset <= 0 and a0 <= a1 and c0 <= c1:
+            if offset <= 0 and a0 <= a1 and c0 <= c1:
                 blocks.append((-offset, p1, p2, q1, q2, a0, a1, c0, c1))
     u = max((block[0] for block in blocks), default=0)
     band = np.zeros((u + 1, (A + 1) * (C + 1)), dtype=np.complex128)
@@ -339,12 +344,12 @@ def _gram_band(grid: np.ndarray, aw, lat: Lattice) -> Tuple[np.ndarray, np.ndarr
         if (p1, p2) != p:
             # f[p] times the weight at m_j + p, for every column j
             p = (p1, p2)
-            weighted = (grid[p] * w[p1:M * A + p1 + 1:M])[:, None] * w2_at[:, p2:C + p2 + 1]
+            weighted = (grid[p] * w[p1:A + p1 + 1])[:, None]
+            if C + F2 > 1:
+                weighted = weighted * w[None, p2:C + p2 + 1]
         rows[u - d, a0:a1 + 1, c0:c1 + 1] += weighted[a0:a1 + 1, c0:c1 + 1] * np.conj(grid[q1, q2])
     band[u].imag = 0.0  # the diagonal of a Hermitian matrix is real
-    rhs = np.zeros(band.shape[1], dtype=np.complex128)
-    rhs[0] = np.conj(grid[0, 0])  # position 0 is the constant monomial
-    return band, rhs
+    return band
 
 
 def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -> GramSystem:
@@ -356,8 +361,9 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     the lattice box of ``b`` (:meth:`BasisSpec.lattice`): each of the
     ``nnz(f)^2`` pairs of nonzero coefficients either misses the box or adds
     one strided rectangular block, ``f[p]`` times the weights times
-    ``conj(f[q])``, to one band row.  The cost is ``O(B nnz(f)^2)`` for
-    ``B`` unknowns.  ``a`` is a space parameter, or a
+    ``conj(f[q])``, to one band row.  On a diagonal basis the bands of the
+    one-variable coset problems of ``f`` are summed.  The cost is
+    ``O(B nnz(f)^2)`` for ``B`` unknowns.  ``a`` is a space parameter, or a
     :class:`PatternWeight` for a one-variable ``f``.
     """
     aw = a if isinstance(a, PatternWeight) else as_alpha(a)
@@ -368,8 +374,15 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     _check_basis_size((lat.A + 1) * (lat.C + 1))
     if not f.coeffs.any():
         raise ArgumentError("f must not be identically zero")
-    band, rhs = _gram_band(_grid(f), aw, lat)
-    return GramSystem(lattice=lat, onevar=onevar, band=band, rhs=rhs)
+    bands = [_gram_band(_grid(F), w, lat) for F, w in _terms(f, aw, b)]
+    band = bands[0]
+    if len(bands) > 1:  # each coset band is added to the bottom rows of the widest
+        band = np.zeros((max(x.shape[0] for x in bands), band.shape[1]), dtype=np.complex128)
+        for x in bands:
+            band[band.shape[0] - x.shape[0]:] += x
+    rhs = np.zeros(band.shape[1], dtype=np.complex128)
+    rhs[0] = np.conj(f.coeffs[(0,) * f.coeffs.ndim])  # position 0 is the constant monomial
+    return GramSystem(lattice=lat, onevar=onevar, band=band, rhs=rhs, pattern=b.pattern)
 
 
 def _band_norm1(band: np.ndarray) -> float:
@@ -485,13 +498,12 @@ def residual_norm_sq(p: Series, f: Series, a: AlphaLike) -> float:
 
 def _norm_sq(grid: np.ndarray, w: np.ndarray) -> float:
     """Squared norm of a coefficient grid under the weight row ``w``, rounded as ``norm2(...)**2``."""
-    return float(_norms2(grid, w[:grid.shape[0]], w[:grid.shape[1]])) ** 2
+    return float(_norms2(grid, w[:grid.shape[0]], w[:grid.shape[1]] if grid.shape[1] > 1 else _ONE)) ** 2
 
 
 def _certify(
     p: Series,
-    f: Series,
-    aw,
+    terms: list,
     e: np.ndarray,
     *,
     n: int,
@@ -499,60 +511,59 @@ def _certify(
     cond: float,
     ortho_tol: Optional[float],
 ) -> Tuple[float, float]:
-    """``||p f - 1||^2`` and the certificate ``max_i |<p f - 1, m_i f>|`` from one product.
+    """``||p f - 1||^2`` and the certificate ``max_i |<p f - 1, m_i f>|``, from one product per term.
 
-    ``e`` holds the basis exponents.  Raises a conditioning error when the
-    certificate exceeds ``ortho_tol`` (default ``1e-8 * ||f||^2``).
+    ``terms`` is ``f`` as :func:`_terms` splits it, whose first term carries
+    the constant ``-1``; the squared norms and the pairings of the terms are
+    summed, the pairings before the max is taken.  ``e`` holds the basis
+    exponents.  Raises a conditioning error when the certificate exceeds
+    ``ortho_tol`` (default ``1e-8 * ||f||^2``).
     """
     onevar = isinstance(p, OneVarSeries)
-    r = np.array((multiply1(p, f) if onevar else multiply2(p, f)).coeffs)
-    r[(0,) * r.ndim] += -1.0  # p f - 1, on the product's array
-    if onevar:
-        r = r[:, None]
-    # one weight row, as long as the longer side of r; every weight below is a slice of it
-    w = aw.weights(max(r.shape) - 1)
-    wr = w[:r.shape[0], None] * w[None, :r.shape[1]] * r
-    fg = _grid(f)
-    ortho = float(np.abs(shifted_pairings(np.conj(fg), wr, e)).max())
-    tol = 1e-8 * _norm_sq(fg, w) if ortho_tol is None else ortho_tol
+    pairings, res_sq, f_sq = 0.0, 0.0, 0.0
+    for i, (f, aw) in enumerate(terms):
+        r = np.array((multiply1(p, f) if onevar else multiply2(p, f)).coeffs)
+        if i == 0:
+            r[(0,) * r.ndim] += -1.0  # p f - 1, on the product's array
+        if onevar:
+            r = r[:, None]
+        # one weight row, as long as the longer side of r; every weight below is a slice of it
+        w = aw.weights(max(r.shape) - 1)
+        w1 = w[:r.shape[0], None]
+        wr = (w1 if r.shape[1] == 1 else w1 * w[None, :r.shape[1]]) * r
+        fg = _grid(f)
+        pairings = pairings + shifted_pairings(np.conj(fg), wr, e)
+        res_sq += _norm_sq(r, w)
+        f_sq += _norm_sq(fg, w)
+    ortho = float(np.abs(pairings).max())
+    tol = 1e-8 * f_sq if ortho_tol is None else ortho_tol
     if ortho > tol:
         raise ConditioningError(
             f"orthogonality certificate {ortho:.3e} exceeds tolerance {tol:.3e} "
             f"at order n={n} (condition estimate {cond:.3e}, ridge {ridge:.3e})",
             cond_estimate=cond,
         )
-    return _norm_sq(r, w), ortho
+    return res_sq, ortho
 
 
-def _solve(
-    f: Series,
-    aw,
-    b: BasisSpec,
-    ortho_tol: Optional[float],
-    *,
-    n: int,
-    kind: str,
-    pattern: Optional[DiagonalPattern] = None,
-) -> ApproximantResult:
-    """Assemble, factor and certify over ``b`` under the weights ``aw``; errors name ``n``.
-
-    ``n``, ``kind`` and ``pattern`` describe the requested basis on the result.
-    """
+def _solve(f: Series, aw, b: BasisSpec, ortho_tol: Optional[float]) -> ApproximantResult:
+    """Assemble, factor and certify over ``b`` under the weights ``aw``; errors name ``b.n``."""
     gram = gram_assemble(f, aw, b)
-    c, ridge, cond = _solve_normal(gram, n)
+    c, ridge, cond = _solve_normal(gram, b.n)
     e = gram.lattice.exponents()
-    p = OneVarSeries(c) if gram.onevar else _series_from_solution(c, e, False)
-    res_sq, ortho = _certify(p, f, aw, e, n=n, ridge=ridge, cond=cond, ortho_tol=ortho_tol)
+    terms = _terms(f, aw, b)
+    p = OneVarSeries(c) if isinstance(terms[0][0], OneVarSeries) else _series_from_solution(c, e, False)
+    res_sq, ortho = _certify(p, terms, e, n=b.n, ridge=ridge, cond=cond, ortho_tol=ortho_tol)
     return ApproximantResult(
         solved=p,
         residual_sq=res_sq,
-        n=n,
-        basis_kind=kind,
+        n=b.n,
+        basis_kind=b.kind,
         cond_estimate=cond,
         ortho_residual=ortho,
         solved_lattice=gram.lattice,
         ridge=ridge,
-        pattern=pattern,
+        pattern=b.pattern,
     )
 
 
@@ -565,11 +576,11 @@ def solve_optimal(
 ) -> ApproximantResult:
     """Solve for the optimal approximant of order ``b.n`` in basis ``b``.
 
-    The one place that maps a basis to a solver: a two-variable ``f`` on
-    the pattern of a diagonal ``b`` is solved on the pattern, as by
-    :func:`diagonal_reduce_solve`; any other problem, an off-pattern ``f``
-    included, on the lattice box of ``b``, refused with :class:`GridSizeError`
-    before assembly if the grid of ``p`` would exceed ``MAX_GRID_ENTRIES``.
+    The one place that maps a basis to a solve.  A full or one-variable
+    basis is one lattice box.  On a diagonal basis ``f`` is split into its
+    cosets, whose one-variable problems are assembled and certified
+    together; the result keeps the one-variable solution ``P``, with
+    ``pattern`` set, for any ``f``, and lifts it only when ``p`` is read.
 
     The residual is recomputed from the solution coefficients by series
     arithmetic, and the orthogonality certificate
@@ -578,20 +589,7 @@ def solve_optimal(
     negative or NaN ``ortho_tol`` is refused with :class:`ArgumentError`.
     """
     _check_tolerance(ortho_tol, "ortho_tol")
-    aw = as_alpha(a)
-    if b.kind == "diagonal" and isinstance(f, TwoVarSeries) and is_diagonal(f, b.pattern):
-        return _pattern_solve(OneVarSeries(_restrict(f.coeffs, b.pattern)), aw, b, ortho_tol)
-    M, N, A, C = b.lattice()
-    entries = (M * A + 1) * (N * A + C + 1)
-    if entries > MAX_GRID_ENTRIES:
-        raise GridSizeError(f"order n={b.n} needs a grid of {entries} entries, over {MAX_GRID_ENTRIES}")
-    return _solve(f, aw, b, ortho_tol, n=b.n, kind=b.kind)
-
-
-def _pattern_solve(F: OneVarSeries, aw, b: BasisSpec, ortho_tol: Optional[float]) -> ApproximantResult:
-    """The diagonal solve over ``b`` of ``F(z1^M z2^N)``, given the restriction ``F``."""
-    return _solve(F, PatternWeight(aw, b.pattern), BasisSpec.onevar(b.lattice().A), ortho_tol,
-                  n=b.n, kind="diagonal", pattern=b.pattern)
+    return _solve(f, as_alpha(a), b, ortho_tol)
 
 
 def _phi_grid(alpha: float, values: np.ndarray) -> np.ndarray:
@@ -683,22 +681,19 @@ def diagonal_reduce_solve(
     Restricting the minimization to the diagonal basis loses nothing for
     diagonal ``f`` (projecting any competitor onto the pattern can only
     shrink the residual), so this attains the full square-basis optimum.
-    ``f = F(z1^M z2^N)`` is solved as the one-variable problem for ``F`` of
-    order ``n // max(M, N)`` under the weights ``((Mk+1)(Nk+1))^alpha`` — an
-    exact isometry onto the pattern subspace, which for ``(1, 1)`` is the
-    one-variable space at doubled parameter.  Residual and certificate are
-    computed on the pattern.  The result stores the one-variable solution
-    ``P`` and its exponents ``k`` with ``pattern=pat``; ``result.p`` lifts
-    it to ``P(z1^M z2^N)`` and ``result.basis`` gives the pattern exponents
-    ``(Mk, Nk)``, both only when read.  A scan that reads neither never
-    fills an ``(Mm+1) x (Nm+1)`` grid, so it reaches orders up to the
-    solver cap; reading ``p`` beyond the grid cap raises
+    ``f = F(z1^M z2^N)`` is the single coset ``(0, 0)``: the one-variable
+    problem for ``F`` of order ``n // max(M, N)`` under the weights
+    ``((Mk+1)(Nk+1))^alpha``, an exact isometry onto the pattern subspace,
+    which for ``(1, 1)`` is the one-variable space at doubled parameter.
+    The result is that of :func:`solve_optimal`: it keeps ``P`` with
+    ``pattern=pat``, and reading ``p`` beyond the grid cap raises
     :class:`GridSizeError`.  An ``f`` off the pattern raises
-    :class:`PatternViolationError`, where :func:`solve_optimal` solves it
-    on the diagonal lattice.
+    :class:`PatternViolationError`, where :func:`solve_optimal` sums its
+    coset problems and gets the optimum over the diagonal span.
     """
     _check_tolerance(ortho_tol, "ortho_tol")
-    return _pattern_solve(restrict(f, pat), as_alpha(a), BasisSpec.diagonal(n, pat), ortho_tol)
+    restrict(f, pat)  # refuses an f off the pattern
+    return _solve(f, as_alpha(a), BasisSpec.diagonal(n, pat), ortho_tol)
 
 
 def perturbation_check(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -80,23 +80,25 @@ AlphaLike = Union[AlphaWeight, float, int]
 
 @dataclass(frozen=True)
 class PatternWeight:
-    """Weight ``((Mk+1)(Nk+1))^alpha`` of ``z^k``: the weight of ``z1^(Mk) z2^(Nk)``.
+    """Weight ``((q1+Mk+1)(q2+Nk+1))^alpha`` of ``z^k``: the weight of ``z1^(q1+Mk) z2^(q2+Nk)``.
 
-    Under these weights the lifting ``F -> F(z1^M z2^N)`` is an isometry onto
-    the series supported on the pattern, and it maps ``z^i F`` to
-    ``z1^(Mi) z2^(Ni) F(z1^M z2^N)``.  It offers the ``weights(deg)`` method
-    of :class:`AlphaWeight`, with ``weights(0) = [1]``; for the pattern
-    ``(1, 1)`` it is the weight at doubled ``alpha``.
+    Under these weights ``F -> z1^q1 z2^q2 F(z1^M z2^N)`` is an isometry onto
+    the series supported on the coset ``(q1, q2) + Z (M, N)``, and it maps
+    ``z^i F`` to ``z1^(Mi) z2^(Ni)`` times the image of ``F``.  It offers the
+    ``weights(deg)`` method of :class:`AlphaWeight`; at the default offset
+    ``(0, 0)``, the pattern itself, ``weights(0) = [1]``, and for the
+    pattern ``(1, 1)`` it is the weight at doubled ``alpha``.
     """
 
     aw: AlphaWeight
     pattern: DiagonalPattern
+    offset: Tuple[int, int] = (0, 0)
 
     def weights(self, deg: int) -> np.ndarray:
-        """Array ``[((Mk+1)(Nk+1))^alpha for k in 0..deg]``."""
-        M, N = self.pattern.M, self.pattern.N
-        w = self.aw.weights(max(M, N) * deg)  # one row; both factors are slices of it
-        return w[:M * deg + 1:M] * w[:N * deg + 1:N]
+        """Array ``[((q1+Mk+1)(q2+Nk+1))^alpha for k in 0..deg]``."""
+        (M, N), (q1, q2) = (self.pattern.M, self.pattern.N), self.offset
+        w = self.aw.weights(max(q1 + M * deg, q2 + N * deg))  # one row; both factors are slices of it
+        return w[q1:q1 + M * deg + 1:M] * w[q2:q2 + N * deg + 1:N]
 
 
 def as_alpha(a: AlphaLike) -> AlphaWeight:

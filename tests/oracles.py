@@ -74,7 +74,8 @@ def reference_gram_band(f, a, basis) -> tuple[np.ndarray, np.ndarray]:
     ``BasisSpec``.  For every pair of nonzero coefficients ``f[p]``,
     ``f[q]``, each basis monomial ``m_j`` is looked up at ``m_j + p - q``;
     the hits with ``i <= j`` receive ``f[p] w(m_j + p) conj(f[q])``, and the
-    entries are scattered into the band in pair order.
+    entries are scattered into the band in pair order.  A one-variable ``f``
+    has no second variable, so its weight ``w(k)`` is the first factor alone.
     """
     aw = a if isinstance(a, PatternWeight) else as_alpha(a)
     if isinstance(f, OneVarSeries):
@@ -96,8 +97,11 @@ def reference_gram_band(f, a, basis) -> tuple[np.ndarray, np.ndarray]:
     cols = np.arange(size)
     nonzero = np.argwhere(grid)
     entries = []
+    onevar = isinstance(f, OneVarSeries)
     for p1, p2 in nonzero:
-        weighted = grid[p1, p2] * w1[ks + p1] * w2[ls + p2]
+        weighted = grid[p1, p2] * w1[ks + p1]
+        if not onevar:
+            weighted = weighted * w2[ls + p2]
         for q1, q2 in nonzero:
             rows = lookup[ks + (p1 - q1 + F1 - 1), ls + (p2 - q2 + F2 - 1)]
             keep = (rows >= 0) & (rows <= cols)

@@ -20,6 +20,7 @@ from bidisk.errors import (
     UnsupportedRateError,
 )
 from bidisk.series import DiagonalPattern, OneVarSeries, TwoVarSeries, constant2, separable
+from bidisk.spaces import norm2
 
 from oracles import onevar_one_minus_z_dist_sq, separable_dist_sq
 
@@ -59,11 +60,11 @@ class TestDecayScan:
         ds = decay_scan(f, 0.25, [3, 6, 9], basis="diagonal", pattern=pat)
         for n, res in zip((3, 6, 9), ds.results):
             assert res == diagonal_reduce_solve(f, 0.25, n, pat) and res.pattern == pat
-        # an off-pattern f is solved on the diagonal lattice, not refused
+        # an off-pattern f is solved as the sum of its coset problems, not refused
         ds = decay_scan(F_PROD, 0.0, [1, 4], basis="diagonal")
         for n, res in zip((1, 4), ds.results):
             assert res == solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(n, PAT11))
-            assert res.pattern is None
+            assert res.pattern == PAT11
         assert ds.meta["pattern"] == PAT11
 
     @pytest.mark.parametrize("basis", ["full", "onevar"])
@@ -71,12 +72,15 @@ class TestDecayScan:
         with pytest.raises(ArgumentError, match="other kinds must not carry one"):
             decay_scan(F_DIAG, 0.0, [1, 2], basis=basis, pattern=PAT11)
 
-    def test_off_pattern_grid_refused_naming_the_order(self):
-        from bidisk.errors import GridSizeError
-
-        with pytest.raises(GridSizeError, match="n=5000") as err:
-            decay_scan(F_PROD, 0.0, [4, 5000], basis="diagonal")
-        assert str(err.value).count("n=5000") == 1
+    def test_off_pattern_scan_past_the_grid_cap(self):
+        ds = decay_scan(F_PROD, 0.0, [4, 5000], basis="diagonal")
+        for res in ds.results:
+            assert res.ortho_residual <= 1e-8 * norm2(F_PROD, 0.0) ** 2
+        assert ds.values[0] == pytest.approx(0.73205128205128, rel=1e-13)
+        # Hardy space: the cosets give ||P (1 + z) - 1||^2 + 2 ||P||^2, whose
+        # infimum is 1 - 1 / h(0)^2 for the outer h with |h|^2 = |1 + z|^2 + 2,
+        # h(0)^2 = 2 + sqrt(3); the order-n value reaches it geometrically
+        assert ds.values[1] == pytest.approx(np.sqrt(3.0) - 1.0, rel=1e-12)
 
     def test_exact_inversion_all_zero(self):
         ds = decay_scan(constant2(1.0), 0.3, [1, 2, 3, 4, 5], basis="full")

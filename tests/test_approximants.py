@@ -1,5 +1,6 @@
 """Gram assembly, optimal solves, explicit constructions, certificates."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -196,14 +197,31 @@ def random_with_holes(rng, shape):
     return grid
 
 
+def assert_matches_reference(gs, f, a, b):
+    """``gs`` against the position-lookup band: bit for bit on a lattice box.
+
+    A diagonal basis sums the bands of its coset problems, whose weights are
+    formed as one product before ``f[p]`` multiplies them, so it agrees to
+    rounding.
+    """
+    band, rhs = reference_gram_band(f, a, b)
+    assert gs.band.shape == band.shape
+    assert np.array_equal(gs.rhs, rhs)
+    if b.kind == "diagonal":
+        assert np.max(np.abs(gs.band - band)) <= 1e-14 * np.max(np.abs(band))
+    else:
+        assert np.array_equal(gs.band, band)
+
+
 class TestLatticeAssembly:
-    """The lattice-box band equals the position-lookup band bit for bit."""
+    """The lattice-box band equals the position-lookup band: bit for bit, a diagonal basis to rounding."""
 
     def random_problems(self, rng):
         """One problem of every kind: (f, space parameter or weight, basis)."""
         n = int(rng.integers(0, 13))
         alpha = float(rng.uniform(-2.0, 2.0))
         pat = DiagonalPattern(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        offset = (int(rng.integers(0, 4)), int(rng.integers(0, 4)))
         two = TwoVarSeries(random_with_holes(rng, tuple(rng.integers(1, 5, 2))))
         one = OneVarSeries(random_with_holes(rng, int(rng.integers(1, 7))))
         return [
@@ -211,7 +229,7 @@ class TestLatticeAssembly:
             (one, alpha, BasisSpec.onevar(n)),
             (two, alpha, BasisSpec.onevar(n)),
             (two, alpha, BasisSpec.diagonal(n, pat)),
-            (one, PatternWeight(AlphaWeight(alpha), pat), BasisSpec.onevar(n)),
+            (one, PatternWeight(AlphaWeight(alpha), pat, offset), BasisSpec.onevar(n)),
         ]
 
     def test_band_and_rhs_equal_reference(self):
@@ -219,11 +237,7 @@ class TestLatticeAssembly:
         checked = set()
         for _ in range(60):
             for f, a, b in self.random_problems(rng):
-                gs = gram_assemble(f, a, b)
-                band, rhs = reference_gram_band(f, a, b)
-                assert gs.band.shape == band.shape
-                assert np.array_equal(gs.band, band)
-                assert np.array_equal(gs.rhs, rhs)
+                assert_matches_reference(gram_assemble(f, a, b), f, a, b)
                 checked.add((b.kind, isinstance(f, OneVarSeries), isinstance(a, PatternWeight)))
         assert len(checked) == 5
 
@@ -231,9 +245,7 @@ class TestLatticeAssembly:
         f = TwoVarSeries(random_with_holes(np.random.default_rng(91), (5, 4)))
         for n in range(4):
             for b in (BasisSpec.full(n), BasisSpec.onevar(n), BasisSpec.diagonal(n, PAT11)):
-                gs = gram_assemble(f, 0.5, b)
-                band, rhs = reference_gram_band(f, 0.5, b)
-                assert np.array_equal(gs.band, band) and np.array_equal(gs.rhs, rhs)
+                assert_matches_reference(gram_assemble(f, 0.5, b), f, 0.5, b)
 
     @pytest.mark.parametrize("basis", [
         BasisSpec.full(4),
@@ -244,8 +256,14 @@ class TestLatticeAssembly:
     def test_lattice_lists_the_basis(self, basis):
         lattice = basis.lattice()
         e = lattice.exponents()
-        assert e.tolist() == [list(m) for m in basis.indices2()]
         assert len(e) == (lattice.A + 1) * (lattice.C + 1)
+        if basis.kind == "diagonal":
+            # the box of the one-variable coset problems: (a, 0) stands for a (M, N)
+            assert lattice.C == 0 and e.tolist() == [[a, 0] for a in range(lattice.A + 1)]
+            pat = basis.pattern
+            assert basis.indices2() == [(pat.M * a, pat.N * a) for a in range(lattice.A + 1)]
+        else:
+            assert e.tolist() == [list(m) for m in basis.indices2()]
 
     def test_band_norm1_matches_row_loop(self):
         def loop(band):
@@ -448,9 +466,9 @@ class TestDiagonalReduce:
         # one-variable route vs. a dense solve of the explicit two-variable diagonal system
         for n in (4, 9):
             via_onevar = diagonal_reduce_solve(F_DIAG, alpha, n, PAT11)
-            gram = gram_assemble(F_DIAG, alpha, BasisSpec.diagonal(n, PAT11))
-            c = np.linalg.solve(gram.matrix, gram.rhs)
-            p = TwoVarSeries.from_terms(dict(zip(gram.basis, c)))
+            basis = BasisSpec.diagonal(n, PAT11).indices2()
+            _, c = brute_gram_dist_sq(F_DIAG, alpha, basis)
+            p = TwoVarSeries.from_terms(dict(zip(basis, c)))
             direct = residual_norm_sq(p, F_DIAG, alpha)
             assert abs(via_onevar.residual_sq - direct) <= 1e-10
             oracle = onevar_one_minus_z_dist_sq(2.0 * alpha, n)
@@ -458,14 +476,14 @@ class TestDiagonalReduce:
 
 
 class TestDispatch:
-    """``solve_optimal`` alone chooses between the pattern path and the lattice path."""
+    """``solve_optimal`` is the one dispatch; only ``diagonal_reduce_solve`` refuses an off-pattern ``f``."""
 
-    def test_off_pattern_f_on_a_diagonal_basis_solves_the_lattice(self):
+    def test_off_pattern_f_on_a_diagonal_basis_is_solved(self):
         for MN in ((1, 1), (2, 3)):
             for n in (2, 4, 7):
                 b = BasisSpec.diagonal(n, DiagonalPattern(*MN))
                 res = solve_optimal(F_PROD, 0.0, b)
-                assert res.pattern is None and res.basis_kind == "diagonal"
+                assert res.pattern == b.pattern and res.basis_kind == "diagonal"
                 assert res.basis == tuple(b.indices2())
                 oracle, _ = brute_gram_dist_sq(F_PROD, 0.0, b.indices2())
                 assert res.residual_sq == pytest.approx(oracle, rel=1e-12)
@@ -488,20 +506,25 @@ class TestDispatch:
         monkeypatch.setattr(approximants, "solve_optimal", refuse)
         diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11)
 
-    def test_lattice_grid_refused_before_assembly(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("reached assembly")
-
-        monkeypatch.setattr(approximants, "gram_assemble", refuse)
-        with pytest.raises(GridSizeError, match=r"order n=5000\b"):
-            solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(5000, PAT11))
-        # a 4096 x 4096 grid is at the cap, so order 4095 passes the check
-        with pytest.raises(AssertionError, match="reached assembly"):
-            solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(4095, PAT11))
-        monkeypatch.undo()
-        # on the pattern no two-variable grid is built, so the same order solves
-        res = solve_optimal(F_DIAG, 0.0, BasisSpec.diagonal(5000, PAT11))
+    def test_off_pattern_solve_past_the_grid_cap(self):
+        # no two-variable grid is built on or off the pattern; reading p builds one
+        for f in (F_PROD, F_DIAG):
+            res = solve_optimal(f, 0.0, BasisSpec.diagonal(5000, PAT11))
+            assert res.ortho_residual <= 1e-8 * norm2(f, 0.0) ** 2
+            with pytest.raises(GridSizeError):
+                res.p
         assert res.residual_sq == pytest.approx(1.0 / 5002, rel=1e-9)
+
+    def test_off_pattern_solve_memory(self):
+        # the coset rows hold O(n) coefficients; the 2-D lattice they replace peaked at 214 MiB
+        solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(50, PAT11))  # load scipy.linalg first
+        tracemalloc.start()
+        try:
+            solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(2000, PAT11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 PATTERNS = [(1, 1), (2, 3), (3, 1), (2, 1)]
@@ -545,7 +568,7 @@ class TestPatternNativeSolve:
             P = OneVarSeries(rng.standard_normal(5) + 1j * rng.standard_normal(5))
             pw = PatternWeight(AlphaWeight(alpha), pat)
             res_sq, ortho = approximants._certify(
-                P, F, pw, approximants._exponents(range(5), True),
+                P, [(F, pw)], approximants._exponents(range(5), True),
                 n=4, ridge=0.0, cond=1.0, ortho_tol=np.inf,
             )
             p, f = lift(P, pat), lift(F, pat)
@@ -563,15 +586,29 @@ class TestPatternNativeSolve:
             native = gram_assemble(
                 restrict(f, pat), PatternWeight(AlphaWeight(alpha), pat), BasisSpec.onevar(4)
             )
-            scale = np.max(np.abs(direct.matrix))
-            assert np.max(np.abs(native.matrix - direct.matrix)) <= 1e-14 * scale
-            assert np.allclose(native.rhs, direct.rhs, rtol=0.0, atol=0.0)
+            # a pattern-supported f is the single coset (0, 0): the same arithmetic
+            assert np.array_equal(native.band, direct.band)
+            assert np.array_equal(native.rhs, direct.rhs)
 
     def test_pattern_11_is_doubled_alpha(self):
         for alpha in (-1.0, 0.25, 1.0):
             pw = PatternWeight(AlphaWeight(alpha), PAT11)
             assert np.allclose(pw.weights(50), AlphaWeight(2 * alpha).weights(50), rtol=1e-15)
         assert PatternWeight(AlphaWeight(0.7), DiagonalPattern(2, 3)).weights(0).tolist() == [1.0]
+
+    @pytest.mark.parametrize("MN", PATTERNS)
+    def test_offset_weights(self, MN):
+        pat, k = DiagonalPattern(*MN), np.arange(31.0)
+        for alpha in (-1.0, 0.75):
+            aw = AlphaWeight(alpha)
+            for q1, q2 in ((0, 1), (1, 0), (2, 5)):
+                closed = ((q1 + pat.M * k + 1) * (q2 + pat.N * k + 1)) ** alpha
+                got = PatternWeight(aw, pat, (q1, q2)).weights(30)
+                assert np.allclose(got, closed, rtol=1e-14, atol=0.0)
+            # offset (0, 0) is the pattern's own row, sliced from one table row as before
+            w = aw.weights(max(MN) * 30)
+            row = w[:pat.M * 30 + 1:pat.M] * w[:pat.N * 30 + 1:pat.N]
+            assert np.array_equal(PatternWeight(aw, pat).weights(30), row)
 
     @pytest.mark.parametrize("MN", [(1, 1), (2, 3)])
     def test_no_two_variable_product(self, monkeypatch, MN):
@@ -580,11 +617,14 @@ class TestPatternNativeSolve:
 
         pat = DiagonalPattern(*MN)
         f = TwoVarSeries.from_terms({(0, 0): 1, MN: -1})
+        off = TwoVarSeries.from_terms({(0, 0): 1, (1, 0): 0.5j, (0, 2): -0.25, MN: -1})
         monkeypatch.setattr(approximants, "multiply2", refuse)
         res = diagonal_reduce_solve(f, 0.5, 12, pat)
         routed = solve_optimal(f, 0.5, BasisSpec.diagonal(12, pat))
+        off_res = solve_optimal(off, 0.5, BasisSpec.diagonal(12, pat))
         monkeypatch.undo()
         assert res.residual_sq == pytest.approx(residual_norm_sq(res.p, f, 0.5), rel=1e-12)
+        assert off_res.residual_sq == pytest.approx(residual_norm_sq(off_res.p, off, 0.5), rel=1e-12)
         # the dispatch sends a pattern-supported f to the same solve, bit for bit
         assert routed == res and routed.pattern == pat and routed.basis_kind == "diagonal"
         assert np.array_equal(routed.solved.coeffs, res.solved.coeffs)
@@ -607,6 +647,41 @@ class TestPatternNativeSolve:
         calls.clear()
         diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11)
         assert calls == ["multiply1"]
+
+
+class TestCosetSolve:
+    """An off-pattern ``f`` on a diagonal basis is the sum of its one-variable coset problems."""
+
+    def functions(self, rng, pat):
+        """A random complex ``f`` off the pattern, with interior zeros, and two variants of it.
+
+        The variants vanish at the origin, and on the whole coset ``(0, 0)``.
+        """
+        grid = random_with_holes(rng, (4, 5))
+        grid[0, 1] = 0.5 - 0.25j  # (0, 1) is off every pattern
+        origin = grid.copy()
+        origin[0, 0] = 0.0
+        no_constant_coset = grid.copy()
+        ks = np.arange(min(3 // pat.M, 4 // pat.N) + 1)
+        no_constant_coset[pat.M * ks, pat.N * ks] = 0.0
+        return [TwoVarSeries(g) for g in (grid, origin, no_constant_coset)]
+
+    @pytest.mark.parametrize("MN", PATTERNS)
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.75])
+    def test_matches_brute_oracle(self, MN, alpha):
+        pat = DiagonalPattern(*MN)
+        rng = np.random.default_rng(100 + 7 * MN[0] + MN[1])
+        for f in self.functions(rng, pat):
+            for n in (0, 5, 17):
+                b = BasisSpec.diagonal(n, pat)
+                res = solve_optimal(f, alpha, b)
+                assert res.pattern == pat and isinstance(res.solved, OneVarSeries)
+                assert res.basis == tuple(b.indices2())
+                oracle, _ = brute_gram_dist_sq(f, alpha, b.indices2())
+                assert res.residual_sq == pytest.approx(oracle, rel=1e-12)
+                assert res.residual_sq == pytest.approx(residual_norm_sq(res.p, f, alpha), rel=1e-12)
+                pairing = two_variable_pairing(res.p, f, alpha, res.basis)
+                assert abs(res.ortho_residual - pairing) <= 1e-14 * norm2(f, alpha) ** 2
 
 
 class TestLazyLift:

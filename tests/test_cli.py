@@ -25,6 +25,8 @@ README_EXAMPLES = [
                     "--method optimal --basis full"),
     ("decay_diag.csv", "bidisk decay --series builtin:one_minus_z1z2 --alpha 0 --nmin 1 "
                        "--nmax 10 --basis diag:1,1"),
+    ("decay_diag_offpattern.csv", "bidisk decay --series builtin:product_one_minus --alpha 0 "
+                                  "--nmin 1 --nmax 10 --basis diag:1,1"),
     ("scan.csv", "bidisk decay --series builtin:product_one_minus --alpha 0.5 --nmin 4 "
                  "--nmax 32 --step 4 --basis full --out scan.csv"),
     ("energy.json", "bidisk energy --measure builtin:diagonal_current --K 1000"),
@@ -477,13 +479,19 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "GridSizeError" in err
 
-    def test_off_pattern_diagonal_scan_refused_at_the_grid_cap(self, capsys):
-        code, out, err = run_cli(
+    def test_off_pattern_diagonal_scan_past_the_grid_cap(self, capsys):
+        # an off-pattern f is solved as its coset rows: only printing p builds a grid
+        code, out, _ = run_cli(
             capsys, "decay", "--series", "builtin:product_one_minus", "--alpha", "0",
             "--nmin", "5000", "--nmax", "5000", "--basis", "diag:1,1",
         )
+        assert code == 0 and out.splitlines()[1].startswith("5000,")
+        code, out, err = run_cli(
+            capsys, "approx", "--series", "builtin:product_one_minus", "--alpha", "0",
+            "--n", "5000", "--basis", "diag:1,1",
+        )
         assert (code, out) == (2, "")
-        assert "error: GridSizeError: order n=5000 " in err
+        assert "error: GridSizeError: " in err
 
     def test_step_validation(self, capsys):
         code, _, err = run_cli(

@@ -3,8 +3,8 @@
 Each case records ``float.hex`` of ``residual_sq``, ``cond_estimate`` and
 ``ortho_residual``, the ridge, and a SHA-256 digest of the solved
 coefficients.  The cases cover full bases with a real and a complex ``f``,
-one-variable bases, the ``(1, 1)`` and ``(2, 3)`` pattern solves, the
-off-pattern diagonal lattice, four values of ``alpha`` at several orders,
+one-variable bases, the ``(1, 1)`` and ``(2, 3)`` pattern solves, a real
+and a complex ``f`` off those patterns, four values of ``alpha`` at several orders,
 the ridge retry after a failed factorization, and the subnormal entries of
 the condition estimate at ``n = 2000``.
 
@@ -36,6 +36,10 @@ ONE_MINUS_Z1Z2 = TwoVarSeries([[1, 0], [0, -1]])
 PAT11, PAT23 = DiagonalPattern(1, 1), DiagonalPattern(2, 3)
 ONE_MINUS_POW23 = lift(ONE_MINUS_Z, PAT23)
 COMPLEX_PAT23 = lift(OneVarSeries([1.0, 0.5 - 0.25j, -0.125j]), PAT23)
+# six cosets of (2, 3), with interior zeros
+COMPLEX_OFF23 = TwoVarSeries([[1.0, 0.2j, 0.0, -0.3],
+                              [0.1 - 0.05j, 0.0, 0.4, 0.0],
+                              [0.0, 0.25j, 0.0, -0.5 + 0.1j]])
 
 
 def _cases():
@@ -55,6 +59,7 @@ def _cases():
             yield f"diag23/pow/a={a}/n={n}", ONE_MINUS_POW23, a, BasisSpec.diagonal(n, PAT23)
         yield f"diag23/complex/a={a}/n=45", COMPLEX_PAT23, a, BasisSpec.diagonal(45, PAT23)
         yield f"diag11/off-pattern/a={a}/n=5", PRODUCT, a, BasisSpec.diagonal(5, PAT11)
+        yield f"diag23/off-pattern/a={a}/n=30", COMPLEX_OFF23, a, BasisSpec.diagonal(30, PAT23)
     yield "onevar/subnormal/a=0.0/n=2000", OneVarSeries([1, -0.5]), 0.0, BasisSpec.onevar(2000)
 
 
