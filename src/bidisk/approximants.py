@@ -22,15 +22,16 @@ sum of their one-variable residuals, the ``-1`` on the coset ``(0, 0)``.
 A pattern-supported ``f`` is that coset alone.  A diagonal result keeps
 the one-variable ``P`` and lifts it only when ``p`` is read.
 
-Solver policy: normal equations with a banded Cholesky factorization, solved
-by LAPACK ``pbtrs``, and a single ridge-regularized retry, whose ridge is recorded on the result;
-``scipy.linalg``, which supplies both, is imported on the first factorization,
-so importing ``bidisk`` and work that solves nothing do not load it;
-residuals are always recomputed from the returned coefficients by explicit
-series arithmetic, never read off the solver; every solve carries an
-orthogonality certificate and a 1-norm condition estimate.  The residual
-``p f - 1`` is formed once per solve and yields both the squared residual and
-the certificate.
+Solver policy: normal equations, factored by LAPACK ``pbtrf`` with a single
+ridge-regularized retry, whose ridge is recorded on the result, and solved
+by ``pbtrs``, both looked up in ``scipy.linalg`` on the first factorization
+(so importing ``bidisk`` and work that solves nothing do not load it); a
+Gram band that overflows is refused with :class:`NumericalError` naming
+``alpha`` and the order; residuals are always recomputed from the returned
+coefficients by explicit series arithmetic, never read off the solver; every
+solve carries an orthogonality certificate and a 1-norm condition estimate.
+The residual ``p f - 1`` is formed once per solve and yields both the
+squared residual and the certificate.
 
 The bookkeeping around the LAPACK calls is done once per solve, so that a
 small banded solve costs little more than its factorization and its solves:
@@ -43,7 +44,7 @@ piece separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
@@ -95,20 +96,17 @@ Series = Union[TwoVarSeries, OneVarSeries]
 
 
 @cache
-def _lapack_pbtrs():
-    """LAPACK's solve with a banded Cholesky factor.
+def _lapack(name: str):
+    """The complex LAPACK routine ``name`` (``pbtrf``, ``pbtrs``), looked up on its first call."""
+    import scipy.linalg  # here, not at module level: it is most of the package's import time
 
-    The routine behind ``scipy.linalg.cho_solve_banded``, called without its
-    per-call wrapper and looked up once, on the first solve.
-    """
-    import scipy.linalg
-
-    return scipy.linalg.get_lapack_funcs("pbtrs", dtype=np.complex128)
+    return scipy.linalg.get_lapack_funcs(name, dtype=np.complex128)
 
 
-def _pbtrs(factor: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, int]:
-    """``y`` with ``U^H U y = x`` for the upper banded factor ``U``, and LAPACK's ``info``."""
-    return _lapack_pbtrs()(factor, x)
+def _not_finite(alpha: float, n: int) -> NumericalError:
+    """The refusal of a Gram matrix whose weights or weighted coefficients overflow."""
+    return NumericalError(f"the Gram matrix at alpha = {alpha!r}, order n={n} is not finite; "
+                          "the weights or the weighted coefficients overflow")
 
 
 class Lattice(NamedTuple):
@@ -202,13 +200,15 @@ class GramSystem:
     storage: ``band[u + i - j, j] = G[i, j]`` for ``0 <= j - i <= u``, where
     ``u = band.shape[0] - 1`` is the bandwidth.  The basis is the lattice
     box ``lattice``, on the pattern ``pattern`` of a diagonal basis;
-    ``basis`` lists its exponents, built on first read.
+    ``basis`` lists its exponents, built on first read.  ``terms`` is ``f``
+    as :func:`_terms` split it for the assembly, kept for the certificate.
     """
 
     lattice: Lattice
     onevar: bool
     band: np.ndarray
     rhs: np.ndarray
+    terms: list = field(repr=False, compare=False)
     pattern: Optional[DiagonalPattern] = None
 
     @cached_property
@@ -270,14 +270,6 @@ class ApproximantResult:
     def basis(self) -> tuple:
         """Exponents of the basis monomials of ``p``, constant first."""
         return self.solved_basis if self.pattern is None else self.solved_lattice.basis(True, self.pattern)
-
-
-def _check_basis_size(size: int) -> None:
-    if size > SOLVER_CAP:
-        raise BasisSizeError(
-            f"basis of {size} unknowns exceeds the solver cap of {SOLVER_CAP}; "
-            "choose a reduced basis explicitly"
-        )
 
 
 def _grid(s: Series) -> np.ndarray:
@@ -364,25 +356,33 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     ``conj(f[q])``, to one band row.  On a diagonal basis the bands of the
     one-variable coset problems of ``f`` are summed.  The cost is
     ``O(B nnz(f)^2)`` for ``B`` unknowns.  ``a`` is a space parameter, or a
-    :class:`PatternWeight` for a one-variable ``f``.
+    :class:`PatternWeight` for a one-variable ``f``.  A band that overflows
+    is refused with :class:`NumericalError` naming ``alpha`` and ``b.n``.
     """
     aw = a if isinstance(a, PatternWeight) else as_alpha(a)
     onevar = isinstance(f, OneVarSeries)
     if onevar:
         b._require_onevar()
     lat = b.lattice()
-    _check_basis_size((lat.A + 1) * (lat.C + 1))
+    size = (lat.A + 1) * (lat.C + 1)
+    if size > SOLVER_CAP:
+        raise BasisSizeError(f"basis of {size} unknowns exceeds the solver cap of {SOLVER_CAP}; "
+                             "choose a reduced basis explicitly")
     if not f.coeffs.any():
         raise ArgumentError("f must not be identically zero")
-    bands = [_gram_band(_grid(F), w, lat) for F, w in _terms(f, aw, b)]
-    band = bands[0]
-    if len(bands) > 1:  # each coset band is added to the bottom rows of the widest
-        band = np.zeros((max(x.shape[0] for x in bands), band.shape[1]), dtype=np.complex128)
-        for x in bands:
-            band[band.shape[0] - x.shape[0]:] += x
+    terms = _terms(f, aw, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bands = [_gram_band(_grid(F), w, lat) for F, w in terms]
+        band = bands[0]
+        if len(bands) > 1:  # each coset band is added to the bottom rows of the widest
+            band = np.zeros((max(x.shape[0] for x in bands), band.shape[1]), dtype=np.complex128)
+            for x in bands:
+                band[band.shape[0] - x.shape[0]:] += x
+    if not np.isfinite(band).all():
+        raise _not_finite(aw.alpha, b.n)
     rhs = np.zeros(band.shape[1], dtype=np.complex128)
     rhs[0] = np.conj(f.coeffs[(0,) * f.coeffs.ndim])  # position 0 is the constant monomial
-    return GramSystem(lattice=lat, onevar=onevar, band=band, rhs=rhs, pattern=b.pattern)
+    return GramSystem(lattice=lat, onevar=onevar, band=band, rhs=rhs, terms=terms, pattern=b.pattern)
 
 
 def _band_norm1(band: np.ndarray) -> float:
@@ -447,32 +447,35 @@ def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> floa
     return max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3.0 * size))
 
 
-def _factor(gram: GramSystem, n: int) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Banded Cholesky factor, the band it factors and the ridge added to it."""
-    import scipy.linalg  # here, not at module level: it is most of the package's import time
+def _factor(gram: GramSystem, n: int, alpha: float) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Banded Cholesky factor by LAPACK ``pbtrf``, the band it factors and the ridge added to it."""
+    pbtrf, band, ridge = _lapack("pbtrf"), gram.band, 0.0
+    factor, info = pbtrf(band)
+    if info > 0:  # not positive definite in floating point: one retry with a ridge
+        band = band.copy()
+        with np.errstate(over="ignore"):
+            ridge = 1e-12 * float(np.mean(band[-1].real))
+        if not np.isfinite(ridge):
+            raise _not_finite(alpha, n)
+        band[-1] += ridge
+        factor, info = pbtrf(band)
+        if info > 0:
+            raise ConditioningError(
+                f"Gram factorization at order n={n} failed even with ridge {ridge:.3e}",
+                cond_estimate=float("inf"),
+            )
+    if info < 0:
+        raise NumericalError(f"banded factorization at order n={n} failed: LAPACK pbtrf info {info}")
+    return factor, band, ridge
 
-    try:
-        return scipy.linalg.cholesky_banded(gram.band), gram.band, 0.0
-    except np.linalg.LinAlgError:
-        pass
-    band = gram.band.copy()
-    ridge = 1e-12 * float(np.mean(band[-1].real))
-    band[-1] += ridge
-    try:
-        return scipy.linalg.cholesky_banded(band), band, ridge
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            f"Gram factorization at order n={n} failed even with ridge {ridge:.3e}",
-            cond_estimate=float("inf"),
-        ) from exc
 
-
-def _solve_normal(gram: GramSystem, n: int) -> Tuple[np.ndarray, float, float]:
+def _solve_normal(gram: GramSystem, n: int, alpha: float) -> Tuple[np.ndarray, float, float]:
     """Coefficients, the ridge applied (0.0 if none) and a 1-norm condition estimate."""
-    factor, band, ridge = _factor(gram, n)
+    factor, band, ridge = _factor(gram, n, alpha)
+    pbtrs = _lapack("pbtrs")
 
     def solve(x):
-        y, info = _pbtrs(factor, x)
+        y, info = pbtrs(factor, x)
         if info != 0:
             raise NumericalError(f"banded solve at order n={n} failed: LAPACK pbtrs info {info}")
         return y
@@ -549,9 +552,8 @@ def _certify(
 def _solve(f: Series, aw, b: BasisSpec, ortho_tol: Optional[float]) -> ApproximantResult:
     """Assemble, factor and certify over ``b`` under the weights ``aw``; errors name ``b.n``."""
     gram = gram_assemble(f, aw, b)
-    c, ridge, cond = _solve_normal(gram, b.n)
-    e = gram.lattice.exponents()
-    terms = _terms(f, aw, b)
+    c, ridge, cond = _solve_normal(gram, b.n, aw.alpha)
+    e, terms = gram.lattice.exponents(), gram.terms
     p = OneVarSeries(c) if isinstance(terms[0][0], OneVarSeries) else _series_from_solution(c, e, False)
     res_sq, ortho = _certify(p, terms, e, n=b.n, ridge=ridge, cond=cond, ortho_tol=ortho_tol)
     return ApproximantResult(

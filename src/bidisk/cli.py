@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, approximants, capacity, suites
 from .catalog import SeriesInfo, resolve_measure, resolve_series
 from .errors import BidiskError, InputError, UnsupportedRateError
-from .series import DiagonalPattern, _check_tolerance
+from .series import DiagonalPattern, _check_tolerance, is_diagonal
 from .spaces import norm2
 
 __all__ = ["main", "run", "build_parser"]
@@ -76,8 +76,9 @@ def _approximant(info: SeriesInfo, args, basis: approximants.BasisSpec):
         return result.p, result.residual_sq, result.cond_estimate, result.ortho_residual
     if args.method == "riesz":
         if basis.kind == "diagonal":
+            # the order of P in z1^M z2^N: the polynomial space of the optimal solve
             p = approximants.riesz_diagonal(
-                info.series, args.alpha, basis.n, basis.pattern, eps0=args.tol_eps0
+                info.series, args.alpha, basis.lattice().A, basis.pattern, eps0=args.tol_eps0
             )
         elif basis.kind == "full":
             p = approximants.riesz_approximant(info.series, args.alpha, basis.n, eps0=args.tol_eps0)
@@ -111,8 +112,14 @@ def cmd_approx(args) -> int:
     return 0
 
 
-def _theory_for(info: SeriesInfo, alpha: float):
-    if info.family is None:
+def _theory_for(info: SeriesInfo, alpha: float, basis: approximants.BasisSpec):
+    """The family's rate where it holds: on the full basis, on ``diag:M,N`` for
+    a series on that pattern, on ``onevar`` for the one-variable family."""
+    if basis.kind == "diagonal":
+        applies = is_diagonal(info.series, basis.pattern)
+    else:
+        applies = basis.kind == "full" or info.family == "onevar"
+    if info.family is None or not applies:
         return None
     try:
         return analysis.predicted_rate(alpha, info.family)
@@ -131,16 +138,12 @@ def cmd_decay(args) -> int:
                                      pattern=basis.pattern, ortho_tol=args.tol_ortho).values
     else:
         values = np.array([_approximant(info, args, replace(basis, n=n))[1] for n in n_values])
-    theory = _theory_for(info, args.alpha)
+    theory = _theory_for(info, args.alpha, basis)
     lines = ["n,dist_sq,predicted,ratio"]
     for n, v in zip(n_values, values):
         predicted = theory.predicted_value(n) if theory is not None else None
-        if predicted is None:
-            pred_s, ratio_s = "", ""
-        else:
-            pred_s = _fmt(predicted)
-            ratio_s = _fmt(v / predicted)
-        lines.append(f"{n},{_fmt(v)},{pred_s},{ratio_s}")
+        rate = ",," if predicted is None else f",{_fmt(predicted)},{_fmt(v / predicted)}"
+        lines.append(f"{n},{_fmt(v)}{rate}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

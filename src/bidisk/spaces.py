@@ -46,7 +46,9 @@ def _weight_rows(alpha, deg: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _weight_table(alpha: float, size: int) -> np.ndarray:
-    w = _weight_rows(alpha, size - 1)
+    # the tail past the row asked for may overflow unread; norms and Gram bands refuse an inf they read
+    with np.errstate(over="ignore"):
+        w = _weight_rows(alpha, size - 1)
     w.setflags(write=False)
     return w
 
@@ -71,9 +73,6 @@ class AlphaWeight:
         size = 1 << max(0, (deg + 1).bit_length())
         return _weight_table(self.alpha, size)[: deg + 1]
 
-    def weight(self, k: int) -> float:
-        return (k + 1.0) ** self.alpha
-
 
 AlphaLike = Union[AlphaWeight, float, int]
 
@@ -85,7 +84,7 @@ class PatternWeight:
     Under these weights ``F -> z1^q1 z2^q2 F(z1^M z2^N)`` is an isometry onto
     the series supported on the coset ``(q1, q2) + Z (M, N)``, and it maps
     ``z^i F`` to ``z1^(Mi) z2^(Ni)`` times the image of ``F``.  It offers the
-    ``weights(deg)`` method of :class:`AlphaWeight`; at the default offset
+    ``alpha`` and ``weights(deg)`` of :class:`AlphaWeight`; at the default offset
     ``(0, 0)``, the pattern itself, ``weights(0) = [1]``, and for the
     pattern ``(1, 1)`` it is the weight at doubled ``alpha``.
     """
@@ -99,6 +98,10 @@ class PatternWeight:
         (M, N), (q1, q2) = (self.pattern.M, self.pattern.N), self.offset
         w = self.aw.weights(max(q1 + M * deg, q2 + N * deg))  # one row; both factors are slices of it
         return w[q1:q1 + M * deg + 1:M] * w[q2:q2 + N * deg + 1:N]
+
+    @property
+    def alpha(self) -> float:
+        return self.aw.alpha
 
 
 def as_alpha(a: AlphaLike) -> AlphaWeight:

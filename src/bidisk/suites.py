@@ -25,7 +25,6 @@ a zero-padded grid differently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -50,7 +49,7 @@ from .spaces import (
     comparison_constants,
 )
 
-__all__ = ["SuiteResult", "SUITES", "BLOCK", "run_suite", "available_suites"]
+__all__ = ["SuiteResult", "BLOCK", "run_suite", "available_suites"]
 
 # Trials evaluated together.  The largest stack, a block of (3, 3)-pattern
 # products in the projection suite, takes 64 * 27 * 27 * 16 bytes = 0.75 MB.
@@ -236,29 +235,19 @@ _MARGINS: Dict[str, Callable[[int, int], Margins]] = {
 }
 
 
-def _tally(name: str, trials: int, seed: int) -> SuiteResult:
-    violations = 0
-    worst = 0.0
-    for margin, slack in _MARGINS[name](trials, seed):
-        violations += int(np.count_nonzero(margin < -slack))
-        worst = min(worst, float(margin.min()))
-    return SuiteResult(name, trials, violations, worst)
-
-
-SUITES: Dict[str, Callable[[int, int], SuiteResult]] = {
-    name: partial(_tally, name) for name in _MARGINS
-}
-
-
 def available_suites() -> List[str]:
-    return list(SUITES)
+    return list(_MARGINS)
 
 
 def run_suite(name: str, trials: int = 500, seed: int = 7) -> SuiteResult:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+    if name not in _MARGINS:
+        raise KeyError(f"unknown suite {name!r}; available: {', '.join(_MARGINS)}")
     if trials < 1:
         raise InputError(f"a suite needs at least one trial (got trials={trials})")
     if seed < 0:
         raise ArgumentError(f"the seed must be nonnegative (got seed={seed})")
-    return SUITES[name](trials, seed)
+    violations, worst = 0, 0.0
+    for margin, slack in _MARGINS[name](trials, seed):
+        violations += int(np.count_nonzero(margin < -slack))
+        worst = min(worst, float(margin.min()))
+    return SuiteResult(name, trials, violations, worst)

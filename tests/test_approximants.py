@@ -58,6 +58,12 @@ F_ONEVAR = OneVarSeries([1, -1])
 PAT11 = DiagonalPattern(1, 1)
 
 
+def patch_lapack(monkeypatch, name, fake):
+    """Route ``approximants._lapack(name)`` to ``fake(routine)``, the real routine wrapped; others stay real."""
+    real = approximants._lapack
+    monkeypatch.setattr(approximants, "_lapack", lambda n: fake(real(n)) if n == name else real(n))
+
+
 class TestBasisSpec:
     def test_full_ordering(self):
         idx = BasisSpec.full(1).indices2()
@@ -284,16 +290,16 @@ class TestLatticeAssembly:
 
 class TestRidge:
     def test_ridge_recorded_after_failed_factorization(self, monkeypatch):
-        real = scipy.linalg.cholesky_banded
         calls = []
 
-        def fail_once(band, *args, **kwargs):
-            calls.append(band)
-            if len(calls) == 1:
-                raise scipy.linalg.LinAlgError("forced failure")
-            return real(band, *args, **kwargs)
+        def fail_once(pbtrf):
+            def routine(band):
+                calls.append(band)
+                # info = 1: LAPACK's report of a band that is not positive definite
+                return (band, 1) if len(calls) == 1 else pbtrf(band)
+            return routine
 
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded", fail_once)
+        patch_lapack(monkeypatch, "pbtrf", fail_once)
         res = solve_optimal(F_PROD, 0.0, BasisSpec.full(3))
         trace = np.trace(gram_assemble(F_PROD, 0.0, BasisSpec.full(3)).matrix).real
         assert len(calls) == 2
@@ -305,33 +311,87 @@ class TestRidge:
         assert diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11).ridge == 0.0
 
     def test_refusal_names_order_and_ridge(self, monkeypatch):
-        def always_fail(band, *args, **kwargs):
-            raise scipy.linalg.LinAlgError("forced failure")
-
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded", always_fail)
+        patch_lapack(monkeypatch, "pbtrf", lambda pbtrf: lambda band: (band, 1))
         with pytest.raises(ConditioningError, match=r"order n=3 .*ridge \d"):
             solve_optimal(F_PROD, 0.0, BasisSpec.full(3))
 
+    def test_ridge_that_overflows_is_refused(self, monkeypatch):
+        # every diagonal entry of G is finite, 1.69e308, but their mean overflows
+        f = OneVarSeries([1.3e154])
+        patch_lapack(monkeypatch, "pbtrf", lambda pbtrf: lambda band: (band, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"alpha = 0.0, order n=3 is not finite"):
+                solve_optimal(f, 0.0, BasisSpec.onevar(3))
+
 
 class TestBandedSolve:
+    BANDS = ((F_PROD, BasisSpec.full(5)), (F_ONEVAR, BasisSpec.onevar(40)),
+             (F_PROD, BasisSpec.diagonal(9, PAT11)))
+
+    def test_factor_equals_cholesky_banded(self):
+        rng = np.random.default_rng(94)
+        for f, b in self.BANDS:
+            band = gram_assemble(f, float(rng.uniform(-1, 1)), b).band
+            factor, info = approximants._lapack("pbtrf")(band)
+            assert info == 0
+            assert np.array_equal(factor, scipy.linalg.cholesky_banded(band))
+
     def test_direct_solve_equals_cho_solve_banded(self):
         rng = np.random.default_rng(93)
-        for f, b in ((F_PROD, BasisSpec.full(5)), (F_ONEVAR, BasisSpec.onevar(40))):
+        for f, b in self.BANDS[:2]:
             gs = gram_assemble(f, float(rng.uniform(-1, 1)), b)
             factor = scipy.linalg.cholesky_banded(gs.band)
             size = gs.band.shape[1]
             for x in (gs.rhs, rng.standard_normal(size),
                       rng.standard_normal(size) + 1j * rng.standard_normal(size)):
-                y, info = approximants._pbtrs(factor, x)
+                y, info = approximants._lapack("pbtrs")(factor, x)
                 assert info == 0
                 assert np.array_equal(y, scipy.linalg.cho_solve_banded((factor, False), x))
 
     def test_failed_solve_names_the_order(self, monkeypatch):
-        monkeypatch.setattr(approximants, "_pbtrs", lambda factor, x: (x, -2))
+        patch_lapack(monkeypatch, "pbtrs", lambda pbtrs: lambda factor, x: (x, -2))
         with pytest.raises(NumericalError, match=r"order n=7 .*info -2"):
             solve_optimal(F_ONEVAR, 0.5, BasisSpec.onevar(7))
         with pytest.raises(NumericalError, match=r"order n=6 "):
             diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11)
+
+    def test_failed_factorization_argument_names_the_order(self, monkeypatch):
+        patch_lapack(monkeypatch, "pbtrf", lambda pbtrf: lambda band: (band, -1))
+        with pytest.raises(NumericalError, match=r"order n=7 .*pbtrf info -1"):
+            solve_optimal(F_ONEVAR, 0.5, BasisSpec.onevar(7))
+
+
+class TestOverflow:
+    """A Gram matrix that overflows is refused by name, never solved into NaNs."""
+
+    CASES = [
+        ("full(3)", F_PROD, BasisSpec.full(3)),
+        ("onevar(6)", F_ONEVAR, BasisSpec.onevar(6)),
+        ("diag:1,1", F_DIAG, BasisSpec.diagonal(6, PAT11)),
+        ("diag:1,1 off-pattern", F_PROD, BasisSpec.diagonal(6, PAT11)),
+    ]
+
+    @pytest.mark.parametrize("f, b", [pytest.param(f, b, id=name) for name, f, b in CASES])
+    def test_alpha_sweep_is_certified_or_refused(self, f, b):
+        refused = []
+        for alpha in range(0, 1001, 10):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    res = solve_optimal(f, float(alpha), b)
+                except NumericalError as exc:
+                    assert f"alpha = {float(alpha)!r}" in str(exc) and f"n={b.n}" in str(exc)
+                    refused.append(alpha)
+                    continue
+            assert np.isfinite(res.residual_sq) and np.isfinite(res.cond_estimate)
+            assert np.isfinite(res.solved.coeffs).all()  # and certified, or it would have raised
+        # the sweep reaches both sides: solved at small alpha, refused past the overflow
+        assert 0 < len(refused) < 101 and refused == list(range(refused[0], 1001, 10))
+
+    def test_refused_with_a_pattern_weight(self):
+        with pytest.raises(NumericalError, match=r"alpha = 500.0, order n=6 "):
+            gram_assemble(F_ONEVAR, PatternWeight(AlphaWeight(500.0), PAT11), BasisSpec.onevar(6))
 
 
 class TestSolveOptimal:
@@ -647,6 +707,22 @@ class TestPatternNativeSolve:
         calls.clear()
         diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11)
         assert calls == ["multiply1"]
+
+    def test_one_coset_split_per_solve(self, monkeypatch):
+        calls = []
+        original = approximants._terms
+
+        def counted(f, aw, b):
+            calls.append(b.kind)
+            return original(f, aw, b)
+
+        monkeypatch.setattr(approximants, "_terms", counted)
+        off = TwoVarSeries.from_terms({(0, 0): 1, (1, 0): 0.5j, (0, 2): -0.25, (1, 1): -1})
+        solve_optimal(F_PROD, 0.5, BasisSpec.full(4))
+        solve_optimal(F_ONEVAR, 0.5, BasisSpec.onevar(6))
+        diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11)
+        solve_optimal(off, 0.5, BasisSpec.diagonal(6, PAT11))
+        assert calls == ["full", "onevar", "diagonal", "diagonal"]
 
 
 class TestCosetSolve:

@@ -196,6 +196,31 @@ class TestDecay:
             assert code == 0
             assert dist_sq == format(json.loads(approx)["residual_sq"], ".17g")
 
+    @pytest.mark.parametrize("series, basis", [("builtin:one_minus_pow:2,3", "diag:2,3"),
+                                               ("builtin:one_minus_z1z2", "diag:1,1")])
+    @pytest.mark.parametrize("alpha", ["-1", "0", "0.25"])
+    def test_riesz_is_not_below_the_optimum(self, capsys, series, basis, alpha):
+        # --n names one polynomial space for both methods, so the optimum is a lower bound
+        scans = {}
+        for method in ("riesz", "optimal"):
+            code, out, err = run_cli(capsys, "decay", "--series", series, "--alpha", alpha,
+                                     "--nmin", "2", "--nmax", "30", "--basis", basis,
+                                     "--method", method)
+            assert code == 0, err
+            scans[method] = [float(row.split(",")[1]) for row in out.splitlines()[1:]]
+        assert len(scans["riesz"]) == 29
+        for riesz, optimal in zip(scans["riesz"], scans["optimal"]):
+            assert riesz >= optimal * (1 - 1e-12)
+
+    @pytest.mark.parametrize("series, basis", [("builtin:product_one_minus", "onevar"),
+                                               ("builtin:one_minus_pow:2,3", "diag:1,1")])
+    def test_no_rate_where_the_family_rate_does_not_hold(self, capsys, series, basis):
+        code, out, err = run_cli(capsys, "decay", "--series", series, "--alpha", "0",
+                                 "--nmin", "2", "--nmax", "8", "--step", "3", "--basis", basis)
+        assert code == 0, err
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert len(rows) == 3 and all(row[2:] == ["", ""] for row in rows)
+
 
 class TestEnergyAndAnnihilate:
     def test_diagonal_current_energy(self, capsys):
@@ -361,6 +386,15 @@ class TestErrors:
         assert (code, out) == (3, "")
         assert f"NumericalError: the weighted norm at alpha = {float(alpha)!r}" in err
 
+    def test_overflowing_gram_refused(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "approx", "--series", "builtin:product_one_minus",
+                                     "--alpha", "300", "--n", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: NumericalError: the Gram matrix at alpha = 300.0, order n=3 ")
+        assert len(err.splitlines()) == 1
+
     def test_violation_fails_verify(self, capsys, monkeypatch):
         restrict_stack = suites._diag_restrict
         monkeypatch.setattr(suites, "_diag_restrict", lambda x: 1e3 * restrict_stack(x))
@@ -516,6 +550,14 @@ def test_diagonal_approx_output_is_unchanged(capsys, expected, command):
     code, out, err = run_cli(capsys, *shlex.split(command)[1:])
     assert code == 0, err
     assert out == (GOLDEN / expected).read_text()
+
+
+def test_diagonal_riesz_scan_output_is_unchanged(capsys):
+    code, out, err = run_cli(capsys, "decay", "--series", "builtin:one_minus_pow:2,3",
+                             "--alpha", "0.25", "--nmin", "3", "--nmax", "30", "--step", "3",
+                             "--basis", "diag:2,3", "--method", "riesz")
+    assert code == 0, err
+    assert out == (GOLDEN / "decay_riesz_diag_2_3.csv").read_text()
 
 
 class TestReadmeExamples:

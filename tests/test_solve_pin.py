@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+from bidisk import approximants
 from bidisk.approximants import BasisSpec, solve_optimal
 from bidisk.series import DiagonalPattern, OneVarSeries, TwoVarSeries, lift, separable
 
@@ -82,19 +82,23 @@ def _ridge_cases():
 
 
 def _solve_after_one_failure(f, alpha, basis):
-    real, calls = scipy.linalg.cholesky_banded, []
+    real, calls = approximants._lapack, []
 
-    def fail_once(band, *args, **kwargs):
-        calls.append(band)
-        if len(calls) == 1:
-            raise scipy.linalg.LinAlgError("forced failure")
-        return real(band, *args, **kwargs)
+    def lapack(name):
+        routine = real(name)
 
-    scipy.linalg.cholesky_banded = fail_once
+        def fail_once(band):
+            calls.append(band)
+            # info = 1: LAPACK's report of a band that is not positive definite
+            return (band, 1) if len(calls) == 1 else routine(band)
+
+        return fail_once if name == "pbtrf" else routine
+
+    approximants._lapack = lapack
     try:
         res = solve_optimal(f, alpha, basis)
     finally:
-        scipy.linalg.cholesky_banded = real
+        approximants._lapack = real
     assert len(calls) == 2 and res.ridge > 0.0
     return res
 
