@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .approximants import ApproximantResult, BasisSpec, solve_optimal
+from .approximants import ApproximantResult, BasisSpec, solve_orders
 from .errors import (
     ArgumentError,
     BidiskError,
@@ -126,13 +126,19 @@ def decay_scan(
 ) -> DecaySeries:
     """One optimal solve per order in ``n_values`` (strictly increasing).
 
-    Each order ``n`` is solved by :func:`solve_optimal` over
+    The orders are solved by :func:`solve_orders` over
     ``BasisSpec(n, basis, pattern)``; a diagonal basis defaults to the
     pattern ``(1, 1)``, and a ``pattern`` with any other basis is refused.
-    ``ortho_tol`` is the orthogonality-certificate tolerance of every solve
-    (default ``1e-8 * ||f||^2``); a negative or NaN one is refused before any
-    solve.  The mathematical monotonicity of the squared distances is
-    asserted after the fact — any increase beyond rounding is reported as a
+    Each result equals :func:`solve_optimal` at its order, bit for bit.  A
+    one-variable or diagonal scan assembles its Gram band once, at its
+    largest order within the solver cap, and every order factors, solves,
+    estimates the condition of and certifies its own leading slice of it;
+    a full scan assembles each order.  ``ortho_tol`` is the
+    orthogonality-certificate tolerance of every solve (default
+    ``1e-8 * ||f||^2``); a negative or NaN one is refused before any solve.
+    The scan stops at the first order that fails, with that order's error.
+    The mathematical monotonicity of the squared distances is asserted
+    after the fact — any increase beyond rounding is reported as a
     numerical failure.
     """
     n_values = [int(n) for n in n_values]
@@ -143,15 +149,17 @@ def decay_scan(
     if basis == "diagonal" and pattern is None:
         pattern = DiagonalPattern(1, 1)
     results = []
-    for n in n_values:
-        try:
-            results.append(solve_optimal(f, aw, BasisSpec(n, basis, pattern), ortho_tol=ortho_tol))
-        except BidiskError as exc:
-            # Re-raise the same error, its type and attributes intact, naming
-            # the order once: the solver's own messages usually name it.
-            if not re.search(rf"\bn={n}\b", str(exc)):
-                exc.args = (f"order n={n}: {exc}", *exc.args[1:])
-            raise
+    try:
+        bases = [BasisSpec(n, basis, pattern) for n in n_values]
+        for result in solve_orders(f, aw, bases, ortho_tol=ortho_tol):
+            results.append(result)
+    except BidiskError as exc:
+        # Re-raise the same error, its type and attributes intact, naming
+        # the order once: the solver's own messages usually name it.
+        n = n_values[len(results)]
+        if not re.search(rf"\bn={n}\b", str(exc)):
+            exc.args = (f"order n={n}: {exc}", *exc.args[1:])
+        raise
     points = tuple((n, r.residual_sq) for n, r in zip(n_values, results))
     meta = {"alpha": aw.alpha, "basis": basis, "pattern": pattern}
     return DecaySeries(points=points, meta=meta, results=tuple(results))

@@ -31,7 +31,13 @@ Gram band that overflows is refused with :class:`NumericalError` naming
 coefficients by explicit series arithmetic, never read off the solver; every
 solve carries an orthogonality certificate and a 1-norm condition estimate.
 The residual ``p f - 1`` is formed once per solve and yields both the
-squared residual and the certificate.
+squared residual and the certificate.  :func:`solve_orders` maps bases to
+solves, :func:`solve_optimal` being its one-order case.  The one-column
+boxes (``C = 0``) of a one-variable or diagonal scan are leading boxes of
+its largest, and each band is a leading slice of the largest band; such a
+scan assembles once, at its largest order within ``SOLVER_CAP``, and every
+order factors, solves, estimates the condition of and certifies its own
+slice, bit-identical to assembling it alone.
 
 The bookkeeping around the LAPACK calls is done once per solve, so that a
 small banded solve costs little more than its factorization and its solves:
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,6 +79,7 @@ __all__ = [
     "ApproximantResult",
     "gram_assemble",
     "solve_optimal",
+    "solve_orders",
     "riesz_approximant",
     "riesz_diagonal",
     "cesaro",
@@ -549,10 +556,9 @@ def _certify(
     return res_sq, ortho
 
 
-def _solve(f: Series, aw, b: BasisSpec, ortho_tol: Optional[float]) -> ApproximantResult:
-    """Assemble, factor and certify over ``b`` under the weights ``aw``; errors name ``b.n``."""
-    gram = gram_assemble(f, aw, b)
-    c, ridge, cond = _solve_normal(gram, b.n, aw.alpha)
+def _solve(gram: GramSystem, b: BasisSpec, alpha: float, ortho_tol: Optional[float]) -> ApproximantResult:
+    """Factor, solve and certify the normal equations ``gram`` of the basis ``b``; errors name ``b.n``."""
+    c, ridge, cond = _solve_normal(gram, b.n, alpha)
     e, terms = gram.lattice.exponents(), gram.terms
     p = OneVarSeries(c) if isinstance(terms[0][0], OneVarSeries) else _series_from_solution(c, e, False)
     res_sq, ortho = _certify(p, terms, e, n=b.n, ridge=ridge, cond=cond, ortho_tol=ortho_tol)
@@ -569,6 +575,75 @@ def _solve(f: Series, aw, b: BasisSpec, ortho_tol: Optional[float]) -> Approxima
     )
 
 
+def _top_basis(bases: List[BasisSpec]) -> Optional[BasisSpec]:
+    """The largest of ``bases`` within the cap, when every one of them is a leading box of it; else None.
+
+    That holds for one-column boxes (``C = 0``) of one kind and pattern,
+    whose ``f``, cosets and weights do not depend on the order.
+    """
+    if len(bases) < 2 or len({(b.kind, b.pattern) for b in bases}) > 1:
+        return None
+    if any(b.lattice().C for b in bases):  # a full box of order 0 is one column too
+        return None
+    capped = [b for b in bases if b.lattice().A < SOLVER_CAP]
+    return max(capped, key=lambda b: b.lattice().A, default=None)
+
+
+def _leading(top: GramSystem, lat: Lattice) -> GramSystem:
+    """The normal equations over the leading one-column box ``lat`` of ``top``'s.
+
+    Its band is the bottom ``min(u, A) + 1`` rows and first ``A + 1``
+    columns of ``top``'s, bandwidth ``u``: a view, entry for entry the band
+    that :func:`gram_assemble` builds over ``lat``.
+    """
+    u, size = min(top.band.shape[0] - 1, lat.A), lat.A + 1
+    return GramSystem(lattice=lat, onevar=top.onevar, band=top.band[-u - 1:, :size], rhs=top.rhs[:size],
+                      terms=top.terms, pattern=top.pattern)
+
+
+def _solve_orders(
+    f: Series, aw, bases: List[BasisSpec], ortho_tol: Optional[float]
+) -> Iterator[ApproximantResult]:
+    """The solves of :func:`solve_orders`, which checked ``ortho_tol``, under the weights ``aw``."""
+    top_basis, top = _top_basis(bases), None
+    for b in bases:
+        lat = b.lattice()
+        shared = top_basis is not None and lat.A <= top_basis.lattice().A
+        if shared and top is None:
+            try:
+                top = gram_assemble(f, aw, top_basis)
+            except NumericalError:  # not finite: each order's own assembly names the first that overflows
+                top_basis, shared = None, False
+        # past the cap gram_assemble raises, as it does at this order alone
+        gram = _leading(top, lat) if shared else gram_assemble(f, aw, b)
+        yield _solve(gram, b, aw.alpha, ortho_tol)
+
+
+def solve_orders(
+    f: Series,
+    a: AlphaLike,
+    bases: Sequence[BasisSpec],
+    *,
+    ortho_tol: Optional[float] = None,
+) -> Iterator[ApproximantResult]:
+    """The optimal approximants over ``bases``, one per basis, in order.
+
+    The one place that maps bases to solves; each result equals that of
+    :func:`solve_optimal` on its basis, bit for bit, and the iterator
+    raises at the first basis whose solve fails, with that solve's error.
+    When every basis is a leading box of the largest one within
+    ``SOLVER_CAP`` -- the one-variable and ``diag:M,N`` bases of one scan --
+    the Gram band is assembled once, there, and each order takes the
+    leading slice of it that its own assembly would build.  Every order
+    still factors, solves, estimates the condition of and certifies its own
+    slice; a full basis is not a leading box of a larger one, so full
+    orders are assembled one by one.  ``ortho_tol`` is checked here, before
+    any solve.
+    """
+    _check_tolerance(ortho_tol, "ortho_tol")
+    return _solve_orders(f, as_alpha(a), list(bases), ortho_tol)
+
+
 def solve_optimal(
     f: Series,
     a: AlphaLike,
@@ -578,7 +653,7 @@ def solve_optimal(
 ) -> ApproximantResult:
     """Solve for the optimal approximant of order ``b.n`` in basis ``b``.
 
-    The one place that maps a basis to a solve.  A full or one-variable
+    The one-order case of :func:`solve_orders`.  A full or one-variable
     basis is one lattice box.  On a diagonal basis ``f`` is split into its
     cosets, whose one-variable problems are assembled and certified
     together; the result keeps the one-variable solution ``P``, with
@@ -590,8 +665,7 @@ def solve_optimal(
     (default ``1e-8 * ||f||^2``), else a conditioning error is raised.  A
     negative or NaN ``ortho_tol`` is refused with :class:`ArgumentError`.
     """
-    _check_tolerance(ortho_tol, "ortho_tol")
-    return _solve(f, as_alpha(a), b, ortho_tol)
+    return next(solve_orders(f, a, [b], ortho_tol=ortho_tol))
 
 
 def _phi_grid(alpha: float, values: np.ndarray) -> np.ndarray:
@@ -695,7 +769,7 @@ def diagonal_reduce_solve(
     """
     _check_tolerance(ortho_tol, "ortho_tol")
     restrict(f, pat)  # refuses an f off the pattern
-    return _solve(f, as_alpha(a), BasisSpec.diagonal(n, pat), ortho_tol)
+    return next(_solve_orders(f, as_alpha(a), [BasisSpec.diagonal(n, pat)], ortho_tol))
 
 
 def perturbation_check(

@@ -37,7 +37,6 @@ from .series import (
     _lift,
     _restrict,
     _separable,
-    _shift_add,
     _slice,
 )
 from .spaces import (
@@ -112,6 +111,21 @@ def _blocks(trials: int) -> Iterator[int]:
         yield min(BLOCK, trials - start)
 
 
+def _pattern_products(F: np.ndarray, x: np.ndarray, pat: DiagonalPattern) -> np.ndarray:
+    """Products of the lifts ``F(z1^M z2^N)`` of stacked rows ``F[:, k]`` and stacked grids ``x``.
+
+    ``F[:, k] x``, shifted by ``(M k, N k)``, is added for each ``k`` where
+    some row is nonzero, in increasing ``k``: the terms of ``_shift_add`` on
+    the lifted grids, in its order, without building the lifts.
+    """
+    (M, N), d = (pat.M, pat.N), F.shape[1] - 1
+    x1, x2 = x.shape[1:]
+    out = np.zeros((len(F), M * d + x1, N * d + x2), dtype=np.complex128)
+    for k in np.flatnonzero(F.any(axis=0)).tolist():
+        out[:, M * k:M * k + x1, N * k:N * k + x2] += F[:, k, None, None] * x
+    return out
+
+
 def restriction_margins(trials: int, seed: int) -> Margins:
     """Diagonal restriction contracts into the shifted-index space."""
     rng = np.random.default_rng(seed)
@@ -161,10 +175,10 @@ def polyextraction_margins(trials: int, seed: int) -> Margins:
             alphas[i] = float(rng.uniform(-1.5, 1.5))
         margin, slack = np.empty(size), np.empty(size)
         for pat, idx in groups.items():
-            f = _lift(_stack([Fs[i] for i in idx]), pat)
+            F = _stack([Fs[i] for i in idx])
             r = _stack([rs[i] for i in idx])
             # the residuals r f - 1 and s f - 1, s the projection of r
-            lhs, rhs = (_shift_add(f, x) for x in (r, _diagonal_project(r, pat)))
+            lhs, rhs = (_pattern_products(F, x, pat) for x in (r, _diagonal_project(r, pat)))
             lhs[..., 0, 0] -= 1.0
             rhs[..., 0, 0] -= 1.0
             n1, n2 = lhs.shape[1:]

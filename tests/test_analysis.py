@@ -11,9 +11,18 @@ from bidisk.analysis import (
     fit_power,
     predicted_rate,
 )
-from bidisk.approximants import closed_form_twisted
+from bidisk import approximants
+from bidisk.approximants import (
+    BasisSpec,
+    closed_form_twisted,
+    gram_assemble,
+    solve_optimal,
+    solve_orders,
+)
+from bidisk.catalog import builtin_series
 from bidisk.errors import (
     ArgumentError,
+    BidiskError,
     DegenerateFitError,
     InsufficientPointsError,
     MonotonicityError,
@@ -43,7 +52,7 @@ class TestDecayScan:
         def refuse(*args, **kwargs):
             raise AssertionError("solved with an invalid tolerance")
 
-        monkeypatch.setattr(bidisk.analysis, "solve_optimal", refuse)
+        monkeypatch.setattr(bidisk.analysis, "solve_orders", refuse)
         with pytest.raises(ArgumentError, match="ortho_tol") as info:
             decay_scan(F_DIAG, 0.0, range(1, 4), basis="diagonal", ortho_tol=tol)
         assert "order n=" not in str(info.value)
@@ -142,6 +151,174 @@ class TestDecayScan:
     def test_monotonicity_enforced(self):
         with pytest.raises(MonotonicityError):
             DecaySeries(points=((1, 0.5), (2, 0.75)))
+
+
+def _bits(result):
+    """Every field of a result, floats as their bit patterns, and the bytes of its coefficients."""
+    floats = (result.residual_sq, result.cond_estimate, result.ortho_residual, result.ridge)
+    coeffs = result.solved.coeffs
+    return (tuple(float(x).hex() for x in floats), result.n, result.basis_kind,
+            result.solved_lattice, result.pattern, type(result.solved), coeffs.shape,
+            coeffs.dtype, coeffs.tobytes())
+
+
+def _outcomes(solves):
+    """The results an iterator of solves yields, then its error as (type, message) or None."""
+    results = []
+    try:
+        for result in solves:
+            results.append(_bits(result))
+    except BidiskError as exc:
+        return results, (type(exc), str(exc), getattr(exc, "cond_estimate", None))
+    return results, None
+
+
+def _one_by_one(f, alpha, bases, **kwargs):
+    """``solve_optimal`` at each basis in turn, up to the first that fails."""
+    for b in bases:
+        yield solve_optimal(f, alpha, b, **kwargs)
+
+
+def _random_onevar(degree, seed, column=True):
+    """A random complex ``f`` of ``z1`` alone: a two-variable column, or a one-variable series."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    coeffs[0] = 2.0 * np.abs(coeffs).sum()  # no zero in the closed disk: every solve certifies
+    return TwoVarSeries(coeffs[:, None]) if column else OneVarSeries(coeffs)
+
+
+DIAG_NS = list(range(50, 601, 50))
+# the six scans of the reduced_scan benchmark workload
+REDUCED_SCANS = [
+    *[("one_minus_z1z2", {}, a, DIAG_NS, "diagonal", PAT11) for a in (0.0, 0.5, 1.0)],
+    *[("one_minus_z1", {}, a, DIAG_NS, "onevar", None) for a in (0.0, 1.0)],
+    ("one_minus_pow", {"M": 2, "N": 3}, 0.0, list(range(30, 481, 30)), "diagonal",
+     DiagonalPattern(2, 3)),
+]
+# orders below and past each degree of f: the bandwidth is min(degree, n)
+RANDOM_NS = [0, 1, 2, 5, 40, 99, 100, 101, 127, 128, 129, 300, 600]
+
+
+class TestScanAssemblesOnce:
+    """A scan shares one Gram assembly where it can, and equals per-order solves bit for bit."""
+
+    def assert_scan_is_per_order(self, f, alpha, ns, basis, pattern=None):
+        ds = decay_scan(f, alpha, ns, basis=basis, pattern=pattern)
+        bases = [BasisSpec(n, basis, pattern) for n in ns]
+        direct, error = _outcomes(_one_by_one(f, alpha, bases))
+        assert error is None
+        assert [_bits(r) for r in ds.results] == direct
+
+    @pytest.mark.parametrize("name, params, alpha, ns, basis, pattern", REDUCED_SCANS)
+    def test_benchmark_scans(self, name, params, alpha, ns, basis, pattern):
+        f = builtin_series(name, **params).series
+        self.assert_scan_is_per_order(f, alpha, ns, basis, pattern)
+
+    @pytest.mark.parametrize("degree", [1, 40, 100])
+    @pytest.mark.parametrize("alpha", [-2.0, 0.0, 0.75])
+    def test_random_onevar(self, degree, alpha):
+        for column in (True, False):
+            self.assert_scan_is_per_order(_random_onevar(degree, degree, column), alpha,
+                                          RANDOM_NS, "onevar")
+
+    @pytest.mark.parametrize("pattern", [PAT11, DiagonalPattern(2, 3)])
+    def test_off_pattern(self, pattern):
+        rng = np.random.default_rng(5)
+        grid = 0.3 * (rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)))
+        grid[0, 0] = 4.0
+        self.assert_scan_is_per_order(TwoVarSeries(grid), 0.25, list(range(0, 91, 3)),
+                                      "diagonal", pattern)
+
+    @pytest.mark.parametrize("f, alpha, top_n, basis, pattern", [
+        *[(_random_onevar(40, seed=3), a, 900, "onevar", None) for a in (-2.0, 0.0, 0.75)],
+        (builtin_series("one_minus_z1").series, 150.0, 100, "onevar", None),
+        *[(F_PROD, a, 300, "diagonal", DiagonalPattern(2, 3)) for a in (-2.0, 0.0, 0.75)],
+        *[(builtin_series("one_minus_pow", M=2, N=3).series, a, n, "diagonal",
+           DiagonalPattern(2, 3)) for a, n in ((0.0, 300), (150.0, 6))],
+    ])
+    def test_leading_slice_is_the_assembled_band(self, f, alpha, top_n, basis, pattern):
+        top = gram_assemble(f, alpha, BasisSpec(top_n, basis, pattern))
+        # the orders below the bandwidth of f and a spread up to the top
+        for n in sorted({*range(min(top_n, 45)), *range(0, top_n, max(1, top_n // 20)), top_n}):
+            b = BasisSpec(n, basis, pattern)
+            own, view = gram_assemble(f, alpha, b), approximants._leading(top, b.lattice())
+            assert view.lattice == own.lattice and view.pattern == own.pattern
+            assert view.band.shape == own.band.shape and np.array_equal(view.band, own.band)
+            assert np.array_equal(view.rhs, own.rhs)
+
+    @pytest.mark.parametrize("f, ns, basis, pattern, assemblies", [
+        (builtin_series("one_minus_z1").series, DIAG_NS, "onevar", None, 1),
+        (F_DIAG, DIAG_NS, "diagonal", PAT11, 1),
+        (F_PROD, list(range(0, 61, 6)), "diagonal", DiagonalPattern(2, 3), 1),
+        (F_PROD, [2, 4, 8, 16], "full", None, 4),
+        (F_PROD, [0, 1, 2], "full", None, 3),
+    ])
+    def test_assembly_count(self, monkeypatch, f, ns, basis, pattern, assemblies):
+        calls = []
+        real = approximants.gram_assemble
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(approximants, "gram_assemble", counted)
+        decay_scan(f, 0.0, ns, basis=basis, pattern=pattern)
+        assert len(calls) == assemblies
+        if assemblies == 1:
+            assert calls[0].n == ns[-1]
+
+    @pytest.mark.parametrize("alpha, ns, kwargs, failing", [
+        # orders past the cap are refused when they are reached
+        (0.0, [50, 100, 10_000, 20_000], {}, 10_000),
+        # the top band overflows: the first order that overflows is named
+        (150.0, [50, 100, 200, 900], {}, 200),
+        # a failed certificate at a low order comes before a later refusal
+        (0.0, [3, 200, 20_000], {"ortho_tol": 1e-300}, 3),
+        (150.0, [3, 200, 900], {"ortho_tol": 1e-300}, 3),
+    ])
+    def test_error_order(self, alpha, ns, kwargs, failing):
+        f = builtin_series("one_minus_z1").series
+        bases = [BasisSpec.onevar(n) for n in ns]
+        scanned = _outcomes(solve_orders(f, alpha, bases, **kwargs))
+        assert scanned == _outcomes(_one_by_one(f, alpha, bases, **kwargs))
+        assert len(scanned[0]) == ns.index(failing)
+        with pytest.raises(BidiskError) as alone:
+            solve_optimal(f, alpha, BasisSpec.onevar(failing), **kwargs)
+        assert scanned[1] == (type(alone.value), str(alone.value),
+                              getattr(alone.value, "cond_estimate", None))
+        with pytest.raises(type(alone.value)) as info:
+            decay_scan(f, alpha, ns, basis="onevar", **kwargs)
+        assert f"n={failing}" in str(info.value)
+
+    def test_ridge_at_a_middle_order(self, monkeypatch):
+        real = approximants._lapack
+
+        def fail_once_at(size):
+            failed = []
+
+            def lapack(name):
+                routine = real(name)
+
+                def pbtrf(band):
+                    if band.shape[1] == size and not failed:
+                        failed.append(band)
+                        return band, 1  # LAPACK's report of a band that is not positive definite
+                    return routine(band)
+
+                return pbtrf if name == "pbtrf" else routine
+
+            return lapack
+
+        f, ns = builtin_series("one_minus_z1").series, [50, 100, 150]
+        monkeypatch.setattr(approximants, "_lapack", fail_once_at(101))
+        ds = decay_scan(f, 0.5, ns, basis="onevar")
+        monkeypatch.setattr(approximants, "_lapack", fail_once_at(101))
+        direct = solve_optimal(f, 0.5, BasisSpec.onevar(100))
+        assert [r.ridge > 0.0 for r in ds.results] == [False, True, False]
+        assert _bits(ds.results[1]) == _bits(direct)
+        monkeypatch.setattr(approximants, "_lapack", real)
+        assert [_bits(r) for r in ds.results[::2]] == [
+            _bits(solve_optimal(f, 0.5, BasisSpec.onevar(n))) for n in ns[::2]]
 
 
 class TestFitPower:

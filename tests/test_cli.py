@@ -560,6 +560,14 @@ def test_diagonal_riesz_scan_output_is_unchanged(capsys):
     assert out == (GOLDEN / "decay_riesz_diag_2_3.csv").read_text()
 
 
+def test_onevar_scan_output_is_unchanged(capsys):
+    # one Gram assembly serves every order of this scan
+    code, out, err = run_cli(capsys, "decay", "--series", "builtin:one_minus_z1", "--alpha", "1",
+                             "--nmin", "50", "--nmax", "600", "--step", "50", "--basis", "onevar")
+    assert code == 0, err
+    assert out == (GOLDEN / "decay_onevar.csv").read_text()
+
+
 class TestReadmeExamples:
     """The README's CLI examples print byte-identical output."""
 
