@@ -40,12 +40,12 @@ order factors, solves, estimates the condition of and certifies its own
 slice, bit-identical to assembling it alone.
 
 The bookkeeping around the LAPACK calls is done once per solve, so that a
-small banded solve costs little more than its factorization and its solves:
-the assembly and the certificate each take one weight row, the longest they
-read, and slice it; ``p f - 1`` is formed on the array of the one product;
-the solution becomes a series once, and the result is built once, a
-diagonal one included.  Every output is bit-identical to forming each
-piece separately.
+small banded solve costs little more than its factorization and its solves,
+bit-identical to forming each piece separately.
+
+The explicit constructions are Riesz-type means of ``1/f``;
+:func:`riesz_orders` is their one body.  A scan computes one reciprocal, at
+its largest order, and every order is a corner of it.
 """
 
 from __future__ import annotations
@@ -58,15 +58,17 @@ import numpy as np
 
 from .errors import ArgumentError, BasisSizeError, ConditioningError, NumericalError
 from .series import (
+    MAX_GRID_ENTRIES,
     DiagonalPattern,
     OneVarSeries,
     TwoVarSeries,
+    _check_order,
     _check_tolerance,
+    _reciprocal1,
+    _reciprocal2,
     lift,
     multiply1,
     multiply2,
-    reciprocal1,
-    reciprocal2,
     restrict,
     shifted_pairings,
 )
@@ -80,6 +82,7 @@ __all__ = [
     "gram_assemble",
     "solve_optimal",
     "solve_orders",
+    "riesz_orders",
     "riesz_approximant",
     "riesz_diagonal",
     "cesaro",
@@ -354,15 +357,11 @@ def _gram_band(grid: np.ndarray, aw, lat: Lattice) -> np.ndarray:
 def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -> GramSystem:
     """Assemble the normal equations for minimizing ``||p f - 1||`` over ``b``.
 
-    ``G[i,j] = <m_j f, m_i f>`` and ``rhs[i] = <1, m_i f>``; the right-hand
-    side is supported on the constant monomial only, where it equals the
-    conjugate of ``f``'s constant coefficient.  The upper band is built on
-    the lattice box of ``b`` (:meth:`BasisSpec.lattice`): each of the
-    ``nnz(f)^2`` pairs of nonzero coefficients either misses the box or adds
-    one strided rectangular block, ``f[p]`` times the weights times
-    ``conj(f[q])``, to one band row.  On a diagonal basis the bands of the
-    one-variable coset problems of ``f`` are summed.  The cost is
-    ``O(B nnz(f)^2)`` for ``B`` unknowns.  ``a`` is a space parameter, or a
+    ``G[i,j] = <m_j f, m_i f>`` and ``rhs[i] = <1, m_i f>``, the conjugate
+    of ``f``'s constant coefficient at the constant monomial and 0 elsewhere.
+    :func:`_gram_band` builds the upper band over the lattice box of ``b`` in
+    ``O(B nnz(f)^2)`` for ``B`` unknowns; on a diagonal basis the bands of
+    the coset problems of ``f`` are summed.  ``a`` is a space parameter, or a
     :class:`PatternWeight` for a one-variable ``f``.  A band that overflows
     is refused with :class:`NumericalError` naming ``alpha`` and ``b.n``.
     """
@@ -631,14 +630,9 @@ def solve_orders(
     The one place that maps bases to solves; each result equals that of
     :func:`solve_optimal` on its basis, bit for bit, and the iterator
     raises at the first basis whose solve fails, with that solve's error.
-    When every basis is a leading box of the largest one within
-    ``SOLVER_CAP`` -- the one-variable and ``diag:M,N`` bases of one scan --
-    the Gram band is assembled once, there, and each order takes the
-    leading slice of it that its own assembly would build.  Every order
-    still factors, solves, estimates the condition of and certifies its own
-    slice; a full basis is not a leading box of a larger one, so full
-    orders are assembled one by one.  ``ortho_tol`` is checked here, before
-    any solve.
+    The one-variable and ``diag:M,N`` bases of one scan share one Gram
+    assembly, as the module docstring describes; full orders are assembled
+    one by one.  ``ortho_tol`` is checked here, before any solve.
     """
     _check_tolerance(ortho_tol, "ortho_tol")
     return _solve_orders(f, as_alpha(a), list(bases), ortho_tol)
@@ -686,6 +680,41 @@ def _riesz_weights(aw, grading: np.ndarray, n: int) -> np.ndarray:
     return 1.0 - _phi_grid(aw.alpha, grading) / denom
 
 
+def riesz_orders(f: TwoVarSeries, a: AlphaLike, ns: Sequence[int], pat: Optional[DiagonalPattern] = None,
+                 *, eps0: float = 1e-12) -> Iterator[TwoVarSeries]:
+    """The Riesz-type means of ``1/f`` of the orders ``ns``, in order, on the square grid or lifted from ``pat``.
+
+    The one body of :func:`riesz_approximant`, :func:`riesz_diagonal` and
+    :func:`cesaro`.  The reciprocal is computed once, at the largest order
+    whose grid fits ``MAX_GRID_ENTRIES``; the recurrence is causal, so each
+    order's truncation is a corner of it, bit for bit.  A later order is
+    computed alone and raises as it would alone.
+    """
+    aw = _rate_gauge(a)
+    ns = list(ns)
+    for n in ns:
+        _check_order(n, "n")
+    F = f if pat is None else restrict(f, pat)
+    M, N = (1, 1) if pat is None else (pat.M, pat.N)
+
+    def reciprocal(d: int) -> np.ndarray:
+        # each order's series checks its own corner, so a non-finite tail past it neither raises nor warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _reciprocal2(f, d, d, eps0) if pat is None else _reciprocal1(F, d, eps0)
+
+    top = max((n for n in ns if (M * n + 1) * (N * n + 1) <= MAX_GRID_ENTRIES), default=-1)
+    b_top = reciprocal(top) if top >= 0 else None
+    for n in ns:
+        b = b_top[(slice(n + 1),) * b_top.ndim] if n <= top else reciprocal(n)
+        idx = np.arange(n + 1)
+        if pat is None:
+            b = TwoVarSeries(b)  # refuses a non-finite reciprocal, as reciprocal2 does
+            yield TwoVarSeries(_riesz_weights(aw, np.maximum.outer(idx, idx), n) * b.coeffs)
+        else:
+            b = OneVarSeries(b)
+            yield lift(OneVarSeries(_riesz_weights(aw, idx, n) * b.coeffs), pat)
+
+
 def riesz_approximant(f: TwoVarSeries, a: AlphaLike, n: int, eps0: float = 1e-12) -> TwoVarSeries:
     """Riesz-type mean of the reciprocal series on the square grid of order ``n``.
 
@@ -693,11 +722,9 @@ def riesz_approximant(f: TwoVarSeries, a: AlphaLike, n: int, eps0: float = 1e-12
     ``(1 - phi(max(k, l)) / phi(n + 1)) * b[k, l]`` with ``b`` the reciprocal
     of ``f`` truncated at ``(n, n)``.  At ``alpha = 0`` this is the order-``n``
     Cesaro mean of the reciprocal's expansion in the ``max(k, l)`` grading.
+    The one-order case of :func:`riesz_orders`.
     """
-    aw = _rate_gauge(a)
-    b = reciprocal2(f, n, n, eps0)
-    idx = np.arange(n + 1)
-    return TwoVarSeries(_riesz_weights(aw, np.maximum.outer(idx, idx), n) * b.coeffs)
+    return next(riesz_orders(f, a, [n], eps0=eps0))
 
 
 def riesz_diagonal(
@@ -708,11 +735,10 @@ def riesz_diagonal(
     The one-variable Riesz weights ``1 - phi(k)/phi(n+1)`` are applied to the
     reciprocal of the restricted function and the result is lifted back, so
     the approximant is a degree-``n`` polynomial in ``z1^M z2^N``.  For the
-    pattern ``(1, 1)`` this coincides with :func:`riesz_approximant`.
+    pattern ``(1, 1)`` this coincides with :func:`riesz_approximant`.  The
+    one-order case of :func:`riesz_orders` on ``pat``.
     """
-    aw = _rate_gauge(a)
-    B = reciprocal1(restrict(f, pat), n, eps0)
-    return lift(OneVarSeries(_riesz_weights(aw, np.arange(n + 1), n) * B.coeffs), pat)
+    return next(riesz_orders(f, a, [n], pat, eps0=eps0))
 
 
 def cesaro(f: TwoVarSeries, n: int, eps0: float = 1e-12) -> TwoVarSeries:
@@ -721,9 +747,10 @@ def cesaro(f: TwoVarSeries, n: int, eps0: float = 1e-12) -> TwoVarSeries:
     The average of the Taylor sections ``t_0, ..., t_n`` in the ``max(k, l)``
     grading: coefficient ``(k, l)`` appears in the sections ``t_m`` with
     ``m >= max(k, l)``, so it is weighted by ``1 - max(k, l) / (n + 1)``,
-    which is the ``alpha = 0`` Riesz mean.
+    which is the ``alpha = 0`` Riesz mean: the one-order case of
+    :func:`riesz_orders` at ``alpha = 0``.
     """
-    return riesz_approximant(f, 0.0, n, eps0)
+    return next(riesz_orders(f, 0.0, [n], eps0=eps0))
 
 
 def closed_form_twisted(a: AlphaLike, n: int, pat: DiagonalPattern) -> float:
@@ -734,6 +761,7 @@ def closed_form_twisted(a: AlphaLike, n: int, pat: DiagonalPattern) -> float:
     ``residual_norm_sq(riesz_diagonal(...))`` computes term by term.
     """
     aw = _rate_gauge(a)
+    _check_order(n, "n")
     denom = phi(aw, n + 1)
     if denom == 0.0:
         # alpha = 1, n = 0: the approximant is the constant 1, residual -z1^M z2^N

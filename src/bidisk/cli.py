@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -70,33 +69,32 @@ def cmd_norm(args) -> int:
     return 0
 
 
-def _approximant(info: SeriesInfo, args, basis: approximants.BasisSpec):
+def _approximants(info: SeriesInfo, args, bases: List[approximants.BasisSpec]):
+    """``(p, residual_sq, cond_estimate, ortho_residual)`` per basis of one kind, in order.
+
+    The explicit methods build one reciprocal for all the bases and certify nothing.
+    """
+    f, kind = info.series, bases[0].kind
     if args.method == "optimal":
-        result = approximants.solve_optimal(info.series, args.alpha, basis, ortho_tol=args.tol_ortho)
-        return result.p, result.residual_sq, result.cond_estimate, result.ortho_residual
-    if args.method == "riesz":
-        if basis.kind == "diagonal":
-            # the order of P in z1^M z2^N: the polynomial space of the optimal solve
-            p = approximants.riesz_diagonal(
-                info.series, args.alpha, basis.lattice().A, basis.pattern, eps0=args.tol_eps0
-            )
-        elif basis.kind == "full":
-            p = approximants.riesz_approximant(info.series, args.alpha, basis.n, eps0=args.tol_eps0)
-        else:
-            raise InputError("--method riesz supports --basis full or diag:M,N")
-    elif args.method == "cesaro":
-        if basis.kind != "full":
-            raise InputError("--method cesaro supports --basis full only")
-        p = approximants.cesaro(info.series, basis.n, eps0=args.tol_eps0)
-    else:
-        raise InputError(f"unknown method {args.method!r}")
-    res_sq = approximants.residual_norm_sq(p, info.series, args.alpha)
-    return p, res_sq, None, None
+        for basis in bases:
+            result = approximants.solve_optimal(f, args.alpha, basis, ortho_tol=args.tol_ortho)
+            yield result.p, result.residual_sq, result.cond_estimate, result.ortho_residual
+        return
+    if args.method == "riesz" and kind == "onevar":
+        raise InputError("--method riesz supports --basis full or diag:M,N")
+    if args.method == "cesaro" and kind != "full":
+        raise InputError("--method cesaro supports --basis full only")
+    # the Cesaro mean is the alpha = 0 Riesz mean; on diag:M,N the order is that
+    # of P in z1^M z2^N, the polynomial space of the optimal solve
+    gauge = 0.0 if args.method == "cesaro" else args.alpha
+    ns = [basis.lattice().A for basis in bases]
+    for p in approximants.riesz_orders(f, gauge, ns, bases[0].pattern, eps0=args.tol_eps0):
+        yield p, approximants.residual_norm_sq(p, f, args.alpha), None, None
 
 
 def cmd_approx(args) -> int:
     info = resolve_series(args.series)
-    p, res_sq, cond, ortho = _approximant(info, args, _parse_basis(args.basis, args.n))
+    p, res_sq, cond, ortho = next(_approximants(info, args, [_parse_basis(args.basis, args.n)]))
     payload = {
         "series": info.label,
         "alpha": args.alpha,
@@ -137,7 +135,8 @@ def cmd_decay(args) -> int:
         values = analysis.decay_scan(info.series, args.alpha, n_values, basis=basis.kind,
                                      pattern=basis.pattern, ortho_tol=args.tol_ortho).values
     else:
-        values = np.array([_approximant(info, args, replace(basis, n=n))[1] for n in n_values])
+        bases = [_parse_basis(args.basis, n) for n in n_values]
+        values = [res_sq for _, res_sq, _, _ in _approximants(info, args, bases)]
     theory = _theory_for(info, args.alpha, basis)
     lines = ["n,dist_sq,predicted,ratio"]
     for n, v in zip(n_values, values):

@@ -326,6 +326,12 @@ def _check_tolerance(value: Optional[float], name: str) -> None:
         raise ArgumentError(f"{name} must be a nonnegative number, got {value!r}")
 
 
+def _check_order(d: int, name: str) -> None:
+    """Refuse a negative truncation order."""
+    if d < 0:
+        raise ArgumentError(f"the order {name}={d} must be nonnegative")
+
+
 def _require_invertible(a00: complex, eps0: float) -> None:
     _check_tolerance(eps0, "eps0")
     if abs(a00) <= eps0:
@@ -343,6 +349,13 @@ def reciprocal2(f: TwoVarSeries, d1: int, d2: int, eps0: float = 1e-12) -> TwoVa
     so ``multiply2(f, result)`` agrees with 1 on every stored index of the
     requested rectangle up to rounding.
     """
+    _check_order(d1, "d1")
+    _check_order(d2, "d2")
+    return TwoVarSeries(_reciprocal2(f, d1, d2, eps0))
+
+
+def _reciprocal2(f: TwoVarSeries, d1: int, d2: int, eps0: float) -> np.ndarray:
+    """The grid of :func:`reciprocal2`, not checked for finiteness."""
     a00 = complex(f.coeffs[0, 0])
     _require_invertible(a00, eps0)
     _check_entries((d1 + 1) * (d2 + 1))
@@ -363,11 +376,17 @@ def reciprocal2(f: TwoVarSeries, d1: int, d2: int, eps0: float = 1e-12) -> TwoVa
                 if i <= k and j <= l:
                     acc += aij * b[k - i, l - j]
             b[k, l] = -inv * acc
-    return TwoVarSeries(b)
+    return b
 
 
 def reciprocal1(F: OneVarSeries, d: int, eps0: float = 1e-12) -> OneVarSeries:
     """Coefficients of ``1/F`` up to degree ``d``."""
+    _check_order(d, "d")
+    return OneVarSeries(_reciprocal1(F, d, eps0))
+
+
+def _reciprocal1(F: OneVarSeries, d: int, eps0: float) -> np.ndarray:
+    """The coefficients of :func:`reciprocal1`, not checked for finiteness."""
     a0 = complex(F.coeffs[0])
     _require_invertible(a0, eps0)
     b = np.zeros(d + 1, dtype=np.complex128)
@@ -377,7 +396,7 @@ def reciprocal1(F: OneVarSeries, d: int, eps0: float = 1e-12) -> OneVarSeries:
         top = min(k, F.deg)
         acc = np.dot(F.coeffs[1 : top + 1], b[k - 1 :: -1][: top])
         b[k] = -inv * acc
-    return OneVarSeries(b)
+    return b
 
 
 def _fix_index(fix) -> int:

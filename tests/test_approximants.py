@@ -19,8 +19,10 @@ from bidisk.approximants import (
     residual_norm_sq,
     riesz_approximant,
     riesz_diagonal,
+    riesz_orders,
     solve_optimal,
 )
+from bidisk.catalog import builtin_series
 from bidisk.errors import (
     ArgumentError,
     BasisSizeError,
@@ -39,10 +41,12 @@ from bidisk.series import (
     lift,
     monomial2,
     multiply2,
+    reciprocal1,
+    reciprocal2,
     restrict,
     separable,
 )
-from bidisk.spaces import AlphaWeight, PatternWeight, inner2, norm2
+from bidisk.spaces import AlphaWeight, PatternWeight, as_alpha, inner2, norm2
 
 from oracles import (
     brute_gram_dist_sq,
@@ -493,6 +497,95 @@ class TestRiesz:
         # an exact reciprocal leaves no residual
         assert residual_norm_sq(constant2(0.5), constant2(2.0), 0.7) == 0.0
         assert residual_norm_sq(cesaro(F_DIAG, 1), F_DIAG, 0.0) == pytest.approx(0.5)
+
+
+def riesz_alone(f, a, n, pat=None):
+    """The order-``n`` Riesz mean built from that order's own reciprocal."""
+    aw, idx = as_alpha(a), np.arange(n + 1)
+    if pat is None:
+        weights = approximants._riesz_weights(aw, np.maximum.outer(idx, idx), n)
+        return TwoVarSeries(weights * reciprocal2(f, n, n).coeffs)
+    weights = approximants._riesz_weights(aw, idx, n)
+    return lift(OneVarSeries(weights * reciprocal1(restrict(f, pat), n).coeffs), pat)
+
+
+def same_bytes(p, q):
+    return p.coeffs.shape == q.coeffs.shape and p.coeffs.tobytes() == q.coeffs.tobytes()
+
+
+# Each builtin on the square grid and on the diagonal pattern it lives on.
+SCANS = [("one_minus_z1z2", {}, None), ("product_one_minus", {}, None), ("one_minus_z1", {}, None),
+         ("cos_pair", {"theta": 1.0}, None), ("one_minus_pow", {"M": 2, "N": 3}, None),
+         ("one_minus_z1z2", {}, (1, 1)), ("cos_pair", {"theta": 1.0}, (1, 1)),
+         ("one_minus_pow", {"M": 2, "N": 3}, (2, 3))]
+
+
+class TestRieszOrders:
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("name, params, pat", SCANS)
+    def test_scan_is_the_orders_alone_byte_for_byte(self, name, params, pat, alpha):
+        f = builtin_series(name, **params).series
+        pat = None if pat is None else DiagonalPattern(*pat)
+        ns = range(25)
+        scan = list(riesz_orders(f, alpha, ns, pat))
+        assert len(scan) == len(ns)
+        for n, p in zip(ns, scan):
+            assert same_bytes(p, riesz_alone(f, alpha, n, pat)), n
+            one = riesz_approximant(f, alpha, n) if pat is None else riesz_diagonal(f, alpha, n, pat)
+            assert same_bytes(p, one), n
+
+    @pytest.mark.parametrize("name, params", [("product_one_minus", {}), ("one_minus_z1z2", {})])
+    def test_cesaro_is_the_alpha_zero_scan(self, name, params):
+        f = builtin_series(name, **params).series
+        for n, p in enumerate(riesz_orders(f, 0.0, range(20))):
+            assert same_bytes(cesaro(f, n), p) and same_bytes(p, riesz_alone(f, 0.0, n))
+
+    def test_diagonal_scan_repeats_the_pattern_degree(self):
+        pat = DiagonalPattern(2, 3)
+        f = builtin_series("one_minus_pow", M=2, N=3).series
+        ns = [BasisSpec.diagonal(n, pat).lattice().A for n in range(31)]
+        assert ns[:4] == [0, 0, 0, 1] and ns[-1] == 10
+        for n, p in zip(ns, riesz_orders(f, 0.25, ns, pat), strict=True):
+            assert same_bytes(p, riesz_alone(f, 0.25, n, pat))
+
+    @pytest.mark.parametrize("pat", [None, PAT11])
+    def test_one_reciprocal_per_scan(self, reciprocal_orders, pat):
+        assert len(list(riesz_orders(F_DIAG, 0.5, range(1, 30), pat))) == 29
+        assert reciprocal_orders == [29]
+
+    @pytest.mark.parametrize("pat, ns, big", [(None, [2, 4, 4096], 4096),
+                                              (DiagonalPattern(2, 3), [1, 2, 3000], 3000)])
+    def test_orders_past_the_grid_cap_raise_as_alone(self, pat, ns, big):
+        f = F_DIAG if pat is None else TwoVarSeries.from_terms({(0, 0): 1, (2, 3): -1})
+        with pytest.raises(GridSizeError) as alone:
+            riesz_alone(f, 0.5, big, pat)
+        scan = riesz_orders(f, 0.5, ns, pat)
+        for n in ns[:2]:
+            assert same_bytes(next(scan), riesz_alone(f, 0.5, n, pat))
+        with pytest.raises(GridSizeError) as err:
+            next(scan)
+        assert str(err.value) == str(alone.value)
+
+    def test_a_non_finite_tail_fails_at_its_own_order_without_warning(self):
+        f = TwoVarSeries([[1e-10], [-1.0]])  # the reciprocal 1e10^(k+1) overflows at k = 30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = riesz_orders(f, 0.0, range(1, 41))
+            for n in range(1, 30):
+                assert same_bytes(next(scan), riesz_approximant(f, 0.0, n))
+            with pytest.raises(ArgumentError, match="coefficients must be finite"):
+                next(scan)
+
+    @pytest.mark.parametrize("build", [
+        lambda: riesz_approximant(F_PROD, 0.0, -1),
+        lambda: riesz_diagonal(F_DIAG, 0.0, -1, PAT11),
+        lambda: cesaro(F_PROD, -2),
+        lambda: next(riesz_orders(F_PROD, 0.5, [3, -1])),
+        lambda: closed_form_twisted(0.5, -1, PAT11),
+    ], ids=["riesz_approximant", "riesz_diagonal", "cesaro", "riesz_orders", "closed_form_twisted"])
+    def test_negative_order_refused(self, build):
+        with pytest.raises(ArgumentError, match=r"the order n=-[12] must be nonnegative"):
+            build()
 
 
 class TestDiagonalReduce:

@@ -560,6 +560,65 @@ def test_diagonal_riesz_scan_output_is_unchanged(capsys):
     assert out == (GOLDEN / "decay_riesz_diag_2_3.csv").read_text()
 
 
+# Full-basis Riesz and Cesaro scans, pinned byte for byte.
+EXPLICIT_SCANS = [
+    ("decay_riesz_full.csv", "bidisk decay --series builtin:product_one_minus --alpha 0.5 "
+                             "--nmin 2 --nmax 60 --step 2 --basis full --method riesz"),
+    ("decay_cesaro_full.csv", "bidisk decay --series builtin:one_minus_z1z2 --alpha 0.25 "
+                              "--nmin 1 --nmax 30 --basis full --method cesaro"),
+]
+
+
+@pytest.mark.parametrize("expected, command", EXPLICIT_SCANS)
+def test_explicit_scan_output_is_unchanged(capsys, expected, command):
+    code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == 0, err
+    assert out == (GOLDEN / expected).read_text()
+
+
+class TestExplicitScans:
+    @pytest.mark.parametrize("series, method, basis, top", [
+        ("builtin:product_one_minus", "riesz", "full", 12),
+        ("builtin:one_minus_z1z2", "cesaro", "full", 12),
+        ("builtin:one_minus_pow:2,3", "riesz", "diag:2,3", 4),
+    ])
+    def test_one_reciprocal_per_scan(self, capsys, reciprocal_orders, series, method, basis, top):
+        code, out, err = run_cli(capsys, "decay", "--series", series, "--alpha", "0.5",
+                                 "--nmin", "0", "--nmax", "12", "--basis", basis,
+                                 "--method", method)
+        assert code == 0, err
+        assert len(out.splitlines()) == 14
+        assert reciprocal_orders == [top]
+
+    def test_overflowing_reciprocal_fails_as_an_order_alone(self, capsys, tmp_path):
+        series = tmp_path / "tiny_constant.json"
+        series.write_text(json.dumps({"deg": [1, 0], "coeffs": [[1e-10, 0], [-1, 0]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "decay", "--series", str(series), "--alpha", "0",
+                                     "--nmin", "1", "--nmax", "40", "--method", "riesz",
+                                     "--basis", "full")
+        assert (code, out) == (3, "")
+        assert err == ("error: NumericalError: the weighted norm at alpha = 0.0 is not finite "
+                       "(inf); the weights or the weighted coefficients overflow\n")
+
+    @pytest.mark.parametrize("command", [["approx", "--n", "4"],
+                                         ["decay", "--nmin", "1", "--nmax", "6"]])
+    @pytest.mark.parametrize("method, basis, message", [
+        ("cesaro", "diag:1,1", "--method cesaro supports --basis full only"),
+        ("riesz", "onevar", "--method riesz supports --basis full or diag:M,N"),
+    ])
+    def test_unsupported_basis_refused_before_any_construction(
+        self, capsys, reciprocal_orders, command, method, basis, message
+    ):
+        code, out, err = run_cli(capsys, command[0], "--series", "builtin:one_minus_z1z2",
+                                 "--alpha", "0", *command[1:], "--method", method,
+                                 "--basis", basis)
+        assert (code, out) == (2, "")
+        assert err == f"error: InputError: {message}\n"
+        assert reciprocal_orders == []
+
+
 def test_onevar_scan_output_is_unchanged(capsys):
     # one Gram assembly serves every order of this scan
     code, out, err = run_cli(capsys, "decay", "--series", "builtin:one_minus_z1", "--alpha", "1",

@@ -212,6 +212,15 @@ class TestReciprocal:
         with pytest.raises(ArgumentError, match="eps0"):
             reciprocal1(OneVarSeries([1, -1]), 3, eps0)
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: reciprocal2(ONE_MINUS_Z1Z2, -1, 3), "d1=-1"),
+        (lambda: reciprocal2(ONE_MINUS_Z1Z2, 3, -1), "d2=-1"),
+        (lambda: reciprocal1(OneVarSeries([1, -1]), -1), "d=-1"),
+    ], ids=["d1", "d2", "d"])
+    def test_negative_order_refused(self, build, name):
+        with pytest.raises(ArgumentError, match=f"the order {name} must be nonnegative"):
+            build()
+
     def test_geometric_diagonal(self):
         b = reciprocal2(ONE_MINUS_Z1Z2, 3, 3)
         assert b.isclose(TwoVarSeries(np.eye(4)))
