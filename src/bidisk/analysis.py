@@ -32,7 +32,7 @@ from .errors import (
     MonotonicityError,
     UnsupportedRateError,
 )
-from .series import DiagonalPattern, TwoVarSeries, _check_tolerance
+from .series import DiagonalPattern, TwoVarSeries, _as_order, _check_tolerance
 from .spaces import AlphaLike, as_alpha
 
 __all__ = [
@@ -124,7 +124,7 @@ def decay_scan(
     pattern: Optional[DiagonalPattern] = None,
     ortho_tol: Optional[float] = None,
 ) -> DecaySeries:
-    """One optimal solve per order in ``n_values`` (strictly increasing).
+    """One optimal solve per order in ``n_values`` (strictly increasing integers).
 
     The orders are solved by :func:`solve_orders` over
     ``BasisSpec(n, basis, pattern)``; a diagonal basis defaults to the
@@ -141,7 +141,7 @@ def decay_scan(
     after the fact — any increase beyond rounding is reported as a
     numerical failure.
     """
-    n_values = [int(n) for n in n_values]
+    n_values = [_as_order(n, "n") for n in n_values]
     if any(b <= a_ for a_, b in zip(n_values, n_values[1:])):
         raise ArgumentError("n_values must be strictly increasing")
     _check_tolerance(ortho_tol, "ortho_tol")

@@ -62,6 +62,7 @@ from .series import (
     DiagonalPattern,
     OneVarSeries,
     TwoVarSeries,
+    _as_order,
     _check_order,
     _check_tolerance,
     _reciprocal1,
@@ -130,11 +131,9 @@ class Lattice(NamedTuple):
     A: int
     C: int
 
-    def exponents(self) -> np.ndarray:
-        """The exponents as a ``(B, 2)`` array in basis order."""
-        if self.C == 0:
-            return np.arange(self.A + 1)[:, None] * np.array((1, 0))
-        return np.column_stack(np.divmod(np.arange((self.A + 1) * (self.C + 1)), self.C + 1))
+    def series(self, coeffs: np.ndarray, onevar: bool) -> Series:
+        """The series with ``coeffs[a (C + 1) + c]`` at ``(a, c)``; a single column for ``onevar``."""
+        return OneVarSeries(coeffs) if onevar else TwoVarSeries(coeffs.reshape(self.A + 1, self.C + 1))
 
     def basis(self, onevar: bool, pattern: Optional[DiagonalPattern] = None) -> tuple:
         """The exponents as Python ints in basis order: ``a`` alone for ``onevar``, ``a (M, N)`` on a pattern."""
@@ -153,7 +152,9 @@ class BasisSpec:
     ``full`` is the square grid ``{z1^k z2^l : 0 <= k, l <= n}``; ``diagonal``
     keeps the pattern monomials ``{(Mk, Nk) : Mk <= n, Nk <= n}``; ``onevar``
     is ``{z^k : k <= n}`` (monomials in the first variable when applied to a
-    two-variable function).
+    two-variable function).  ``n`` is taken by ``operator.index``, so a
+    numpy integer is stored as a Python int and a non-integral order is
+    refused with :class:`ArgumentError`.
     """
 
     n: int
@@ -161,6 +162,7 @@ class BasisSpec:
     pattern: Optional[DiagonalPattern] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_order(self.n, "n"))
         if self.n < 0:
             raise ArgumentError("basis order must be nonnegative")
         if self.kind not in ("full", "diagonal", "onevar"):
@@ -274,7 +276,11 @@ class ApproximantResult:
     @cached_property
     def p(self) -> Series:
         """The approximant, in the variables of the function it approximates."""
-        return self.solved if self.pattern is None else lift(self.solved, self.pattern)
+        return self._lifted(self.solved)
+
+    def _lifted(self, s: Series) -> Series:
+        """A series over ``solved_lattice`` in the variables of ``p``: lifted on a pattern, else as it is."""
+        return s if self.pattern is None else lift(s, self.pattern)
 
     @cached_property
     def basis(self) -> tuple:
@@ -285,12 +291,6 @@ class ApproximantResult:
 def _grid(s: Series) -> np.ndarray:
     """Coefficient grid; a one-variable series is a single column."""
     return s.coeffs[:, None] if isinstance(s, OneVarSeries) else s.coeffs
-
-
-def _exponents(basis, onevar: bool) -> np.ndarray:
-    """Basis exponents as a ``(B, 2)`` array; ``z^k`` of a one-variable problem is ``(k, 0)``."""
-    e = np.asarray(basis, dtype=np.intp)
-    return np.column_stack((e, np.zeros_like(e))) if onevar else e.reshape(-1, 2)
 
 
 def _terms(f: Series, aw, b: BasisSpec) -> list:
@@ -491,13 +491,6 @@ def _solve_normal(gram: GramSystem, n: int, alpha: float) -> Tuple[np.ndarray, f
     return c, ridge, cond
 
 
-def _series_from_solution(c: np.ndarray, e: np.ndarray, onevar: bool) -> Series:
-    """The series with coefficient ``c[i]`` at the exponent ``e[i]``."""
-    grid = np.zeros(tuple(e.max(axis=0) + 1), dtype=np.complex128)
-    grid[e[:, 0], e[:, 1]] = c
-    return OneVarSeries(grid[:, 0]) if onevar else TwoVarSeries(grid)
-
-
 def residual_norm_sq(p: Series, f: Series, a: AlphaLike) -> float:
     """Exact ``||p f - 1||^2`` by explicit series multiplication."""
     if isinstance(p, OneVarSeries):
@@ -513,7 +506,7 @@ def _norm_sq(grid: np.ndarray, w: np.ndarray) -> float:
 def _certify(
     p: Series,
     terms: list,
-    e: np.ndarray,
+    lat: Lattice,
     *,
     n: int,
     ridge: float,
@@ -524,8 +517,9 @@ def _certify(
 
     ``terms`` is ``f`` as :func:`_terms` splits it, whose first term carries
     the constant ``-1``; the squared norms and the pairings of the terms are
-    summed, the pairings before the max is taken.  ``e`` holds the basis
-    exponents.  Raises a conditioning error when the certificate exceeds
+    summed, the pairings before the max is taken.  ``lat`` is the basis box:
+    the pairings with its shifts ``m_i f`` are windows of the weighted
+    residual.  Raises a conditioning error when the certificate exceeds
     ``ortho_tol`` (default ``1e-8 * ||f||^2``).
     """
     onevar = isinstance(p, OneVarSeries)
@@ -541,7 +535,7 @@ def _certify(
         w1 = w[:r.shape[0], None]
         wr = (w1 if r.shape[1] == 1 else w1 * w[None, :r.shape[1]]) * r
         fg = _grid(f)
-        pairings = pairings + shifted_pairings(np.conj(fg), wr, e)
+        pairings = pairings + shifted_pairings(np.conj(fg), wr, lat)
         res_sq += _norm_sq(r, w)
         f_sq += _norm_sq(fg, w)
     ortho = float(np.abs(pairings).max())
@@ -558,9 +552,9 @@ def _certify(
 def _solve(gram: GramSystem, b: BasisSpec, alpha: float, ortho_tol: Optional[float]) -> ApproximantResult:
     """Factor, solve and certify the normal equations ``gram`` of the basis ``b``; errors name ``b.n``."""
     c, ridge, cond = _solve_normal(gram, b.n, alpha)
-    e, terms = gram.lattice.exponents(), gram.terms
-    p = OneVarSeries(c) if isinstance(terms[0][0], OneVarSeries) else _series_from_solution(c, e, False)
-    res_sq, ortho = _certify(p, terms, e, n=b.n, ridge=ridge, cond=cond, ortho_tol=ortho_tol)
+    lat, terms = gram.lattice, gram.terms
+    p = lat.series(c, isinstance(terms[0][0], OneVarSeries))
+    res_sq, ortho = _certify(p, terms, lat, n=b.n, ridge=ridge, cond=cond, ortho_tol=ortho_tol)
     return ApproximantResult(
         solved=p,
         residual_sq=res_sq,
@@ -813,18 +807,19 @@ def perturbation_check(
 
     Probes ``p + eps * q`` for random unit-norm directions ``q`` supported on
     the solved basis and returns ``max(residual_sq - residual(p + eps q))``;
-    a value at rounding level certifies local optimality.
+    a value at rounding level certifies local optimality.  Each direction is
+    drawn on the box ``solved_lattice`` and lifted as ``p`` is.
     """
     aw = as_alpha(a)
     rng = np.random.default_rng(seed)
-    p, basis = result.p, result.basis
-    onevar = isinstance(p, OneVarSeries)
-    e = _exponents(basis, onevar)
+    p, lat = result.p, result.solved_lattice
+    onevar = isinstance(result.solved, OneVarSeries)
+    size = (lat.A + 1) * (lat.C + 1)
     worst = 0.0
     for _ in range(n_directions):
-        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        q = _series_from_solution(coeffs, e, onevar)
-        qnorm = norm1(q, aw) if onevar else norm2(q, aw)
+        coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        q = result._lifted(lat.series(coeffs, onevar))
+        qnorm = norm1(q, aw) if isinstance(q, OneVarSeries) else norm2(q, aw)
         q = q * (1.0 / qnorm)
         perturbed = p + eps * q
         decrease = result.residual_sq - residual_norm_sq(perturbed, f, aw)

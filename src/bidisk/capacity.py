@@ -237,9 +237,11 @@ def annihilation_check(f: TwoVarSeries, mu: FourierMeasure, maxdeg: int) -> floa
     """Largest pairing ``|<z1^k z2^l f, C[mu]>|`` over ``0 <= k, l <= maxdeg``.
 
     A value at rounding level certifies, at this truncation, that the Cauchy
-    transform annihilates the polynomial multiples of ``f``.  The measure
-    must store coefficients out to ``maxdeg + deg(f)`` so every shifted
-    product fits the transform's grid.
+    transform annihilates the polynomial multiples of ``f``.  The shifts
+    form the box ``(maxdeg, maxdeg)``, whose pairings :func:`shifted_pairings`
+    reads off windows of the transform's grid.  The measure must store
+    coefficients out to ``maxdeg + deg(f)`` so every shifted product fits
+    that grid.
     """
     if maxdeg < 0:
         raise CoefficientRangeError("maxdeg must be nonnegative")
@@ -250,5 +252,4 @@ def annihilation_check(f: TwoVarSeries, mu: FourierMeasure, maxdeg: int) -> floa
             f"annihilation check needs coefficients to ({d1}, {d2}); measure stores {mu.K}"
         )
     C = cauchy_transform(mu, d1, d2)
-    shifts = np.indices((maxdeg + 1, maxdeg + 1)).reshape(2, -1).T
-    return float(np.max(np.abs(shifted_pairings(f.coeffs, C.coeffs, shifts))))
+    return float(np.max(np.abs(shifted_pairings(f.coeffs, C.coeffs, (maxdeg, maxdeg)))))

@@ -180,12 +180,21 @@ class TwoVarSeries(_Series):
     @classmethod
     def from_terms(cls, terms: Mapping[Tuple[int, int], Scalar],
                    deg1: int | None = None, deg2: int | None = None) -> "TwoVarSeries":
-        """Build a series from a ``{(k, l): coefficient}`` mapping."""
+        """Build a series from a ``{(k, l): coefficient}`` mapping.
+
+        Every exponent must be nonnegative and, when the degrees are given,
+        at most ``(deg1, deg2)``; any other is refused with :class:`ArgumentError`.
+        """
         if not terms and deg1 is None:
             deg1 = deg2 = 0
         if deg1 is None:
             deg1 = max(k for k, _ in terms)
             deg2 = max(l for _, l in terms)
+        for k, l in terms:
+            if k < 0 or l < 0:
+                raise ArgumentError(f"exponent ({k}, {l}) must be nonnegative")
+            if k > deg1 or l > deg2:
+                raise ArgumentError(f"exponent ({k}, {l}) exceeds the degrees ({deg1}, {deg2})")
         grid = np.zeros((deg1 + 1, deg2 + 1), dtype=np.complex128)
         for (k, l), c in terms.items():
             grid[k, l] = c
@@ -254,6 +263,9 @@ def monomial2(k: int, l: int, c: Scalar = 1.0) -> TwoVarSeries:
 
 
 def monomial1(k: int, c: Scalar = 1.0) -> OneVarSeries:
+    """The series ``c * z^k``."""
+    if k < 0:
+        raise ArgumentError(f"exponent {k} must be nonnegative")
     grid = np.zeros(k + 1, dtype=np.complex128)
     grid[k] = c
     return OneVarSeries(grid)
@@ -303,20 +315,20 @@ def multiply1(F: OneVarSeries, G: OneVarSeries) -> OneVarSeries:
     return OneVarSeries(np.convolve(F.coeffs, G.coeffs))
 
 
-def shifted_pairings(coeffs: np.ndarray, target: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Pairings ``out[i] = sum_p coeffs[p] * target[shifts[i] + p]`` of shifted copies of a grid.
+def shifted_pairings(coeffs: np.ndarray, target: np.ndarray, box: Tuple[int, int]) -> np.ndarray:
+    """Pairings ``out[a, c] = sum_p coeffs[p] * target[(a, c) + p]`` over the shifts of the box ``(A, C)``.
 
-    ``coeffs`` and ``target`` are two-dimensional coefficient grids and
-    ``shifts`` a ``(B, 2)`` integer array; every shifted copy of ``coeffs``
-    must fit inside ``target``.  The sum runs over the nonzero entries of
-    ``coeffs`` only, one vectorized gather over all shifts per entry.
+    ``coeffs`` and ``target`` are two-dimensional coefficient grids, and
+    ``out`` has the shape ``(A + 1, C + 1)`` of the box of shifts
+    ``0 <= a <= A``, ``0 <= c <= C``; ``target`` must hold every shifted
+    copy of ``coeffs``.  The sum runs over the nonzero entries ``p`` of
+    ``coeffs`` only, in row-major order, each adding the strided window
+    ``target[p1:p1 + A + 1, p2:p2 + C + 1]`` times ``coeffs[p]``.
     """
-    width = target.shape[1]
-    flat = target.reshape(-1)
-    at = shifts[:, 0] * width + shifts[:, 1]  # flat positions of the shifts
-    out = np.zeros(len(shifts), dtype=np.complex128)
+    A, C = box
+    out = np.zeros((A + 1, C + 1), dtype=np.complex128)
     for p1, p2 in zip(*np.nonzero(coeffs)):
-        out += coeffs[p1, p2] * flat.take(at + (p1 * width + p2))
+        out += coeffs[p1, p2] * target[p1:p1 + A + 1, p2:p2 + C + 1]
     return out
 
 
@@ -324,6 +336,16 @@ def _check_tolerance(value: Optional[float], name: str) -> None:
     """Refuse a tolerance that is set but not a nonnegative number, NaN included."""
     if value is not None and not value >= 0.0:
         raise ArgumentError(f"{name} must be a nonnegative number, got {value!r}")
+
+
+def _as_order(n, name: str) -> int:
+    """``n`` as a Python int by ``operator.index``, so numpy integers pass; a non-integral order is refused."""
+    import operator  # in sys.modules from interpreter start-up: this import is a lookup
+
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ArgumentError(f"the order {name}={n!r} must be an integer") from None
 
 
 def _check_order(d: int, name: str) -> None:

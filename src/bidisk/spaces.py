@@ -225,9 +225,13 @@ def kernel_norm_sq(a: AlphaLike, w: complex, tol: float = _KERNEL_TOL) -> float:
     The sum is truncated once a rigorous geometric majorant bounds the tail
     below ``tol``: past the index where ``q_k = ((k+2)/(k+1))^|alpha| |w|^2``
     drops under 1, the terms are dominated by a geometric series with ratio
-    ``q_k``.  Raises :class:`NumericalError` when a term overflows.
+    ``q_k``.  Raises :class:`NumericalError` when a term overflows; a
+    ``tol`` that is not positive, NaN included, could never stop the sum
+    and is refused with :class:`ArgumentError`.
     """
     alpha = as_alpha(a).alpha
+    if not tol > 0.0:
+        raise ArgumentError(f"tol must be a positive number, got {tol!r}")
     if abs(w) >= 1.0:
         raise DivergentKernelError(
             f"kernel norm diverges for |w| = {abs(w):.6g} >= 1"

@@ -1,5 +1,7 @@
 """Decay scans, rate fits, theory rates, verdicts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,19 @@ class TestDecayScan:
         with pytest.raises(ArgumentError, match="ortho_tol") as info:
             decay_scan(F_DIAG, 0.0, range(1, 4), basis="diagonal", ortho_tol=tol)
         assert "order n=" not in str(info.value)
+
+    def test_numpy_integer_orders(self):
+        ds = decay_scan(F_DIAG, 0.0, np.array([2, 5], dtype=np.int32), basis="diagonal")
+        assert [r.n for r in ds.results] == [2, 5] and all(type(r.n) is int for r in ds.results)
+        assert ds.points == decay_scan(F_DIAG, 0.0, [2, 5], basis="diagonal").points
+
+    @pytest.mark.parametrize("ns, bad", [([1.7, 3.2], 1.7), ([1, 3.0], 3.0)])
+    def test_non_integral_orders_refused(self, monkeypatch, ns, bad):
+        import bidisk.analysis
+
+        monkeypatch.setattr(bidisk.analysis, "solve_orders", lambda *a, **k: pytest.fail("solved"))
+        with pytest.raises(ArgumentError, match=re.escape(f"n={bad!r} must be an integer")):
+            decay_scan(F_DIAG, 0.0, ns, basis="diagonal")
 
     def test_diagonal_matches_oracle(self):
         ds = decay_scan(F_DIAG, 0.0, range(1, 11), basis="diagonal")

@@ -1,5 +1,7 @@
 """Gram assembly, optimal solves, explicit constructions, certificates."""
 
+import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -84,6 +86,17 @@ class TestBasisSpec:
     def test_cap(self):
         with pytest.raises(BasisSizeError):
             gram_assemble(F_DIAG, 0.0, BasisSpec.full(100))
+
+    def test_numpy_integer_order(self):
+        b = BasisSpec(np.int64(3), "full")
+        assert type(b.n) is int and b == BasisSpec.full(3)
+        res = solve_optimal(F_PROD, 0.0, b)
+        assert res.residual_sq == solve_optimal(F_PROD, 0.0, BasisSpec.full(3)).residual_sq
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_non_integral_order_refused(self, n):
+        with pytest.raises(ArgumentError, match=re.escape(f"n={n!r}")):
+            BasisSpec(n, "full")
 
 
 class TestGramAssemble:
@@ -265,15 +278,14 @@ class TestLatticeAssembly:
     ])
     def test_lattice_lists_the_basis(self, basis):
         lattice = basis.lattice()
-        e = lattice.exponents()
-        assert len(e) == (lattice.A + 1) * (lattice.C + 1)
+        box = [(a, c) for a in range(lattice.A + 1) for c in range(lattice.C + 1)]
         if basis.kind == "diagonal":
             # the box of the one-variable coset problems: (a, 0) stands for a (M, N)
-            assert lattice.C == 0 and e.tolist() == [[a, 0] for a in range(lattice.A + 1)]
+            assert lattice.C == 0
             pat = basis.pattern
-            assert basis.indices2() == [(pat.M * a, pat.N * a) for a in range(lattice.A + 1)]
+            assert basis.indices2() == [(pat.M * a, pat.N * a) for a, _ in box]
         else:
-            assert e.tolist() == [list(m) for m in basis.indices2()]
+            assert basis.indices2() == box
 
     def test_band_norm1_matches_row_loop(self):
         def loop(band):
@@ -721,7 +733,7 @@ class TestPatternNativeSolve:
             P = OneVarSeries(rng.standard_normal(5) + 1j * rng.standard_normal(5))
             pw = PatternWeight(AlphaWeight(alpha), pat)
             res_sq, ortho = approximants._certify(
-                P, [(F, pw)], approximants._exponents(range(5), True),
+                P, [(F, pw)], approximants.Lattice(4, 0),
                 n=4, ridge=0.0, cond=1.0, ortho_tol=np.inf,
             )
             p, f = lift(P, pat), lift(F, pat)
@@ -963,6 +975,56 @@ class TestCertificatesAndOptimality:
         assert perturbation_check(res, F_PROD, 0.0, seed=1) <= 1e-9
         res = diagonal_reduce_solve(F_DIAG, 0.5, 12, PAT11)
         assert perturbation_check(res, F_DIAG, 0.5, seed=2) <= 1e-9
+
+    # a digest of every perturbed grid that perturbation_check builds, and of its value
+    PERTURBATION_DIGESTS = {
+        "full": ("584512833131961d", "72065f907182350e", "c91ffd3023bf16f9"),
+        "onevar_1d": ("c30f49b1393ba021", "48f2dcbf5c25d9cf", "f1f43009aeb61ca7"),
+        "onevar_2d": ("b4e7f4d69b0a0ba1", "90da3534cf96e852", "7c86bb7ebcc87663"),
+        "diag_on_pattern": ("50c2f746a80af5b4", "02e37d68ca8b50a7", "3c629d17ff82f7f9"),
+        "diag_off_pattern": ("2f6342f67000255b", "65e75ed4117d523c", "2fdca55e1f3644c4"),
+        "diag_off_pattern_2_1": ("b9fd1b75154535fb", "c4161190c14a5b46", "11239385305db8c1"),
+        "diag_constant_box": ("b1b47c57670701e6", "5f63784234dbb506", "1c830e95462af587"),
+    }
+
+    @staticmethod
+    def perturbation_cases():
+        def grid(shape):
+            g = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            g[rng.random(shape) < 0.3] = 0.0
+            g[(0,) * len(shape)] = 1.0
+            return g
+
+        rng = np.random.default_rng(190)
+        f2, f1 = TwoVarSeries(grid((3, 2))), OneVarSeries(grid((4,)))
+        on23 = lift(OneVarSeries(grid((3,))), DiagonalPattern(2, 3))
+        return {
+            "full": (f2, BasisSpec.full(3)),
+            "onevar_1d": (f1, BasisSpec.onevar(5)),
+            "onevar_2d": (f2, BasisSpec.onevar(4)),
+            "diag_on_pattern": (on23, BasisSpec.diagonal(9, DiagonalPattern(2, 3))),
+            "diag_off_pattern": (f2, BasisSpec.diagonal(4, PAT11)),
+            "diag_off_pattern_2_1": (f2, BasisSpec.diagonal(5, DiagonalPattern(2, 1))),
+            "diag_constant_box": (f2, BasisSpec.diagonal(2, DiagonalPattern(3, 2))),
+        }
+
+    @pytest.mark.parametrize("name", sorted(PERTURBATION_DIGESTS))
+    def test_perturbed_grids_are_pinned(self, name, monkeypatch):
+        f, b = self.perturbation_cases()[name]
+        real = approximants.residual_norm_sq
+        for alpha, pinned in zip((-1.0, 0.0, 0.5), self.PERTURBATION_DIGESTS[name]):
+            digest = hashlib.sha256()
+
+            def record(p, f_, a):
+                digest.update(repr(p.coeffs.shape).encode() + p.coeffs.tobytes())
+                return real(p, f_, a)
+
+            res = solve_optimal(f, alpha, b)
+            monkeypatch.setattr(approximants, "residual_norm_sq", record)
+            worst = perturbation_check(res, f, alpha, n_directions=5, seed=3)
+            monkeypatch.setattr(approximants, "residual_norm_sq", real)
+            digest.update(float(worst).hex().encode())
+            assert digest.hexdigest()[:16] == pinned, alpha
 
     def test_monotone_in_order(self):
         for alpha in (-1.0, 0.0, 0.5):

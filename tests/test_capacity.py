@@ -292,9 +292,32 @@ class TestShiftedPairings:
         rng = np.random.default_rng(90)
         coeffs = self.random_grid(rng, (3, 4))
         target = rng.standard_normal((12, 11)) + 1j * rng.standard_normal((12, 11))
-        shifts = np.column_stack((rng.integers(0, 10, 40), rng.integers(0, 8, 40)))
-        brute = [np.sum(coeffs * target[k : k + 3, l : l + 4]) for k, l in shifts]
-        assert np.allclose(shifted_pairings(coeffs, target, shifts), brute, rtol=1e-14, atol=0)
+        A, C = 9, 7
+        brute = [[np.sum(coeffs * target[k : k + 3, l : l + 4]) for l in range(C + 1)] for k in range(A + 1)]
+        assert np.allclose(shifted_pairings(coeffs, target, (A, C)), brute, rtol=1e-14, atol=0)
+
+    @staticmethod
+    def flat_gather(coeffs, target, shifts):
+        """One ``take`` over all shifts per nonzero coefficient, the shifts given as a ``(B, 2)`` array."""
+        width = target.shape[1]
+        flat = target.reshape(-1)
+        at = shifts[:, 0] * width + shifts[:, 1]
+        out = np.zeros(len(shifts), dtype=np.complex128)
+        for p1, p2 in zip(*np.nonzero(coeffs)):
+            out += coeffs[p1, p2] * flat.take(at + (p1 * width + p2))
+        return out
+
+    @pytest.mark.parametrize("box", [(0, 0), (6, 0), (0, 5), (4, 3), (9, 7)])
+    def test_box_equals_flat_gather_bit_for_bit(self, box):
+        rng = np.random.default_rng(93 + 10 * box[0] + box[1])
+        A, C = box
+        for shape in ((1, 1), (3, 1), (1, 4), (3, 4), (5, 2)):
+            coeffs = self.random_grid(rng, shape)
+            target = self.random_grid(rng, (A + shape[0] + 2, C + shape[1] + 1))
+            shifts = np.array([(a, c) for a in range(A + 1) for c in range(C + 1)])
+            out = shifted_pairings(coeffs, target, box)
+            assert out.shape == (A + 1, C + 1)
+            assert out.reshape(-1).tobytes() == self.flat_gather(coeffs, target, shifts).tobytes()
 
     @pytest.mark.parametrize("measure", [lebesgue, diagonal_current])
     def test_annihilation_against_per_shift_loop(self, measure):
@@ -310,6 +333,30 @@ class TestShiftedPairings:
                 for l in range(maxdeg + 1)
             )
             assert annihilation_check(f, mu, maxdeg) == pytest.approx(brute, rel=1e-13, abs=0)
+
+
+class TestAnnihilationPin:
+    """Pairings away from 0, pinned by ``float.hex``: a change in the last bit shows."""
+
+    PINS = {
+        "lebesgue": "0x1.0000000000000p+0",
+        "diagonal_current": "0x1.3a92a3a767a57p-1",
+        "point_mass": "0x1.2afe8cc67a5d8p-1",
+        "custom": "0x1.ba3fb4ef3acabp-1",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_pinned(self, name):
+        rng = np.random.default_rng(191)
+        grid = 0.3 * (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
+        grid[rng.random((3, 4)) < 0.3] = 0.0
+        grid[0, 0] = 1.0
+        table = {(int(k), int(l)): complex(v) for k, l, v in zip(
+            rng.integers(-9, 10, 30), rng.integers(1, 10, 30),
+            0.5 * (rng.standard_normal(30) + 1j * rng.standard_normal(30)) / 2)}
+        mu = {"lebesgue": lebesgue, "diagonal_current": diagonal_current, "point_mass": point_mass,
+              "custom": lambda K: custom_measure(table, K)}[name](9)
+        assert annihilation_check(TwoVarSeries(grid), mu, 6).hex() == self.PINS[name]
 
 
 class TestDominationAndConsistency:

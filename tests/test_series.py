@@ -1,5 +1,7 @@
 """Series arithmetic, structural maps, and their invariants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from bidisk.series import (
     diagonal_project,
     is_diagonal,
     lift,
+    monomial1,
     monomial2,
     multiply1,
     multiply2,
@@ -64,6 +67,18 @@ class TestConstruction:
     def test_grid_cap(self):
         with pytest.raises(GridSizeError):
             TwoVarSeries.from_terms({(5000, 5000): 1.0})
+
+    @pytest.mark.parametrize("build, exponent", [
+        # a negative index would silently overwrite the constant
+        (lambda: TwoVarSeries.from_terms({(0, 0): 1.0, (-1, 0): 2.0}), "(-1, 0)"),
+        (lambda: TwoVarSeries.from_terms({(-5, -5): 1.0}), "(-5, -5)"),
+        (lambda: TwoVarSeries.from_terms({(0, 0): 1, (3, 0): 1}, deg1=1, deg2=1), "(3, 0)"),
+        (lambda: monomial2(-1, 0), "(-1, 0)"),
+        (lambda: monomial1(-2), "-2"),
+    ], ids=["negative", "all_negative", "past_the_degrees", "monomial2", "monomial1"])
+    def test_exponents_outside_the_grid_are_refused(self, build, exponent):
+        with pytest.raises(ArgumentError, match=re.escape(f"exponent {exponent} ")):
+            build()
 
 
 class TestMultiply:

@@ -165,6 +165,12 @@ class TestKernel:
         tight = kernel_norm_sq(1.0, 0.9, tol=1e-13)
         assert abs(loose - tight) < 2e-4
 
+    @pytest.mark.parametrize("alpha, w, tol", [(0.0, 0.5, 0.0), (1.0, 0.3, -1e-12), (0.0, 0.5, float("nan"))])
+    def test_tolerance_must_be_positive(self, alpha, w, tol):
+        # the stopping test t_k q_k / (1 - q_k) < tol never holds for these
+        with pytest.raises(ArgumentError, match=r"\btol\b"):
+            kernel_norm_sq(alpha, w, tol=tol)
+
     @staticmethod
     def loop(alpha, r2, tol=1e-12):
         # the loop the chunked sums replaced: same terms, same stopping index
