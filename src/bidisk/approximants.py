@@ -30,6 +30,13 @@ Gram band that overflows is refused with :class:`NumericalError` naming
 ``alpha`` and the order; residuals are always recomputed from the returned
 coefficients by explicit series arithmetic, never read off the solver; every
 solve carries an orthogonality certificate and a 1-norm condition estimate.
+Every order takes ``||G||_1`` first, then factors.  A scan that assembles
+its orders one by one (a full scan, or a single solve) allocates one
+buffer, sized once to the largest band it factors and freed with the scan:
+each order forms ``|G|`` in it, then copies its band into it and factors
+it there in place.  The small slices of a shared band keep LAPACK's own
+copy, which costs them less.  ``GramSystem.band`` is never written, so a
+ridge retry starts again from it.
 The residual ``p f - 1`` is formed once per solve and yields both the
 squared residual and the certificate.  :func:`solve_orders` maps bases to
 solves, :func:`solve_optimal` being its one-order case.  The one-column
@@ -214,6 +221,7 @@ class GramSystem:
     box ``lattice``, on the pattern ``pattern`` of a diagonal basis;
     ``basis`` lists its exponents, built on first read.  ``terms`` is ``f``
     as :func:`_terms` split it for the assembly, kept for the certificate.
+    A solve never writes ``band``.
     """
 
     lattice: Lattice
@@ -313,6 +321,35 @@ def _terms(f: Series, aw, b: BasisSpec) -> list:
             for q1, q2 in sorted(starts)]
 
 
+def _blocks(grid: np.ndarray, lat: Lattice) -> Tuple[int, list]:
+    """The bandwidth ``u`` of ``G`` over ``lat`` for ``grid``, and the blocks that make up its upper band.
+
+    A block is ``(j - i, p1, p2, q1, q2, a0, a1, c0, c1)``: the pair of
+    nonzero coefficients ``f[p]``, ``f[q]`` adds to the band row ``j - i``
+    over the rectangle ``[a0, a1] x [c0, c1]`` of the columns ``j``, as
+    :func:`_gram_band` describes.  The blocks come in the order of the pairs.
+    """
+    A, C = lat
+    nonzero = np.argwhere(grid).tolist()
+    blocks = []
+    for p1, p2 in nonzero:
+        for q1, q2 in nonzero:
+            da, dc = p1 - q1, p2 - q2
+            a0, a1 = max(0, -da), min(A, A - da)
+            c0, c1 = max(0, -dc), min(C, C - dc)
+            offset = da * (C + 1) + dc
+            if offset <= 0 and a0 <= a1 and c0 <= c1:
+                blocks.append((-offset, p1, p2, q1, q2, a0, a1, c0, c1))
+    return max((block[0] for block in blocks), default=0), blocks
+
+
+def _band_entries(f: Series, aw, b: BasisSpec) -> int:
+    """The entries ``(u + 1) B`` of the band that :func:`gram_assemble` builds over ``b``, without building it."""
+    lat = b.lattice()
+    u = max(_blocks(_grid(F), lat)[0] for F, _ in _terms(f, aw, b))
+    return (u + 1) * (lat.A + 1) * (lat.C + 1)
+
+
 def _gram_band(grid: np.ndarray, aw, lat: Lattice) -> np.ndarray:
     """Upper band of ``G`` over the lattice box ``lat`` for the coefficient grid ``grid``.
 
@@ -328,17 +365,7 @@ def _gram_band(grid: np.ndarray, aw, lat: Lattice) -> np.ndarray:
     F1, F2 = grid.shape
     # one weight row, as long as the longer variable needs; both read slices of it
     w = aw.weights(max(A + F1, C + F2) - 1)
-    nonzero = np.argwhere(grid).tolist()
-    blocks = []  # (j - i, p, q, rectangle of the columns j)
-    for p1, p2 in nonzero:
-        for q1, q2 in nonzero:
-            da, dc = p1 - q1, p2 - q2
-            a0, a1 = max(0, -da), min(A, A - da)
-            c0, c1 = max(0, -dc), min(C, C - dc)
-            offset = da * (C + 1) + dc
-            if offset <= 0 and a0 <= a1 and c0 <= c1:
-                blocks.append((-offset, p1, p2, q1, q2, a0, a1, c0, c1))
-    u = max((block[0] for block in blocks), default=0)
+    u, blocks = _blocks(grid, lat)
     band = np.zeros((u + 1, (A + 1) * (C + 1)), dtype=np.complex128)
     rows = band.reshape(u + 1, A + 1, C + 1)
     p = None
@@ -391,10 +418,17 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     return GramSystem(lattice=lat, onevar=onevar, band=band, rhs=rhs, terms=terms, pattern=b.pattern)
 
 
-def _band_norm1(band: np.ndarray) -> float:
-    """``||G||_1`` of the Hermitian matrix whose upper band is ``band``."""
+def _band_norm1(band: np.ndarray, buf: Optional[np.ndarray] = None) -> float:
+    """``||G||_1`` of the Hermitian matrix whose upper band is ``band``.
+
+    ``|G|`` is formed in ``buf`` when it is given, a complex array of at
+    least ``band.size`` entries: as floats it holds ``(u + 1) (size + u + 1)``
+    of them, since ``u < size``.
+    """
     u, size = band.shape[0] - 1, band.shape[1]
-    mags = np.empty((u + 1, size + u + 1))  # the last column only pads the flat view below
+    # the last column only pads the flat view below
+    shape = (u + 1, size + u + 1)
+    mags = np.empty(shape) if buf is None else np.ndarray(shape, np.float64, buf)
     mags[:, size:] = 0.0
     np.abs(band, out=mags[:, :size])
     # the sums of the columns on and above the diagonal replace the diagonal
@@ -453,10 +487,30 @@ def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> floa
     return max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3.0 * size))
 
 
-def _factor(gram: GramSystem, n: int, alpha: float) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Banded Cholesky factor by LAPACK ``pbtrf``, the band it factors and the ridge added to it."""
-    pbtrf, band, ridge = _lapack("pbtrf"), gram.band, 0.0
-    factor, info = pbtrf(band)
+def _pbtrf(band: np.ndarray, buf: Optional[np.ndarray]) -> Tuple[np.ndarray, int]:
+    """LAPACK ``pbtrf`` of ``band``, copied into ``buf`` in column-major layout and factored there, or LAPACK's copy."""
+    pbtrf = _lapack("pbtrf")
+    if buf is None:
+        return pbtrf(band)
+    rows, cols = band.shape
+    ab = buf[:rows * cols].reshape(cols, rows).T
+    ab[...] = band
+    return pbtrf(ab, overwrite_ab=1)
+
+
+def _factor(gram: GramSystem, n: int, alpha: float,
+            buf: Optional[np.ndarray]) -> Tuple[np.ndarray, float, float]:
+    """Banded Cholesky factor of ``G`` by LAPACK ``pbtrf``, ``||G||_1`` and the ridge added to ``G``.
+
+    ``||G||_1`` is taken first, with ``buf`` as its scratch; then
+    ``gram.band`` is copied into ``buf`` and factored there in place.
+    Without ``buf`` both take their own arrays.  ``gram.band`` is never
+    written: a band that is not positive definite in floating point gets one
+    retry, from a copy of ``gram.band`` with the ridge on its diagonal.
+    """
+    band, ridge = gram.band, 0.0
+    norm = _band_norm1(band, buf)
+    factor, info = _pbtrf(band, buf)
     if info > 0:  # not positive definite in floating point: one retry with a ridge
         band = band.copy()
         with np.errstate(over="ignore"):
@@ -464,7 +518,8 @@ def _factor(gram: GramSystem, n: int, alpha: float) -> Tuple[np.ndarray, np.ndar
         if not np.isfinite(ridge):
             raise _not_finite(alpha, n)
         band[-1] += ridge
-        factor, info = pbtrf(band)
+        norm = _band_norm1(band, buf)
+        factor, info = _pbtrf(band, buf)
         if info > 0:
             raise ConditioningError(
                 f"Gram factorization at order n={n} failed even with ridge {ridge:.3e}",
@@ -472,12 +527,13 @@ def _factor(gram: GramSystem, n: int, alpha: float) -> Tuple[np.ndarray, np.ndar
             )
     if info < 0:
         raise NumericalError(f"banded factorization at order n={n} failed: LAPACK pbtrf info {info}")
-    return factor, band, ridge
+    return factor, norm, ridge
 
 
-def _solve_normal(gram: GramSystem, n: int, alpha: float) -> Tuple[np.ndarray, float, float]:
-    """Coefficients, the ridge applied (0.0 if none) and a 1-norm condition estimate."""
-    factor, band, ridge = _factor(gram, n, alpha)
+def _solve_normal(gram: GramSystem, n: int, alpha: float,
+                  buf: Optional[np.ndarray]) -> Tuple[np.ndarray, float, float]:
+    """Coefficients, the ridge applied (0.0 if none) and a 1-norm condition estimate, factoring in ``buf``."""
+    factor, norm, ridge = _factor(gram, n, alpha, buf)
     pbtrs = _lapack("pbtrs")
 
     def solve(x):
@@ -487,7 +543,7 @@ def _solve_normal(gram: GramSystem, n: int, alpha: float) -> Tuple[np.ndarray, f
         return y
 
     c = solve(gram.rhs)
-    cond = _band_norm1(band) * _inverse_norm1(solve, len(c))
+    cond = norm * _inverse_norm1(solve, len(c))
     return c, ridge, cond
 
 
@@ -549,9 +605,10 @@ def _certify(
     return res_sq, ortho
 
 
-def _solve(gram: GramSystem, b: BasisSpec, alpha: float, ortho_tol: Optional[float]) -> ApproximantResult:
-    """Factor, solve and certify the normal equations ``gram`` of the basis ``b``; errors name ``b.n``."""
-    c, ridge, cond = _solve_normal(gram, b.n, alpha)
+def _solve(gram: GramSystem, b: BasisSpec, alpha: float, ortho_tol: Optional[float],
+           buf: Optional[np.ndarray]) -> ApproximantResult:
+    """Factor in ``buf``, solve and certify the normal equations ``gram`` of the basis ``b``; errors name ``b.n``."""
+    c, ridge, cond = _solve_normal(gram, b.n, alpha, buf)
     lat, terms = gram.lattice, gram.terms
     p = lat.series(c, isinstance(terms[0][0], OneVarSeries))
     res_sq, ortho = _certify(p, terms, lat, n=b.n, ridge=ridge, cond=cond, ortho_tol=ortho_tol)
@@ -594,11 +651,26 @@ def _leading(top: GramSystem, lat: Lattice) -> GramSystem:
                       terms=top.terms, pattern=top.pattern)
 
 
+def _largest_band(f: Series, aw, bases: List[BasisSpec], first: GramSystem) -> int:
+    """The entries of the largest band among ``bases`` within the cap; ``first`` is the band of ``bases[0]``.
+
+    Within one kind and pattern the band grows with the order, so the
+    largest is that of the largest order of each; the first basis is not
+    measured again.
+    """
+    largest = {}
+    for b in bases:
+        lat, key = b.lattice(), (b.kind, b.pattern)
+        if (lat.A + 1) * (lat.C + 1) <= SOLVER_CAP and (key not in largest or b.n > largest[key].n):
+            largest[key] = b
+    return max([first.band.size] + [_band_entries(f, aw, b) for b in largest.values() if b != bases[0]])
+
+
 def _solve_orders(
     f: Series, aw, bases: List[BasisSpec], ortho_tol: Optional[float]
 ) -> Iterator[ApproximantResult]:
     """The solves of :func:`solve_orders`, which checked ``ortho_tol``, under the weights ``aw``."""
-    top_basis, top = _top_basis(bases), None
+    top_basis, top, buf = _top_basis(bases), None, None
     for b in bases:
         lat = b.lattice()
         shared = top_basis is not None and lat.A <= top_basis.lattice().A
@@ -609,7 +681,11 @@ def _solve_orders(
                 top_basis, shared = None, False
         # past the cap gram_assemble raises, as it does at this order alone
         gram = _leading(top, lat) if shared else gram_assemble(f, aw, b)
-        yield _solve(gram, b, aw.alpha, ortho_tol)
+        if buf is None and not shared:  # sized once, to the largest band of the scan
+            buf = np.empty(_largest_band(f, aw, bases, gram), dtype=np.complex128)
+        # the slices of a shared band are small, and LAPACK's own copy of each is cheaper than one into
+        # a buffer held across the scan (measured on the reduced scans)
+        yield _solve(gram, b, aw.alpha, ortho_tol, None if shared else buf)
 
 
 def solve_orders(
@@ -685,9 +761,7 @@ def riesz_orders(f: TwoVarSeries, a: AlphaLike, ns: Sequence[int], pat: Optional
     computed alone and raises as it would alone.
     """
     aw = _rate_gauge(a)
-    ns = list(ns)
-    for n in ns:
-        _check_order(n, "n")
+    ns = [_check_order(n, "n") for n in ns]
     F = f if pat is None else restrict(f, pat)
     M, N = (1, 1) if pat is None else (pat.M, pat.N)
 
@@ -755,7 +829,7 @@ def closed_form_twisted(a: AlphaLike, n: int, pat: DiagonalPattern) -> float:
     ``residual_norm_sq(riesz_diagonal(...))`` computes term by term.
     """
     aw = _rate_gauge(a)
-    _check_order(n, "n")
+    n = _check_order(n, "n")
     denom = phi(aw, n + 1)
     if denom == 0.0:
         # alpha = 1, n = 0: the approximant is the constant 1, residual -z1^M z2^N

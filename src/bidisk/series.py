@@ -182,14 +182,14 @@ class TwoVarSeries(_Series):
                    deg1: int | None = None, deg2: int | None = None) -> "TwoVarSeries":
         """Build a series from a ``{(k, l): coefficient}`` mapping.
 
-        Every exponent must be nonnegative and, when the degrees are given,
-        at most ``(deg1, deg2)``; any other is refused with :class:`ArgumentError`.
+        Every exponent must be nonnegative and at most ``(deg1, deg2)``; any
+        other is refused with :class:`ArgumentError`.  A degree left out is
+        the largest exponent of the terms in its variable (0 for no terms).
         """
-        if not terms and deg1 is None:
-            deg1 = deg2 = 0
         if deg1 is None:
-            deg1 = max(k for k, _ in terms)
-            deg2 = max(l for _, l in terms)
+            deg1 = max((k for k, _ in terms), default=0)
+        if deg2 is None:
+            deg2 = max((l for _, l in terms), default=0)
         for k, l in terms:
             if k < 0 or l < 0:
                 raise ArgumentError(f"exponent ({k}, {l}) must be nonnegative")
@@ -348,10 +348,12 @@ def _as_order(n, name: str) -> int:
         raise ArgumentError(f"the order {name}={n!r} must be an integer") from None
 
 
-def _check_order(d: int, name: str) -> None:
-    """Refuse a negative truncation order."""
+def _check_order(d, name: str) -> int:
+    """A truncation order as a Python int, by :func:`_as_order`; a non-integral or negative one is refused."""
+    d = _as_order(d, name)
     if d < 0:
         raise ArgumentError(f"the order {name}={d} must be nonnegative")
+    return d
 
 
 def _require_invertible(a00: complex, eps0: float) -> None:
@@ -371,9 +373,7 @@ def reciprocal2(f: TwoVarSeries, d1: int, d2: int, eps0: float = 1e-12) -> TwoVa
     so ``multiply2(f, result)`` agrees with 1 on every stored index of the
     requested rectangle up to rounding.
     """
-    _check_order(d1, "d1")
-    _check_order(d2, "d2")
-    return TwoVarSeries(_reciprocal2(f, d1, d2, eps0))
+    return TwoVarSeries(_reciprocal2(f, _check_order(d1, "d1"), _check_order(d2, "d2"), eps0))
 
 
 def _reciprocal2(f: TwoVarSeries, d1: int, d2: int, eps0: float) -> np.ndarray:
@@ -403,8 +403,7 @@ def _reciprocal2(f: TwoVarSeries, d1: int, d2: int, eps0: float) -> np.ndarray:
 
 def reciprocal1(F: OneVarSeries, d: int, eps0: float = 1e-12) -> OneVarSeries:
     """Coefficients of ``1/F`` up to degree ``d``."""
-    _check_order(d, "d")
-    return OneVarSeries(_reciprocal1(F, d, eps0))
+    return OneVarSeries(_reciprocal1(F, _check_order(d, "d"), eps0))
 
 
 def _reciprocal1(F: OneVarSeries, d: int, eps0: float) -> np.ndarray:

@@ -314,11 +314,11 @@ class TestScanAssemblesOnce:
             def lapack(name):
                 routine = real(name)
 
-                def pbtrf(band):
+                def pbtrf(band, **kwargs):
                     if band.shape[1] == size and not failed:
                         failed.append(band)
                         return band, 1  # LAPACK's report of a band that is not positive definite
-                    return routine(band)
+                    return routine(band, **kwargs)
 
                 return pbtrf if name == "pbtrf" else routine
 

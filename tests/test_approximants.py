@@ -302,6 +302,11 @@ class TestLatticeAssembly:
             band = rng.standard_normal((u + 1, size)) + 1j * rng.standard_normal((u + 1, size))
             band *= 10.0 ** rng.uniform(-8, 8, (u + 1, size))
             assert approximants._band_norm1(band) == loop(band)
+            # in a factorization buffer, whatever it held must not leak in.  A Gram
+            # band has u < size, so band.size entries hold |G|; these bands need not
+            entries = max(band.size, -(-(u + 1) * (size + u + 1) // 2))
+            buf = np.full(entries + int(rng.integers(0, 50)), np.nan + 1j * np.inf)
+            assert approximants._band_norm1(band, buf) == loop(band)
 
 
 class TestRidge:
@@ -309,10 +314,10 @@ class TestRidge:
         calls = []
 
         def fail_once(pbtrf):
-            def routine(band):
+            def routine(band, **kwargs):
                 calls.append(band)
                 # info = 1: LAPACK's report of a band that is not positive definite
-                return (band, 1) if len(calls) == 1 else pbtrf(band)
+                return (band, 1) if len(calls) == 1 else pbtrf(band, **kwargs)
             return routine
 
         patch_lapack(monkeypatch, "pbtrf", fail_once)
@@ -327,14 +332,14 @@ class TestRidge:
         assert diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11).ridge == 0.0
 
     def test_refusal_names_order_and_ridge(self, monkeypatch):
-        patch_lapack(monkeypatch, "pbtrf", lambda pbtrf: lambda band: (band, 1))
+        patch_lapack(monkeypatch, "pbtrf", lambda pbtrf: lambda band, **kwargs: (band, 1))
         with pytest.raises(ConditioningError, match=r"order n=3 .*ridge \d"):
             solve_optimal(F_PROD, 0.0, BasisSpec.full(3))
 
     def test_ridge_that_overflows_is_refused(self, monkeypatch):
         # every diagonal entry of G is finite, 1.69e308, but their mean overflows
         f = OneVarSeries([1.3e154])
-        patch_lapack(monkeypatch, "pbtrf", lambda pbtrf: lambda band: (band, 1))
+        patch_lapack(monkeypatch, "pbtrf", lambda pbtrf: lambda band, **kwargs: (band, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=r"alpha = 0.0, order n=3 is not finite"):
@@ -348,10 +353,13 @@ class TestBandedSolve:
     def test_factor_equals_cholesky_banded(self):
         rng = np.random.default_rng(94)
         for f, b in self.BANDS:
-            band = gram_assemble(f, float(rng.uniform(-1, 1)), b).band
-            factor, info = approximants._lapack("pbtrf")(band)
-            assert info == 0
+            gs = gram_assemble(f, float(rng.uniform(-1, 1)), b)
+            band = gs.band.copy()
+            buf = np.full(band.size, np.nan, dtype=np.complex128)
+            factor, norm, ridge = approximants._factor(gs, b.n, 0.0, buf)
             assert np.array_equal(factor, scipy.linalg.cholesky_banded(band))
+            assert np.shares_memory(factor, buf) and np.array_equal(gs.band, band)
+            assert norm == np.abs(gs.matrix).sum(axis=0).max() and ridge == 0.0
 
     def test_direct_solve_equals_cho_solve_banded(self):
         rng = np.random.default_rng(93)
@@ -373,7 +381,7 @@ class TestBandedSolve:
             diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11)
 
     def test_failed_factorization_argument_names_the_order(self, monkeypatch):
-        patch_lapack(monkeypatch, "pbtrf", lambda pbtrf: lambda band: (band, -1))
+        patch_lapack(monkeypatch, "pbtrf", lambda pbtrf: lambda band, **kwargs: (band, -1))
         with pytest.raises(NumericalError, match=r"order n=7 .*pbtrf info -1"):
             solve_optimal(F_ONEVAR, 0.5, BasisSpec.onevar(7))
 
@@ -598,6 +606,18 @@ class TestRieszOrders:
     def test_negative_order_refused(self, build):
         with pytest.raises(ArgumentError, match=r"the order n=-[12] must be nonnegative"):
             build()
+
+    @pytest.mark.parametrize("build", [
+        lambda n: riesz_approximant(F_PROD, 0.0, n),
+        lambda n: riesz_diagonal(F_DIAG, 0.0, n, PAT11),
+        lambda n: cesaro(F_PROD, n),
+        lambda n: next(riesz_orders(F_PROD, 0.5, [1, n])),
+        lambda n: closed_form_twisted(0.5, n, PAT11),
+    ], ids=["riesz_approximant", "riesz_diagonal", "cesaro", "riesz_orders", "closed_form_twisted"])
+    def test_order_taken_as_an_integer(self, build):
+        with pytest.raises(ArgumentError, match=r"the order n=2\.5 must be an integer"):
+            build(2.5)
+        assert build(np.int64(2)) == build(2)
 
 
 class TestDiagonalReduce:

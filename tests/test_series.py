@@ -68,6 +68,13 @@ class TestConstruction:
         with pytest.raises(GridSizeError):
             TwoVarSeries.from_terms({(5000, 5000): 1.0})
 
+    def test_each_omitted_degree_from_the_terms(self):
+        terms = {(0, 0): 1, (1, 1): 2}
+        assert TwoVarSeries.from_terms(terms, deg1=2).coeffs.shape == (3, 2)
+        assert TwoVarSeries.from_terms(terms, deg2=2).coeffs.shape == (2, 3)
+        assert TwoVarSeries.from_terms({}, deg2=2).coeffs.shape == (1, 3)
+        assert TwoVarSeries.from_terms(terms).coeffs.shape == (2, 2)
+
     @pytest.mark.parametrize("build, exponent", [
         # a negative index would silently overwrite the constant
         (lambda: TwoVarSeries.from_terms({(0, 0): 1.0, (-1, 0): 2.0}), "(-1, 0)"),
@@ -235,6 +242,16 @@ class TestReciprocal:
     def test_negative_order_refused(self, build, name):
         with pytest.raises(ArgumentError, match=f"the order {name} must be nonnegative"):
             build()
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda d: reciprocal2(ONE_MINUS_Z1Z2, d, 3), "d1"),
+        (lambda d: reciprocal2(ONE_MINUS_Z1Z2, 3, d), "d2"),
+        (lambda d: reciprocal1(OneVarSeries([1, -1]), d), "d"),
+    ], ids=["d1", "d2", "d"])
+    def test_order_taken_as_an_integer(self, build, name):
+        with pytest.raises(ArgumentError, match=rf"the order {name}=2\.5 must be an integer"):
+            build(2.5)
+        assert build(np.int64(2)) == build(2)
 
     def test_geometric_diagonal(self):
         b = reciprocal2(ONE_MINUS_Z1Z2, 3, 3)

@@ -5,8 +5,13 @@ Each case records ``float.hex`` of ``residual_sq``, ``cond_estimate`` and
 coefficients.  The cases cover full bases with a real and a complex ``f``,
 one-variable bases, the ``(1, 1)`` and ``(2, 3)`` pattern solves, a real
 and a complex ``f`` off those patterns, four values of ``alpha`` at several orders,
-the ridge retry after a failed factorization, and the subnormal entries of
-the condition estimate at ``n = 2000``.
+the ridge retry after a failed factorization, the subnormal entries of
+the condition estimate at ``n = 2000``, and two full solves whose bandwidth
+is past the block size of LAPACK's blocked ``pbtrf`` (32).
+
+The full scans of the benchmark's two functions are checked here too: they
+equal their orders solved one by one, bit for bit, and factor every order in
+place in one buffer, which leaves each Gram band unwritten.
 
 Regenerate the file with ``PYTHONPATH=src python tests/test_solve_pin.py``,
 only for a change meant to move these values.
@@ -14,13 +19,15 @@ only for a change meant to move these values.
 
 import hashlib
 import json
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bidisk import approximants
-from bidisk.approximants import BasisSpec, solve_optimal
+from bidisk.approximants import BasisSpec, gram_assemble, solve_optimal, solve_orders
 from bidisk.series import DiagonalPattern, OneVarSeries, TwoVarSeries, lift, separable
 
 GOLDEN = Path(__file__).parent / "golden" / "solves.json"
@@ -42,6 +49,20 @@ COMPLEX_OFF23 = TwoVarSeries([[1.0, 0.2j, 0.0, -0.3],
                               [0.0, 0.25j, 0.0, -0.5 + 0.1j]])
 
 
+def _random_quadratic(rng):
+    """``(1 - z/z1)(1 - z/z2)``, zeros of modulus in [1, 1.5], drawn as ``perfbench/workloads.py`` does."""
+    roots = rng.uniform(1.0, 1.5, 2) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 2))
+    return OneVarSeries([1.0, -(1 / roots[0] + 1 / roots[1]), 1 / (roots[0] * roots[1])])
+
+
+# the benchmark's seed-1 random product
+_RNG = np.random.default_rng(1)
+RANDOM_PRODUCT = separable(_random_quadratic(_RNG), _random_quadratic(_RNG))
+# the full scans of the benchmark: (f, alpha), over the orders FULL_NS
+FULL_SCANS = {"product": (PRODUCT, 0.5), "random-product": (RANDOM_PRODUCT, 0.0)}
+FULL_NS = range(4, 37, 4)
+
+
 def _cases():
     """``(name, f, alpha, basis)`` of every pinned solve."""
     for a in ALPHAS:
@@ -61,6 +82,9 @@ def _cases():
         yield f"diag11/off-pattern/a={a}/n=5", PRODUCT, a, BasisSpec.diagonal(5, PAT11)
         yield f"diag23/off-pattern/a={a}/n=30", COMPLEX_OFF23, a, BasisSpec.diagonal(30, PAT23)
     yield "onevar/subnormal/a=0.0/n=2000", OneVarSeries([1, -0.5]), 0.0, BasisSpec.onevar(2000)
+    # bandwidths 38 and 76: blocked pbtrf
+    yield "full/product/a=0.5/n=36", PRODUCT, 0.5, BasisSpec.full(36)
+    yield "full/random-product/a=0.0/n=36", RANDOM_PRODUCT, 0.0, BasisSpec.full(36)
 
 
 def _record(res) -> dict:
@@ -81,20 +105,28 @@ def _ridge_cases():
     yield "ridge/diag23/pow/a=1.0/n=30", ONE_MINUS_POW23, 1.0, BasisSpec.diagonal(30, PAT23)
 
 
-def _solve_after_one_failure(f, alpha, basis):
-    real, calls = approximants._lapack, []
+def _failing_once(columns=None):
+    """A ``_lapack`` whose ``pbtrf`` fails on its first band of ``columns`` columns (of any, for None)."""
+    real, calls, failed = approximants._lapack, [], []
 
     def lapack(name):
         routine = real(name)
 
-        def fail_once(band):
-            calls.append(band)
-            # info = 1: LAPACK's report of a band that is not positive definite
-            return (band, 1) if len(calls) == 1 else routine(band)
+        def fail_once(band, **kwargs):
+            calls.append(band.shape)
+            if not failed and columns in (None, band.shape[1]):
+                failed.append(band.shape)
+                return band, 1  # LAPACK's report of a band that is not positive definite
+            return routine(band, **kwargs)
 
         return fail_once if name == "pbtrf" else routine
 
-    approximants._lapack = lapack
+    return lapack, calls
+
+
+def _solve_after_one_failure(f, alpha, basis):
+    real = approximants._lapack
+    approximants._lapack, calls = _failing_once()
     try:
         res = solve_optimal(f, alpha, basis)
     finally:
@@ -132,6 +164,94 @@ def test_solve_is_bit_identical(pinned, name, f, alpha, basis):
 @pytest.mark.parametrize("name, f, alpha, basis", _params(_ridge_cases()))
 def test_ridge_retry_is_bit_identical(pinned, name, f, alpha, basis):
     assert _record(_solve_after_one_failure(f, alpha, basis)) == pinned[name]
+
+
+def _full_scan(name):
+    f, alpha = FULL_SCANS[name]
+    return f, alpha, [BasisSpec.full(n) for n in FULL_NS]
+
+
+@pytest.mark.parametrize("name", FULL_SCANS)
+def test_full_scan_is_bit_identical_to_its_orders(name):
+    f, alpha, bases = _full_scan(name)
+    assert [_record(r) for r in solve_orders(f, alpha, bases)] == [
+        _record(solve_optimal(f, alpha, b)) for b in bases]
+
+
+def test_mixed_bases_are_bit_identical_to_their_orders():
+    # the buffer is sized at the first order: the largest box, 301 columns of bandwidth 2,
+    # and not the largest band, the full order 8 with 81 columns of bandwidth 20
+    bases = [BasisSpec.diagonal(300, PAT11), BasisSpec.full(8), BasisSpec.full(2)]
+    assert [_record(r) for r in solve_orders(COMPLEX_2D, 0.5, bases)] == [
+        _record(solve_optimal(COMPLEX_2D, 0.5, b)) for b in bases]
+
+
+@pytest.mark.parametrize("name", FULL_SCANS)
+def test_ridge_at_the_middle_order_of_a_full_scan(monkeypatch, name):
+    f, alpha, bases = _full_scan(name)
+    middle = bases[len(bases) // 2]
+    columns = (middle.n + 1) ** 2
+    monkeypatch.setattr(approximants, "_lapack", _failing_once(columns)[0])
+    scanned = list(solve_orders(f, alpha, bases))
+    monkeypatch.setattr(approximants, "_lapack", _failing_once(columns)[0])
+    direct = solve_optimal(f, alpha, middle)
+    assert [r.ridge > 0.0 for r in scanned] == [b is middle for b in bases]
+    assert _record(scanned[len(bases) // 2]) == _record(direct)
+    monkeypatch.undo()
+    assert [_record(r) for r, b in zip(scanned, bases) if b is not middle] == [
+        _record(solve_optimal(f, alpha, b)) for b in bases if b is not middle]
+
+
+@pytest.mark.parametrize("name", FULL_SCANS)
+@pytest.mark.parametrize("ridge", [False, True], ids=["factored", "ridge"])
+def test_full_scan_factors_in_place_in_one_buffer(monkeypatch, name, ridge):
+    """Every ``pbtrf`` call overwrites a column-major view of one buffer, never a Gram band, which stays unwritten."""
+    f, alpha, bases = _full_scan(name)
+    lapack = _failing_once((bases[1].n + 1) ** 2)[0] if ridge else approximants._lapack
+    bands, calls, buffer = [], [], []  # every band stays referenced, so no later array can take its memory
+
+    def assemble(*args):
+        gram = gram_assemble(*args)
+        bands.append((gram.band, gram.band.copy()))
+        return gram
+
+    def spy(name):
+        routine = lapack(name)
+
+        def pbtrf(ab, **kwargs):
+            if not buffer:
+                buffer.append(weakref.ref(ab.base))
+            calls.append((ab.base is buffer[0](), ab.ctypes.data, ab.flags.f_contiguous, kwargs,
+                          any(np.shares_memory(ab, band) for band, _ in bands)))
+            return routine(ab, **kwargs)
+
+        return pbtrf if name == "pbtrf" else routine
+
+    monkeypatch.setattr(approximants, "gram_assemble", assemble)
+    monkeypatch.setattr(approximants, "_lapack", spy)
+    results = list(solve_orders(f, alpha, bases))
+    assert [r.ridge > 0.0 for r in results] == [ridge and b is bases[1] for b in bases]
+    assert len(calls) == len(bases) + ridge
+    for first_buffer, data, f_contiguous, kwargs, shares_band in calls:
+        assert first_buffer and data == calls[0][1] and f_contiguous
+        assert kwargs == {"overwrite_ab": 1} and not shares_band
+    assert buffer[0]() is None  # freed with the scan
+    assert all(np.array_equal(band, copy) for band, copy in bands)
+
+
+def test_full_solve_peak_memory():
+    # the band, the buffer it is factored in, and small change: no second copy of the band,
+    # and no |G| scratch of its own for the 1-norm
+    b = BasisSpec.full(36)
+    band_bytes = gram_assemble(PRODUCT, 0.5, b).band.nbytes
+    solve_optimal(PRODUCT, 0.5, BasisSpec.full(4))  # load scipy.linalg first
+    tracemalloc.start()
+    try:
+        solve_optimal(PRODUCT, 0.5, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * band_bytes
 
 
 if __name__ == "__main__":

@@ -1,30 +1,33 @@
-"""Per-stage time split of the ``reduced_scan`` decay scans on two source trees.
+"""Per-stage time split of the benchmark's decay scans on two source trees.
 
-Runs the six decay scans of the benchmark's ``reduced_scan`` workload
-(``perfbench/workloads.py``) on a baseline tree, named by ``--src``, and on
-the tree this script belongs to.  Each tree runs in its own processes, with
-one BLAS thread as in ``perfbench/run.py``, and the two alternate for
-``ROUNDS`` rounds so that drift of the host's speed hits both alike.  A
-process makes one untimed warm-up pass, then ``REPEATS`` untraced passes,
-keeping each scan's fastest wall time (other processes on a shared host
-only ever slow a scan, as ``perfbench/worker.py`` notes), and ``REPEATS``
-traced passes, in which the solver's private stages are wrapped in timers
-and the median of each stage is kept:
+Runs the decay scans of the benchmark's ``full_scan`` and ``reduced_scan``
+workloads (``perfbench/workloads.py``, seed ``SEED``) on a baseline tree,
+named by ``--src``, and on the tree this script belongs to.  Each tree runs
+in its own processes, under the environment ``perfbench/run.py`` pins for
+its workers (``PINNED``: one BLAS thread, no huge pages for numpy, a fixed
+malloc mmap threshold), and the two alternate for ``ROUNDS`` rounds so that
+drift of the host's speed hits both alike.  A process makes one untimed
+warm-up pass, then ``REPEATS`` untraced passes, keeping each scan's fastest
+wall time (other processes on a shared host only ever slow a scan, as
+``perfbench/worker.py`` notes) and its median count of minor page faults
+(``ru_minflt``), and ``REPEATS`` traced passes, in which the solver's
+private stages are wrapped in timers and the median of each stage's self
+time (less the stages it calls) is kept:
 
 * assemble: ``gram_assemble``;
 * factor: ``_factor`` (LAPACK ``pbtrf`` and any ridge retry);
-* solve: the rest of ``_solve_normal`` (the ``pbtrs`` for the coefficients);
+* solve: ``_solve_normal`` (the ``pbtrs`` for the coefficients);
 * condition estimate: ``_band_norm1`` and ``_inverse_norm1``;
 * certify: ``_certify`` (residual and orthogonality certificate);
 * rest: the scan's wall time less those stages (dispatch, results, checks).
 
 The JSON written to ``--out`` holds, per tree, the revision (git HEAD, a
-dirty flag and a digest of ``src/bidisk``), the six scans' total time of
-every round, the medians over rounds of that total, of each scan's time and
-of its stage split, the stage call counts, and a digest of every result's
-fields and coefficients, which must agree between the trees; the ratio of
-the two totals in each round; and the machine: core count, BLAS, its thread
-count, and versions.
+dirty flag and a digest of ``src/bidisk``) and, per workload, the scans'
+total time of every round, the medians over rounds of that total, of each
+scan's time, faults and stage split, the stage call counts, and a digest of
+every result's fields and coefficients, which must agree between the trees;
+the ratio of the two totals in each round; and the machine: core count,
+BLAS, its thread count, and versions.
 
     python tools/bench_scans.py --src PATH/TO/BASELINE --out BENCH.json
 """
@@ -36,6 +39,7 @@ import ctypes
 import hashlib
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -43,7 +47,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import PINNED  # noqa: E402  (perfbench/run.py, on the path just above)
+
+WORKLOADS = ("full_scan", "reduced_scan")
+SEED = 1  # the full scan's random product; the reduced scans' order
 ROUNDS, REPEATS = 10, 15
 STAGES = ("assemble", "factor", "solve", "cond", "certify", "rest")
 
@@ -97,26 +105,31 @@ def machine() -> dict:
 
 
 class Stages:
-    """Timers around the solver's stage functions, patched into ``bidisk.approximants``."""
+    """Self-time timers around the solver's stage functions, patched into ``bidisk.approximants``."""
 
-    NAMES = {"gram_assemble": "assemble", "_factor": "factor", "_solve_normal": "solve_normal",
+    NAMES = {"gram_assemble": "assemble", "_factor": "factor", "_solve_normal": "solve",
              "_band_norm1": "cond", "_inverse_norm1": "cond", "_certify": "certify"}
 
     def __init__(self, approximants):
-        self.seconds = dict.fromkeys([*STAGES, "solve_normal"], 0.0)
+        self.seconds = dict.fromkeys(STAGES[:-1], 0.0)  # all but the rest
         self.calls = dict.fromkeys(self.NAMES, 0)
         self.module = approximants
         self.real = {name: getattr(approximants, name) for name in self.NAMES}
+        self.nested = []  # per open call, the time of the timed calls made inside it
 
     def wrap(self, name):
         real, stage = self.real[name], self.NAMES[name]
 
         def timed(*args, **kwargs):
+            self.nested.append(0.0)
             t = time.perf_counter()
             try:
                 return real(*args, **kwargs)
             finally:
-                self.seconds[stage] += time.perf_counter() - t
+                elapsed = time.perf_counter() - t
+                self.seconds[stage] += elapsed - self.nested.pop()
+                if self.nested:
+                    self.nested[-1] += elapsed
                 self.calls[name] += 1
 
         return timed
@@ -131,12 +144,7 @@ class Stages:
             setattr(self.module, name, real)
 
     def split(self, wall: float) -> dict:
-        s = self.seconds
-        out = {"assemble": s["assemble"], "factor": s["factor"],
-               "solve": s["solve_normal"] - s["factor"] - s["cond"], "cond": s["cond"],
-               "certify": s["certify"]}
-        out["rest"] = wall - sum(out.values())
-        return out
+        return {**self.seconds, "rest": wall - sum(self.seconds.values())}
 
 
 def result_digest(results) -> str:
@@ -148,13 +156,8 @@ def result_digest(results) -> str:
     return digest.hexdigest()[:16]
 
 
-def worker(tree: Path) -> dict:
-    """Time the six scans with the ``bidisk`` of ``tree``; the workload comes from this script's tree."""
-    sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
-    from bidisk import analysis, approximants
-    import workloads
-
-    scans = workloads.reduced_scan(0, False).scans
+def time_scans(analysis, approximants, scans) -> dict:
+    """One warm-up pass, ``REPEATS`` untraced and ``REPEATS`` traced passes of ``scans``."""
 
     def run(scan):
         return analysis.decay_scan(scan.f, scan.alpha, scan.ns, basis=scan.basis,
@@ -163,11 +166,14 @@ def worker(tree: Path) -> dict:
     digests = [result_digest(run(s).results) for s in scans]  # the warm-up pass
     labels = [f"{s.label} {s.basis} alpha={s.alpha}" for s in scans]
     wall = {label: [] for label in labels}
+    faults = {label: [] for label in labels}
     for _ in range(REPEATS):
         for label, scan in zip(labels, scans):
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t = time.perf_counter()
             run(scan)
             wall[label].append(time.perf_counter() - t)
+            faults[label].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     split = {label: [] for label in labels}
     calls = {}
     for _ in range(REPEATS):
@@ -180,12 +186,23 @@ def worker(tree: Path) -> dict:
             calls[label] = stages.calls
     return {
         "scan_s": {label: min(times) for label, times in wall.items()},
+        "minflt": {label: statistics.median(counts) for label, counts in faults.items()},
         "stage_s": {label: {k: statistics.median(p[k] for p in passes) for k in STAGES}
                     for label, passes in split.items()},
         "stage_calls": calls,
         "results_sha256": hashlib.sha256("".join(digests).encode()).hexdigest()[:16],
-        "machine": machine(),
     }
+
+
+def worker(tree: Path) -> dict:
+    """Time the scans with the ``bidisk`` of ``tree``; the workloads come from this script's tree."""
+    sys.path[:0] = [str(tree / "src"), str(ROOT / "tests")]
+    from bidisk import analysis, approximants
+    import workloads
+
+    out = {name: time_scans(analysis, approximants, getattr(workloads, name)(SEED, False).scans)
+           for name in WORKLOADS}
+    return {"workloads": out, "machine": machine()}
 
 
 def spawn(tree: Path) -> dict:
@@ -196,7 +213,7 @@ def spawn(tree: Path) -> dict:
 
 
 def summarize(rounds: list) -> dict:
-    """Medians over rounds: per scan, per stage, and of the six scans' total."""
+    """Medians over rounds: per scan, per stage, of the scans' total and of the faults per pass."""
     labels = list(rounds[0]["scan_s"])
     total = [sum(r["scan_s"].values()) for r in rounds]
     stage_total = {k: statistics.median(sum(r["stage_s"][label][k] for label in labels)
@@ -204,13 +221,29 @@ def summarize(rounds: list) -> dict:
     return {
         "total_s": statistics.median(total),
         "total_s_rounds": total,
+        "minflt_per_pass": statistics.median(sum(r["minflt"].values()) for r in rounds),
         "scan_s": {label: statistics.median(r["scan_s"][label] for r in rounds)
                    for label in labels},
+        "scan_minflt": {label: statistics.median(r["minflt"][label] for r in rounds)
+                        for label in labels},
         "stage_total_s": stage_total,
         "stage_s": {label: {k: statistics.median(r["stage_s"][label][k] for r in rounds)
                             for k in STAGES} for label in labels},
         "stage_calls": rounds[0]["stage_calls"],
         "results_sha256": sorted({r["results_sha256"] for r in rounds}),
+    }
+
+
+def compare(base: dict, change: dict) -> dict:
+    """The change against the baseline on one workload: totals, and the ratio of each round."""
+    # the two runs of a round are adjacent in time, so their ratio cancels slow drift of the host
+    ratios = [c / b for b, c in zip(base["total_s_rounds"], change["total_s_rounds"])]
+    return {
+        "results_identical": base["results_sha256"] == change["results_sha256"],
+        "total_change_frac": (change["total_s"] - base["total_s"]) / base["total_s"],
+        "round_ratios": ratios,
+        "round_ratio_median": statistics.median(ratios),
+        "rounds_change_faster": sum(r < 1.0 for r in ratios),
     }
 
 
@@ -230,29 +263,31 @@ def main(argv=None) -> int:
     for i in range(ROUNDS):
         for name in (trees if i % 2 == 0 else reversed(list(trees))):
             rounds[name].append(spawn(trees[name]))
-    sides = {name: {"revision": revision(tree), **summarize(rounds[name])}
+    sides = {name: {"revision": revision(tree),
+                    **{w: summarize([r["workloads"][w] for r in rounds[name]]) for w in WORKLOADS}}
              for name, tree in trees.items()}
-    base, change = sides["baseline"]["total_s"], sides["change"]["total_s"]
-    # the two runs of a round are adjacent in time, so their ratio cancels slow drift of the host
-    ratios = [c / b for b, c in zip(sides["baseline"]["total_s_rounds"], sides["change"]["total_s_rounds"])]
+    comparison = {w: compare(sides["baseline"][w], sides["change"][w]) for w in WORKLOADS}
     report = {
-        "what": "six decay scans of perfbench reduced_scan: wall time and per-stage split",
-        "settings": {"rounds": ROUNDS, "repeats": REPEATS, **PINNED,
-                     "statistic": "scan_s: fastest of the repeats of a round; stage_s: median of "
-                                  "the traced repeats; both then the median over rounds"},
+        "what": "decay scans of perfbench full_scan and reduced_scan: wall time, minor page "
+                "faults and per-stage split",
+        "settings": {"rounds": ROUNDS, "repeats": REPEATS, "seed": SEED, **PINNED,
+                     "statistic": "scan_s: fastest of the repeats of a round; minflt: median "
+                                  "of the untraced repeats; stage_s: median of the traced "
+                                  "repeats; each then the median over rounds"},
         "machine": rounds["change"][0]["machine"],
-        "results_identical": sides["baseline"]["results_sha256"] == sides["change"]["results_sha256"],
-        "total_change_frac": (change - base) / base,
-        "round_ratios": ratios,
-        "round_ratio_median": statistics.median(ratios),
-        "rounds_change_faster": sum(r < 1.0 for r in ratios),
+        "results_identical": all(c["results_identical"] for c in comparison.values()),
+        "comparison": comparison,
         **sides,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"six scans: baseline {1e3 * base:.2f} ms, change {1e3 * change:.2f} ms "
-          f"({100 * (change - base) / base:+.1f}%); change/baseline by round: median "
-          f"{statistics.median(ratios):.3f}, change faster in {report['rounds_change_faster']} of "
-          f"{len(ratios)}; results identical: {report['results_identical']}")
+    for w in WORKLOADS:
+        base, change, c = sides["baseline"][w], sides["change"][w], comparison[w]
+        print(f"{w}: baseline {1e3 * base['total_s']:.2f} ms, change {1e3 * change['total_s']:.2f} ms "
+              f"({100 * c['total_change_frac']:+.1f}%); change/baseline by round: median "
+              f"{c['round_ratio_median']:.3f}, change faster in {c['rounds_change_faster']} of "
+              f"{len(c['round_ratios'])}; minor faults per pass {base['minflt_per_pass']:.0f} -> "
+              f"{change['minflt_per_pass']:.0f}")
+    print(f"results identical: {report['results_identical']}")
     return 0
 
 
