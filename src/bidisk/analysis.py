@@ -17,7 +17,6 @@ decaying / plateau / inconclusive.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -130,13 +129,16 @@ def decay_scan(
     ``BasisSpec(n, basis, pattern)``; a diagonal basis defaults to the
     pattern ``(1, 1)``, and a ``pattern`` with any other basis is refused.
     Each result equals :func:`solve_optimal` at its order, bit for bit.  A
-    one-variable or diagonal scan assembles its Gram band once, at its
-    largest order within the solver cap, and every order factors, solves,
-    estimates the condition of and certifies its own leading slice of it;
-    a full scan assembles each order.  ``ortho_tol`` is the
-    orthogonality-certificate tolerance of every solve (default
-    ``1e-8 * ||f||^2``); a negative or NaN one is refused before any solve.
-    The scan stops at the first order that fails, with that order's error.
+    scan assembles its Gram band once, at its largest order within the
+    solver cap; a full scan gathers each lower order's band from it, a
+    one-variable or diagonal scan slices it, and every order factors,
+    solves, estimates the condition of and certifies its own band.
+    ``ortho_tol`` is the orthogonality-certificate tolerance of every solve
+    (default ``1e-8 * ||f||^2``); a negative or NaN one is refused before
+    any solve.
+    The scan stops at the first order that fails, with that order's error;
+    one whose message names no order (its ``n`` is None) is made to name
+    it, and ``n`` is set.
     The mathematical monotonicity of the squared distances is asserted
     after the fact — any increase beyond rounding is reported as a
     numerical failure.
@@ -155,10 +157,10 @@ def decay_scan(
             results.append(result)
     except BidiskError as exc:
         # Re-raise the same error, its type and attributes intact, naming
-        # the order once: the solver's own messages usually name it.
-        n = n_values[len(results)]
-        if not re.search(rf"\bn={n}\b", str(exc)):
-            exc.args = (f"order n={n}: {exc}", *exc.args[1:])
+        # the order once: an error whose message names it carries it as ``n``.
+        if exc.n is None:
+            exc.n = n_values[len(results)]
+            exc.args = (f"order n={exc.n}: {exc}", *exc.args[1:])
         raise
     points = tuple((n, r.residual_sq) for n, r in zip(n_values, results))
     meta = {"alpha": aw.alpha, "basis": basis, "pattern": pattern}

@@ -29,22 +29,25 @@ by ``pbtrs``, both looked up in ``scipy.linalg`` on the first factorization
 Gram band that overflows is refused with :class:`NumericalError` naming
 ``alpha`` and the order; residuals are always recomputed from the returned
 coefficients by explicit series arithmetic, never read off the solver; every
-solve carries an orthogonality certificate and a 1-norm condition estimate.
-Every order takes ``||G||_1`` first, then factors.  A scan that assembles
-its orders one by one (a full scan, or a single solve) allocates one
-buffer, sized once to the largest band it factors and freed with the scan:
-each order forms ``|G|`` in it, then copies its band into it and factors
-it there in place.  The small slices of a shared band keep LAPACK's own
-copy, which costs them less.  ``GramSystem.band`` is never written, so a
-ridge retry starts again from it.
+solve carries an orthogonality certificate and a 1-norm condition estimate;
+a failed solve's error carries the order it names and the failed stage as
+``n`` and ``stage``.  Every order takes ``||G||_1`` first, then factors.
 The residual ``p f - 1`` is formed once per solve and yields both the
-squared residual and the certificate.  :func:`solve_orders` maps bases to
-solves, :func:`solve_optimal` being its one-order case.  The one-column
-boxes (``C = 0``) of a one-variable or diagonal scan are leading boxes of
-its largest, and each band is a leading slice of the largest band; such a
-scan assembles once, at its largest order within ``SOLVER_CAP``, and every
+squared residual and the certificate.  :func:`solve_orders` maps bases to solves,
+:func:`solve_optimal` being its one-order case.  A scan assembles once, at
+its largest order within ``SOLVER_CAP`` (the top order), and holds that band
+for the whole scan.  ``G[i, j]`` depends only on the monomials, so ``G``
+over every lower order's box is a principal submatrix of the top one.  A
+full scan gathers each lower order's band from the top band, one strided
+rectangle per pair offset of ``f``, into one scratch array; each full order
+forms ``|G|`` in one buffer, then copies its band into it and factors it
+there in place.  Both arrays are sized once, to the top band, and freed with
+the scan.  The one-column boxes (``C = 0``) of a one-variable or diagonal
+scan are leading boxes, and each band is a leading slice of the top band,
+factored from LAPACK's own copy, which costs these small bands less.  Every
 order factors, solves, estimates the condition of and certifies its own
-slice, bit-identical to assembling it alone.
+band, bit-identical to assembling it alone.  ``GramSystem.band`` is never
+written, so a ridge retry starts again from it.
 
 The bookkeeping around the LAPACK calls is done once per solve, so that a
 small banded solve costs little more than its factorization and its solves,
@@ -121,10 +124,10 @@ def _lapack(name: str):
     return scipy.linalg.get_lapack_funcs(name, dtype=np.complex128)
 
 
-def _not_finite(alpha: float, n: int) -> NumericalError:
-    """The refusal of a Gram matrix whose weights or weighted coefficients overflow."""
+def _not_finite(alpha: float, n: int, stage: str) -> NumericalError:
+    """The refusal of a Gram matrix whose weights or weighted coefficients overflow, at ``stage``."""
     return NumericalError(f"the Gram matrix at alpha = {alpha!r}, order n={n} is not finite; "
-                          "the weights or the weighted coefficients overflow")
+                          "the weights or the weighted coefficients overflow", n=n, stage=stage)
 
 
 class Lattice(NamedTuple):
@@ -343,13 +346,6 @@ def _blocks(grid: np.ndarray, lat: Lattice) -> Tuple[int, list]:
     return max((block[0] for block in blocks), default=0), blocks
 
 
-def _band_entries(f: Series, aw, b: BasisSpec) -> int:
-    """The entries ``(u + 1) B`` of the band that :func:`gram_assemble` builds over ``b``, without building it."""
-    lat = b.lattice()
-    u = max(_blocks(_grid(F), lat)[0] for F, _ in _terms(f, aw, b))
-    return (u + 1) * (lat.A + 1) * (lat.C + 1)
-
-
 def _gram_band(grid: np.ndarray, aw, lat: Lattice) -> np.ndarray:
     """Upper band of ``G`` over the lattice box ``lat`` for the coefficient grid ``grid``.
 
@@ -391,6 +387,8 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     the coset problems of ``f`` are summed.  ``a`` is a space parameter, or a
     :class:`PatternWeight` for a one-variable ``f``.  A band that overflows
     is refused with :class:`NumericalError` naming ``alpha`` and ``b.n``.
+    That refusal, and those of a basis past ``SOLVER_CAP`` and of a zero
+    ``f``, have the stage ``"assemble"``.
     """
     aw = a if isinstance(a, PatternWeight) else as_alpha(a)
     onevar = isinstance(f, OneVarSeries)
@@ -400,9 +398,9 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     size = (lat.A + 1) * (lat.C + 1)
     if size > SOLVER_CAP:
         raise BasisSizeError(f"basis of {size} unknowns exceeds the solver cap of {SOLVER_CAP}; "
-                             "choose a reduced basis explicitly")
+                             "choose a reduced basis explicitly", stage="assemble")
     if not f.coeffs.any():
-        raise ArgumentError("f must not be identically zero")
+        raise ArgumentError("f must not be identically zero", stage="assemble")
     terms = _terms(f, aw, b)
     with np.errstate(over="ignore", invalid="ignore"):
         bands = [_gram_band(_grid(F), w, lat) for F, w in terms]
@@ -412,7 +410,7 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
             for x in bands:
                 band[band.shape[0] - x.shape[0]:] += x
     if not np.isfinite(band).all():
-        raise _not_finite(aw.alpha, b.n)
+        raise _not_finite(aw.alpha, b.n, "assemble")
     rhs = np.zeros(band.shape[1], dtype=np.complex128)
     rhs[0] = np.conj(f.coeffs[(0,) * f.coeffs.ndim])  # position 0 is the constant monomial
     return GramSystem(lattice=lat, onevar=onevar, band=band, rhs=rhs, terms=terms, pattern=b.pattern)
@@ -516,17 +514,18 @@ def _factor(gram: GramSystem, n: int, alpha: float,
         with np.errstate(over="ignore"):
             ridge = 1e-12 * float(np.mean(band[-1].real))
         if not np.isfinite(ridge):
-            raise _not_finite(alpha, n)
+            raise _not_finite(alpha, n, "factor")
         band[-1] += ridge
         norm = _band_norm1(band, buf)
         factor, info = _pbtrf(band, buf)
         if info > 0:
             raise ConditioningError(
                 f"Gram factorization at order n={n} failed even with ridge {ridge:.3e}",
-                cond_estimate=float("inf"),
+                cond_estimate=float("inf"), n=n, stage="factor",
             )
     if info < 0:
-        raise NumericalError(f"banded factorization at order n={n} failed: LAPACK pbtrf info {info}")
+        raise NumericalError(f"banded factorization at order n={n} failed: LAPACK pbtrf info {info}",
+                             n=n, stage="factor")
     return factor, norm, ridge
 
 
@@ -539,7 +538,8 @@ def _solve_normal(gram: GramSystem, n: int, alpha: float,
     def solve(x):
         y, info = pbtrs(factor, x)
         if info != 0:
-            raise NumericalError(f"banded solve at order n={n} failed: LAPACK pbtrs info {info}")
+            raise NumericalError(f"banded solve at order n={n} failed: LAPACK pbtrs info {info}",
+                                 n=n, stage="solve")
         return y
 
     c = solve(gram.rhs)
@@ -600,7 +600,7 @@ def _certify(
         raise ConditioningError(
             f"orthogonality certificate {ortho:.3e} exceeds tolerance {tol:.3e} "
             f"at order n={n} (condition estimate {cond:.3e}, ridge {ridge:.3e})",
-            cond_estimate=cond,
+            cond_estimate=cond, n=n, stage="certify",
         )
     return res_sq, ortho
 
@@ -626,51 +626,48 @@ def _solve(gram: GramSystem, b: BasisSpec, alpha: float, ortho_tol: Optional[flo
 
 
 def _top_basis(bases: List[BasisSpec]) -> Optional[BasisSpec]:
-    """The largest of ``bases`` within the cap, when every one of them is a leading box of it; else None.
-
-    That holds for one-column boxes (``C = 0``) of one kind and pattern,
-    whose ``f``, cosets and weights do not depend on the order.
-    """
-    if len(bases) < 2 or len({(b.kind, b.pattern) for b in bases}) > 1:
+    """The largest of ``bases`` within the cap, when all are of one kind and pattern (boxes inside it); else None."""
+    if len({(b.kind, b.pattern) for b in bases}) > 1:
         return None
-    if any(b.lattice().C for b in bases):  # a full box of order 0 is one column too
-        return None
-    capped = [b for b in bases if b.lattice().A < SOLVER_CAP]
+    capped = [b for b in bases if (b.lattice().A + 1) * (b.lattice().C + 1) <= SOLVER_CAP]
     return max(capped, key=lambda b: b.lattice().A, default=None)
 
 
-def _leading(top: GramSystem, lat: Lattice) -> GramSystem:
-    """The normal equations over the leading one-column box ``lat`` of ``top``'s.
+def _gather(top: GramSystem, lat: Lattice, store: Optional[np.ndarray]) -> GramSystem:
+    """The normal equations over a box ``lat`` inside ``top``'s, entry for entry those of :func:`gram_assemble`.
 
-    Its band is the bottom ``min(u, A) + 1`` rows and first ``A + 1``
-    columns of ``top``'s, bandwidth ``u``: a view, entry for entry the band
-    that :func:`gram_assemble` builds over ``lat``.
+    ``G[i, j]`` depends only on ``m_i`` and ``m_j``.  A pair offset
+    ``(da, dc)`` of :func:`_blocks` fills one rectangle of columns ``(a, c)``
+    of the band row ``u - d``, ``d = -(da (C + 1) + dc)``, and the same one
+    of ``top``'s row ``U - d'``, with ``top``'s ``C'`` for ``C``: each
+    distinct offset is one strided copy into ``store``, of at least
+    ``top.band.size`` entries, zero elsewhere.  A one-column box has
+    ``d = d'``, and its band is a view of ``top``'s bottom rows and first columns.
     """
-    u, size = min(top.band.shape[0] - 1, lat.A), lat.A + 1
-    return GramSystem(lattice=lat, onevar=top.onevar, band=top.band[-u - 1:, :size], rhs=top.rhs[:size],
-                      terms=top.terms, pattern=top.pattern)
-
-
-def _largest_band(f: Series, aw, bases: List[BasisSpec], first: GramSystem) -> int:
-    """The entries of the largest band among ``bases`` within the cap; ``first`` is the band of ``bases[0]``.
-
-    Within one kind and pattern the band grows with the order, so the
-    largest is that of the largest order of each; the first basis is not
-    measured again.
-    """
-    largest = {}
-    for b in bases:
-        lat, key = b.lattice(), (b.kind, b.pattern)
-        if (lat.A + 1) * (lat.C + 1) <= SOLVER_CAP and (key not in largest or b.n > largest[key].n):
-            largest[key] = b
-    return max([first.band.size] + [_band_entries(f, aw, b) for b in largest.values() if b != bases[0]])
+    if lat == top.lattice:
+        return top
+    (A, C), (A1, C1), U = lat, top.lattice, top.band.shape[0] - 1
+    size = (A + 1) * (C + 1)
+    if C == 0:
+        band = top.band[-min(U, A) - 1:, :size]
+    else:
+        (F, _), = top.terms  # a box with two variables is full, and f is one term
+        u, blocks = _blocks(_grid(F), lat)
+        band = store[:(u + 1) * size].reshape(u + 1, size)
+        band.fill(0.0)
+        rows, top_rows = band.reshape(u + 1, A + 1, C + 1), top.band.reshape(U + 1, A1 + 1, C1 + 1)
+        offsets = {(p1 - q1, p2 - q2): (d, a0, a1, c0, c1) for d, p1, p2, q1, q2, a0, a1, c0, c1 in blocks}
+        for (da, dc), (d, a0, a1, c0, c1) in offsets.items():
+            rows[u - d, a0:a1 + 1, c0:c1 + 1] = top_rows[U + da * (C1 + 1) + dc, a0:a1 + 1, c0:c1 + 1]
+    return GramSystem(lattice=lat, onevar=top.onevar, band=band, rhs=top.rhs[:size], terms=top.terms,
+                      pattern=top.pattern)
 
 
 def _solve_orders(
     f: Series, aw, bases: List[BasisSpec], ortho_tol: Optional[float]
 ) -> Iterator[ApproximantResult]:
     """The solves of :func:`solve_orders`, which checked ``ortho_tol``, under the weights ``aw``."""
-    top_basis, top, buf = _top_basis(bases), None, None
+    top_basis, top, store, buf = _top_basis(bases), None, None, None
     for b in bases:
         lat = b.lattice()
         shared = top_basis is not None and lat.A <= top_basis.lattice().A
@@ -679,13 +676,15 @@ def _solve_orders(
                 top = gram_assemble(f, aw, top_basis)
             except NumericalError:  # not finite: each order's own assembly names the first that overflows
                 top_basis, shared = None, False
+        if shared and store is None and lat.C and lat != top.lattice:  # the top order leaves it untouched
+            store = np.empty(top.band.size, dtype=np.complex128)
         # past the cap gram_assemble raises, as it does at this order alone
-        gram = _leading(top, lat) if shared else gram_assemble(f, aw, b)
-        if buf is None and not shared:  # sized once, to the largest band of the scan
-            buf = np.empty(_largest_band(f, aw, bases, gram), dtype=np.complex128)
-        # the slices of a shared band are small, and LAPACK's own copy of each is cheaper than one into
-        # a buffer held across the scan (measured on the reduced scans)
-        yield _solve(gram, b, aw.alpha, ortho_tol, None if shared else buf)
+        gram = _gather(top, lat, store) if shared else gram_assemble(f, aw, b)
+        if lat.C and (buf is None or buf.size < gram.band.size):  # in a shared scan, sized once to the top band
+            buf = np.empty((top if shared else gram).band.size, dtype=np.complex128)
+        # a one-column band is small, and LAPACK's own copy of it is cheaper than one into a
+        # buffer held across the scan (measured on the reduced scans)
+        yield _solve(gram, b, aw.alpha, ortho_tol, buf if lat.C else None)
 
 
 def solve_orders(
@@ -700,9 +699,10 @@ def solve_orders(
     The one place that maps bases to solves; each result equals that of
     :func:`solve_optimal` on its basis, bit for bit, and the iterator
     raises at the first basis whose solve fails, with that solve's error.
-    The one-variable and ``diag:M,N`` bases of one scan share one Gram
-    assembly, as the module docstring describes; full orders are assembled
-    one by one.  ``ortho_tol`` is checked here, before any solve.
+    The bases of one scan share one Gram assembly, at its top order, as the
+    module docstring describes: a full scan gathers each lower order's band
+    from the top one's, and a one-variable or ``diag:M,N`` scan slices it.
+    ``ortho_tol`` is checked here, before any solve.
     """
     _check_tolerance(ortho_tol, "ortho_tol")
     return _solve_orders(f, as_alpha(a), list(bases), ortho_tol)

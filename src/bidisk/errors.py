@@ -9,9 +9,18 @@ from __future__ import annotations
 
 
 class BidiskError(Exception):
-    """Base class for all structured errors raised by this package."""
+    """Base class for all structured errors raised by this package.
+
+    A solver error carries the order ``n`` its message names (None when it
+    names none) and the ``stage`` that failed: ``"assemble"``, ``"factor"``,
+    ``"solve"`` or ``"certify"`` (None outside a solve).
+    """
 
     exit_code = 3
+
+    def __init__(self, *args, n=None, stage=None):
+        super().__init__(*args)
+        self.n, self.stage = n, stage
 
 
 class InputError(BidiskError):
@@ -71,8 +80,8 @@ class SingularReciprocalError(NumericalError):
 class ConditioningError(NumericalError):
     """Gram factorization failed or its certificates exceeded tolerance."""
 
-    def __init__(self, message, cond_estimate=None):
-        super().__init__(message)
+    def __init__(self, message, cond_estimate=None, **where):
+        super().__init__(message, **where)
         self.cond_estimate = cond_estimate
 
 

@@ -143,6 +143,19 @@ class TestDecayScan:
         assert scanned.value.cond_estimate == direct.value.cond_estimate
         assert str(scanned.value).count("n=3") == 1
 
+    def test_error_attributes(self):
+        # a refusal whose message names no order is made to name the scan's, and carries it
+        with pytest.raises(BidiskError) as capped:
+            decay_scan(F_DIAG, 0.0, [1, 120], basis="full")
+        assert str(capped.value) == ("order n=120: basis of 14641 unknowns exceeds the solver cap of "
+                                     "10000; choose a reduced basis explicitly")
+        assert (capped.value.n, capped.value.stage) == (120, "assemble")
+        # one that names it is kept as it is
+        with pytest.raises(BidiskError) as certified:
+            decay_scan(F_PROD, 0.5, [2, 3], basis="full", ortho_tol=1e-300)
+        assert str(certified.value).startswith("orthogonality certificate")
+        assert (certified.value.n, certified.value.stage) == (2, "certify")
+
     def test_diagonal_scan_never_lifts(self, monkeypatch):
         from bidisk import approximants
 
@@ -214,6 +227,33 @@ REDUCED_SCANS = [
 RANDOM_NS = [0, 1, 2, 5, 40, 99, 100, 101, 127, 128, 129, 300, 600]
 
 
+def _random_grid(shape, seed, density=1.0):
+    """A random complex ``f`` on ``shape`` with its nonzeros at ``density``, dominated by its constant."""
+    rng = np.random.default_rng(seed)
+    grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    grid *= rng.uniform(size=shape) < density
+    grid[0, 0] = 2.0 * np.abs(grid).sum() + 1.0
+    return TwoVarSeries(grid)
+
+
+def _assemblies(monkeypatch):
+    """The orders of the bases ``gram_assemble`` is called with from now on, in order."""
+    calls, real = [], approximants.gram_assemble
+
+    def counted(*args):
+        calls.append(args[2].n)
+        return real(*args)
+
+    monkeypatch.setattr(approximants, "gram_assemble", counted)
+    return calls
+
+
+# the functions whose full bands are gathered: a separable product, a random complex 3x3,
+# a sparse 4x3 and a single column
+FULL_GATHER = [F_PROD, _random_grid((3, 3), 11), _random_grid((4, 3), 12, density=0.4),
+               _random_onevar(3, 13)]
+
+
 class TestScanAssemblesOnce:
     """A scan shares one Gram assembly where it can, and equals per-order solves bit for bit."""
 
@@ -250,37 +290,33 @@ class TestScanAssemblesOnce:
         *[(F_PROD, a, 300, "diagonal", DiagonalPattern(2, 3)) for a in (-2.0, 0.0, 0.75)],
         *[(builtin_series("one_minus_pow", M=2, N=3).series, a, n, "diagonal",
            DiagonalPattern(2, 3)) for a, n in ((0.0, 300), (150.0, 6))],
+        # full boxes: every order 0..36 is gathered from the top band
+        *[(f, a, 36, "full", None) for f in FULL_GATHER for a in (-1.0, 0.0, 0.5, 1.0)],
     ])
-    def test_leading_slice_is_the_assembled_band(self, f, alpha, top_n, basis, pattern):
+    def test_gathered_band_is_the_assembled_band(self, f, alpha, top_n, basis, pattern):
         top = gram_assemble(f, alpha, BasisSpec(top_n, basis, pattern))
+        # whatever the scratch holds must not leak into a gathered band
+        store = np.full(top.band.size, np.nan + 1j * np.inf)
         # the orders below the bandwidth of f and a spread up to the top
         for n in sorted({*range(min(top_n, 45)), *range(0, top_n, max(1, top_n // 20)), top_n}):
             b = BasisSpec(n, basis, pattern)
-            own, view = gram_assemble(f, alpha, b), approximants._leading(top, b.lattice())
+            own, view = gram_assemble(f, alpha, b), approximants._gather(top, b.lattice(), store)
             assert view.lattice == own.lattice and view.pattern == own.pattern
-            assert view.band.shape == own.band.shape and np.array_equal(view.band, own.band)
-            assert np.array_equal(view.rhs, own.rhs)
+            assert view.band.shape == own.band.shape and view.band.dtype == own.band.dtype
+            assert view.band.tobytes() == own.band.tobytes()
+            assert view.rhs.tobytes() == own.rhs.tobytes()
 
-    @pytest.mark.parametrize("f, ns, basis, pattern, assemblies", [
-        (builtin_series("one_minus_z1").series, DIAG_NS, "onevar", None, 1),
-        (F_DIAG, DIAG_NS, "diagonal", PAT11, 1),
-        (F_PROD, list(range(0, 61, 6)), "diagonal", DiagonalPattern(2, 3), 1),
-        (F_PROD, [2, 4, 8, 16], "full", None, 4),
-        (F_PROD, [0, 1, 2], "full", None, 3),
+    @pytest.mark.parametrize("f, ns, basis, pattern", [
+        (builtin_series("one_minus_z1").series, DIAG_NS, "onevar", None),
+        (F_DIAG, DIAG_NS, "diagonal", PAT11),
+        (F_PROD, list(range(0, 61, 6)), "diagonal", DiagonalPattern(2, 3)),
+        (F_PROD, [2, 4, 8, 16], "full", None),
+        (F_PROD, [0, 1, 2], "full", None),
     ])
-    def test_assembly_count(self, monkeypatch, f, ns, basis, pattern, assemblies):
-        calls = []
-        real = approximants.gram_assemble
-
-        def counted(*args):
-            calls.append(args[2])
-            return real(*args)
-
-        monkeypatch.setattr(approximants, "gram_assemble", counted)
+    def test_assembly_count(self, monkeypatch, f, ns, basis, pattern):
+        calls = _assemblies(monkeypatch)
         decay_scan(f, 0.0, ns, basis=basis, pattern=pattern)
-        assert len(calls) == assemblies
-        if assemblies == 1:
-            assert calls[0].n == ns[-1]
+        assert calls == [ns[-1]]  # one assembly, at the top order
 
     @pytest.mark.parametrize("alpha, ns, kwargs, failing", [
         # orders past the cap are refused when they are reached
@@ -304,6 +340,23 @@ class TestScanAssemblesOnce:
         with pytest.raises(type(alone.value)) as info:
             decay_scan(f, alpha, ns, basis="onevar", **kwargs)
         assert f"n={failing}" in str(info.value)
+
+    @pytest.mark.parametrize("alpha, ns, failing, assembled", [
+        # the top order is 99, the last within the cap: 100 is refused when it is reached
+        (0.0, [4, 8, 99, 100], 100, [99, 100]),
+        # the top band overflows: every order is assembled alone, up to the first that overflows
+        (150.0, [2, 5, 9, 20], 9, [20, 2, 5, 9]),
+    ])
+    def test_full_error_order(self, monkeypatch, alpha, ns, failing, assembled):
+        bases, calls = [BasisSpec.full(n) for n in ns], _assemblies(monkeypatch)
+        scanned = _outcomes(solve_orders(F_PROD, alpha, bases))
+        assert calls == assembled
+        monkeypatch.undo()
+        assert scanned == _outcomes(_one_by_one(F_PROD, alpha, bases))
+        assert len(scanned[0]) == ns.index(failing)
+        with pytest.raises(BidiskError) as alone:
+            solve_optimal(F_PROD, alpha, BasisSpec.full(failing))
+        assert scanned[1] == (type(alone.value), str(alone.value), None)
 
     def test_ridge_at_a_middle_order(self, monkeypatch):
         real = approximants._lapack

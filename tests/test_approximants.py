@@ -418,6 +418,46 @@ class TestOverflow:
             gram_assemble(F_ONEVAR, PatternWeight(AlphaWeight(500.0), PAT11), BasisSpec.onevar(6))
 
 
+class TestErrorStages:
+    """A solver error carries the order its message names and the stage that failed; the messages are unchanged."""
+
+    def raised(self, *args, **kwargs):
+        with pytest.raises(NumericalError) as info:
+            solve_optimal(*args, **kwargs)
+        return info.value
+
+    def test_assemble(self):
+        exc = self.raised(F_PROD, 150.0, BasisSpec.full(9))
+        assert str(exc) == ("the Gram matrix at alpha = 150.0, order n=9 is not finite; "
+                            "the weights or the weighted coefficients overflow")
+        assert (exc.n, exc.stage) == (9, "assemble")
+
+    def test_factor(self, monkeypatch):
+        patch_lapack(monkeypatch, "pbtrf", lambda pbtrf: lambda band, **kwargs: (band, 1))
+        exc = self.raised(F_PROD, 0.0, BasisSpec.full(3))
+        assert re.fullmatch(r"Gram factorization at order n=3 failed even with ridge \d\.\d{3}e-\d\d", str(exc))
+        assert (exc.n, exc.stage, exc.cond_estimate) == (3, "factor", float("inf"))
+
+    def test_solve(self, monkeypatch):
+        patch_lapack(monkeypatch, "pbtrs", lambda pbtrs: lambda factor, x: (x, -2))
+        exc = self.raised(F_ONEVAR, 0.5, BasisSpec.onevar(7))
+        assert str(exc) == "banded solve at order n=7 failed: LAPACK pbtrs info -2"
+        assert (exc.n, exc.stage) == (7, "solve")
+
+    def test_certify(self):
+        exc = self.raised(F_PROD, 0.0, BasisSpec.full(3), ortho_tol=1e-300)
+        assert re.fullmatch(r"orthogonality certificate \S+ exceeds tolerance 1\.000e-300 at order n=3 "
+                            r"\(condition estimate \S+, ridge 0\.000e\+00\)", str(exc))
+        assert (exc.n, exc.stage) == (3, "certify") and exc.cond_estimate > 1.0
+
+    def test_refusal_of_the_cap_names_no_order(self):
+        with pytest.raises(BasisSizeError) as info:
+            solve_optimal(F_PROD, 0.0, BasisSpec.full(100))
+        assert str(info.value) == ("basis of 10201 unknowns exceeds the solver cap of 10000; "
+                                   "choose a reduced basis explicitly")
+        assert (info.value.n, info.value.stage) == (None, "assemble")
+
+
 class TestSolveOptimal:
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, -0.0 - 1e-300, -np.inf])
     def test_nan_or_negative_ortho_tol_refused(self, tol):

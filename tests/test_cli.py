@@ -627,6 +627,14 @@ def test_onevar_scan_output_is_unchanged(capsys):
     assert out == (GOLDEN / "decay_onevar.csv").read_text()
 
 
+def test_full_cos_pair_scan_output_is_unchanged(capsys):
+    # every lower order's band of this full scan is gathered from the top order's, n = 40
+    code, out, err = run_cli(capsys, "decay", "--series", "builtin:cos_pair:1", "--alpha", "0.5",
+                             "--nmin", "0", "--nmax", "40", "--step", "5", "--basis", "full")
+    assert code == 0, err
+    assert out == (GOLDEN / "decay_full_cos_pair.csv").read_text()
+
+
 class TestReadmeExamples:
     """The README's CLI examples print byte-identical output."""
 

@@ -179,8 +179,8 @@ def test_full_scan_is_bit_identical_to_its_orders(name):
 
 
 def test_mixed_bases_are_bit_identical_to_their_orders():
-    # the buffer is sized at the first order: the largest box, 301 columns of bandwidth 2,
-    # and not the largest band, the full order 8 with 81 columns of bandwidth 20
+    # bases of mixed kinds are assembled one by one: the largest box comes first, 301 columns
+    # of bandwidth 2, and the largest band later, the full order 8 with 81 columns of bandwidth 20
     bases = [BasisSpec.diagonal(300, PAT11), BasisSpec.full(8), BasisSpec.full(2)]
     assert [_record(r) for r in solve_orders(COMPLEX_2D, 0.5, bases)] == [
         _record(solve_optimal(COMPLEX_2D, 0.5, b)) for b in bases]

@@ -14,7 +14,9 @@ wall time (other processes on a shared host only ever slow a scan, as
 private stages are wrapped in timers and the median of each stage's self
 time (less the stages it calls) is kept:
 
-* assemble: ``gram_assemble``;
+* assemble: ``gram_assemble``, and the band of a lower order taken from the
+  top order's: ``_gather`` (``_leading``, the one-column slice, in a tree
+  that predates the gather);
 * factor: ``_factor`` (LAPACK ``pbtrf`` and any ridge retry);
 * solve: ``_solve_normal`` (the ``pbtrs`` for the coefficients);
 * condition estimate: ``_band_norm1`` and ``_inverse_norm1``;
@@ -107,14 +109,17 @@ def machine() -> dict:
 class Stages:
     """Self-time timers around the solver's stage functions, patched into ``bidisk.approximants``."""
 
-    NAMES = {"gram_assemble": "assemble", "_factor": "factor", "_solve_normal": "solve",
-             "_band_norm1": "cond", "_inverse_norm1": "cond", "_certify": "certify"}
+    NAMES = {"gram_assemble": "assemble", "_gather": "assemble", "_leading": "assemble",
+             "_factor": "factor", "_solve_normal": "solve", "_band_norm1": "cond",
+             "_inverse_norm1": "cond", "_certify": "certify"}
 
     def __init__(self, approximants):
         self.seconds = dict.fromkeys(STAGES[:-1], 0.0)  # all but the rest
-        self.calls = dict.fromkeys(self.NAMES, 0)
+        # the stage functions this tree has: a baseline may predate some of them
+        self.real = {name: getattr(approximants, name) for name in self.NAMES
+                     if hasattr(approximants, name)}
+        self.calls = dict.fromkeys(self.real, 0)
         self.module = approximants
-        self.real = {name: getattr(approximants, name) for name in self.NAMES}
         self.nested = []  # per open call, the time of the timed calls made inside it
 
     def wrap(self, name):
@@ -135,7 +140,7 @@ class Stages:
         return timed
 
     def __enter__(self):
-        for name in self.NAMES:
+        for name in self.real:
             setattr(self.module, name, self.wrap(name))
         return self
 
