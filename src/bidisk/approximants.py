@@ -239,6 +239,17 @@ class GramSystem:
         """Exponents of the basis monomials in basis order: ints for a one-variable problem."""
         return self.lattice.basis(self.onevar, self.pattern)
 
+    @cached_property
+    def pair_offsets(self) -> list:
+        """The distinct offsets ``p - q`` of the pairs of nonzero coefficients ``f[p]``, ``f[q]`` of a one-term ``f``.
+
+        Found on first read, so a scan that gathers its lower orders from
+        its top order's system finds them once.
+        """
+        (F, _), = self.terms  # a box with two variables is full, and f is one term
+        nonzero = np.argwhere(_grid(F)).tolist()
+        return sorted({(p1 - q1, p2 - q2) for p1, p2 in nonzero for q1, q2 in nonzero})
+
     @property
     def matrix(self) -> np.ndarray:
         """Dense copy of ``G``."""
@@ -332,18 +343,27 @@ def _blocks(grid: np.ndarray, lat: Lattice) -> Tuple[int, list]:
     over the rectangle ``[a0, a1] x [c0, c1]`` of the columns ``j``, as
     :func:`_gram_band` describes.  The blocks come in the order of the pairs.
     """
-    A, C = lat
     nonzero = np.argwhere(grid).tolist()
     blocks = []
     for p1, p2 in nonzero:
         for q1, q2 in nonzero:
-            da, dc = p1 - q1, p2 - q2
-            a0, a1 = max(0, -da), min(A, A - da)
-            c0, c1 = max(0, -dc), min(C, C - dc)
-            offset = da * (C + 1) + dc
-            if offset <= 0 and a0 <= a1 and c0 <= c1:
-                blocks.append((-offset, p1, p2, q1, q2, a0, a1, c0, c1))
+            rect = _rectangle(p1 - q1, p2 - q2, lat)
+            if rect is not None:
+                d, a0, a1, c0, c1 = rect
+                blocks.append((d, p1, p2, q1, q2, a0, a1, c0, c1))
     return max((block[0] for block in blocks), default=0), blocks
+
+
+def _rectangle(da: int, dc: int, lat: Lattice) -> Optional[Tuple[int, int, int, int, int]]:
+    """``(d, a0, a1, c0, c1)``: a pair offset ``(da, dc)`` fills the band row ``u - d`` over ``[a0, a1] x [c0, c1]``.
+
+    None when the offset fills no entry of the upper band over ``lat``.
+    """
+    A, C = lat
+    a0, a1 = max(0, -da), min(A, A - da)
+    c0, c1 = max(0, -dc), min(C, C - dc)
+    d = -(da * (C + 1) + dc)
+    return (d, a0, a1, c0, c1) if d >= 0 and a0 <= a1 and c0 <= c1 else None
 
 
 def _gram_band(grid: np.ndarray, aw, lat: Lattice) -> np.ndarray:
@@ -637,12 +657,13 @@ def _gather(top: GramSystem, lat: Lattice, store: Optional[np.ndarray]) -> GramS
     """The normal equations over a box ``lat`` inside ``top``'s, entry for entry those of :func:`gram_assemble`.
 
     ``G[i, j]`` depends only on ``m_i`` and ``m_j``.  A pair offset
-    ``(da, dc)`` of :func:`_blocks` fills one rectangle of columns ``(a, c)``
-    of the band row ``u - d``, ``d = -(da (C + 1) + dc)``, and the same one
-    of ``top``'s row ``U - d'``, with ``top``'s ``C'`` for ``C``: each
-    distinct offset is one strided copy into ``store``, of at least
-    ``top.band.size`` entries, zero elsewhere.  A one-column box has
-    ``d = d'``, and its band is a view of ``top``'s bottom rows and first columns.
+    ``(da, dc)`` of ``top.pair_offsets`` fills one rectangle of columns
+    ``(a, c)`` of the band row ``u - d``, ``d = -(da (C + 1) + dc)``
+    (:func:`_rectangle`), and the same one of ``top``'s row ``U - d'``, with
+    ``top``'s ``C'`` for ``C``: each offset is one strided copy into
+    ``store``, of at least ``top.band.size`` entries, zero elsewhere.  A
+    one-column box has ``d = d'``, and its band is a view of ``top``'s
+    bottom rows and first columns.
     """
     if lat == top.lattice:
         return top
@@ -651,13 +672,13 @@ def _gather(top: GramSystem, lat: Lattice, store: Optional[np.ndarray]) -> GramS
     if C == 0:
         band = top.band[-min(U, A) - 1:, :size]
     else:
-        (F, _), = top.terms  # a box with two variables is full, and f is one term
-        u, blocks = _blocks(_grid(F), lat)
+        rects = [(da, dc, rect) for da, dc in top.pair_offsets
+                 if (rect := _rectangle(da, dc, lat)) is not None]
+        u = max(rect[0] for _, _, rect in rects)
         band = store[:(u + 1) * size].reshape(u + 1, size)
         band.fill(0.0)
         rows, top_rows = band.reshape(u + 1, A + 1, C + 1), top.band.reshape(U + 1, A1 + 1, C1 + 1)
-        offsets = {(p1 - q1, p2 - q2): (d, a0, a1, c0, c1) for d, p1, p2, q1, q2, a0, a1, c0, c1 in blocks}
-        for (da, dc), (d, a0, a1, c0, c1) in offsets.items():
+        for da, dc, (d, a0, a1, c0, c1) in rects:
             rows[u - d, a0:a1 + 1, c0:c1 + 1] = top_rows[U + da * (C1 + 1) + dc, a0:a1 + 1, c0:c1 + 1]
     return GramSystem(lattice=lat, onevar=top.onevar, band=band, rhs=top.rhs[:size], terms=top.terms,
                       pattern=top.pattern)

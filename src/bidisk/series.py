@@ -338,14 +338,19 @@ def _check_tolerance(value: Optional[float], name: str) -> None:
         raise ArgumentError(f"{name} must be a nonnegative number, got {value!r}")
 
 
-def _as_order(n, name: str) -> int:
-    """``n`` as a Python int by ``operator.index``, so numpy integers pass; a non-integral order is refused."""
+def _as_int(value, what: str) -> int:
+    """``value`` as a Python int by ``operator.index``, so numpy integers pass; else refused, ``what`` naming it."""
     import operator  # in sys.modules from interpreter start-up: this import is a lookup
 
     try:
-        return operator.index(n)
+        return operator.index(value)
     except TypeError:
-        raise ArgumentError(f"the order {name}={n!r} must be an integer") from None
+        raise ArgumentError(f"{what} must be an integer") from None
+
+
+def _as_order(n, name: str) -> int:
+    """``n`` as a Python int by :func:`_as_int`; a non-integral order is refused."""
+    return _as_int(n, f"the order {name}={n!r}")
 
 
 def _check_order(d, name: str) -> int:

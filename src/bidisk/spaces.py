@@ -307,9 +307,12 @@ def comparison_constants(alpha: float, pat: DiagonalPattern) -> ComparisonConsta
     ``(M N)^alpha``, which yields the closed forms below; the pattern
     ``(1, 1)`` is an exact isometry.
     """
-    alpha = as_alpha(alpha).alpha
-    ma = float(pat.M) ** alpha
-    na = float(pat.N) ** alpha
-    c1 = max(1.0, ma) * max(1.0, na)
-    c2 = min(1.0, ma) * min(1.0, na)
+    c1, c2 = _comparison_pair(as_alpha(alpha).alpha, pat.M, pat.N)
     return ComparisonConstants(c1=c1, c2=c2)
+
+
+def _comparison_pair(alpha: float, M: int, N: int) -> Tuple[float, float]:
+    """``(c1, c2)`` of :func:`comparison_constants` for a finite float ``alpha``, in Python floats, unchecked."""
+    ma = float(M) ** alpha
+    na = float(N) ** alpha
+    return max(1.0, ma) * max(1.0, na), min(1.0, ma) * min(1.0, na)

@@ -9,12 +9,16 @@ suite passes when no trial violates its inequality beyond rounding slack.
 
 A suite makes the same generator calls for each trial, in the same order,
 whatever the number of trials; the draws of a seed are its inputs.  Trials
-are taken ``BLOCK`` at a time: the draws of a block are packed into
-zero-padded stacks, and the structural maps and norms of :mod:`.series`
-and :mod:`.spaces` evaluate the whole stack at once (the projection suite
-stacks the trials of each pattern).  Memory therefore does not grow with
-the number of trials.  The two identity suites, ``separable`` and
-``comparison``, report the largest rounding discrepancy, so that
+are taken ``BLOCK`` at a time.  Each kind of series a suite draws has one
+zero-padded complex array (``_Draws``), cleared for each block: a trial's
+degrees are drawn, then its real and imaginary parts, by one
+``standard_normal`` call written straight into a real view of that array.
+The structural maps and norms of :mod:`.series` and :mod:`.spaces`
+evaluate that array, cut to the largest shape drawn, at once (the
+projection suite takes the trials of each pattern, and the comparison suite
+takes the rows it drew as their own restrictions).  Memory therefore does
+not grow with the number of trials.  The two identity suites, ``separable``
+and ``comparison``, report the largest rounding discrepancy, so that
 discrepancy must not depend on how trials are grouped: they take the weight
 rows, the one-variable norms and the products with the comparison
 constants per block, which round as one trial at a time does, but each
@@ -25,27 +29,27 @@ a zero-padded grid differently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import ArgumentError, InputError
 from .series import (
     DiagonalPattern,
+    _as_int,
     _diag_restrict,
     _diagonal_project,
     _lift,
-    _restrict,
     _separable,
     _slice,
 )
 from .spaces import (
+    _comparison_pair,
     _kernel_norms_sq,
     _norms1,
     _norms2,
     _weight_rows,
     beta_of_alpha,
-    comparison_constants,
 )
 
 __all__ = ["SuiteResult", "BLOCK", "run_suite", "available_suites"]
@@ -81,28 +85,55 @@ class SuiteResult:
         return self.violations == 0
 
 
-def _random_grid(rng: np.random.Generator, max_deg: int = 10) -> np.ndarray:
-    d1 = int(rng.integers(0, max_deg + 1))
-    d2 = int(rng.integers(0, max_deg + 1))
-    return rng.standard_normal((d1 + 1, d2 + 1)) + 1j * rng.standard_normal((d1 + 1, d2 + 1))
+class _Draws:
+    """The complex coefficient arrays of a block's trials, drawn into one zero-padded array.
 
+    ``block[i]`` holds trial ``i``'s coefficients in its leading corner and
+    zeros past them; ``parts`` views the same memory as the real and the
+    imaginary parts, ``parts[:, i]``.  A draw writes the two
+    ``standard_normal`` arrays of a trial, made by one call, straight into
+    ``parts``, so ``block[i]`` is ``re + 1j * im`` bit for bit.  A suite
+    holds one per kind of series and clears it for each block, so a run
+    allocates it once.
+    """
 
-def _random_row(rng: np.random.Generator, max_deg: int = 12) -> np.ndarray:
-    d = int(rng.integers(0, max_deg + 1))
-    return rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+    def __init__(self, ndim: int, max_deg: int):
+        self.block = np.zeros((BLOCK,) + (max_deg + 1,) * ndim, dtype=np.complex128)
+        self.parts = np.moveaxis(self.block.view(np.float64).reshape(self.block.shape + (2,)), -1, 0)
+        self.max_deg = max_deg
+        self.shapes: List[Tuple[int, ...]] = []
 
+    def draw(self, rng: np.random.Generator) -> None:
+        """Draw the next trial: a degree per axis, then its real and imaginary parts.
 
-def _random_pattern(rng: np.random.Generator) -> DiagonalPattern:
-    return DiagonalPattern(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        ``standard_normal((2,) + shape)`` is the stream of two calls at
+        ``shape``, in their order, and leaves the generator where they do.
+        """
+        i, top = len(self.shapes), self.max_deg + 1
+        if self.block.ndim == 2:
+            n = int(rng.integers(0, top)) + 1
+            self.parts[:, i, :n] = rng.standard_normal((2, n))
+            self.shapes.append((n,))
+        else:
+            n1 = int(rng.integers(0, top)) + 1
+            n2 = int(rng.integers(0, top)) + 1
+            self.parts[:, i, :n1, :n2] = rng.standard_normal((2, n1, n2))
+            self.shapes.append((n1, n2))
 
+    def clear(self) -> None:
+        """Start a block: no trials drawn, and zeros throughout."""
+        self.block.fill(0.0)
+        self.shapes.clear()
 
-def _stack(arrays: List[np.ndarray]) -> np.ndarray:
-    """Coefficient arrays zero-padded to their largest shape and stacked along a new first axis."""
-    shape = tuple(np.max([x.shape for x in arrays], axis=0))
-    out = np.zeros((len(arrays),) + shape, dtype=np.complex128)
-    for i, x in enumerate(arrays):
-        out[(i,) + tuple(slice(0, n) for n in x.shape)] = x
-    return out
+    def stack(self, idx: Optional[List[int]] = None) -> np.ndarray:
+        """Trials ``idx``, all drawn by default, zero-padded to their largest shape along a first axis.
+
+        All trials are a view of ``block``, valid until it is cleared; a
+        list of trials is a copy.
+        """
+        shapes = self.shapes if idx is None else [self.shapes[i] for i in idx]
+        cut = tuple(slice(max(n)) for n in zip(*shapes))
+        return self.block[(slice(len(self.shapes)) if idx is None else idx,) + cut]
 
 
 def _blocks(trials: int) -> Iterator[int]:
@@ -111,19 +142,24 @@ def _blocks(trials: int) -> Iterator[int]:
         yield min(BLOCK, trials - start)
 
 
-def _pattern_products(F: np.ndarray, x: np.ndarray, pat: DiagonalPattern) -> np.ndarray:
-    """Products of the lifts ``F(z1^M z2^N)`` of stacked rows ``F[:, k]`` and stacked grids ``x``.
+def _residual_norms(F: np.ndarray, x: np.ndarray, pat: DiagonalPattern, alphas: np.ndarray) -> np.ndarray:
+    """Norms of the residuals ``F(z1^M z2^N) x - 1`` of stacked rows ``F[:, k]`` and grids ``x``, at ``alphas``.
 
-    ``F[:, k] x``, shifted by ``(M k, N k)``, is added for each ``k`` where
-    some row is nonzero, in increasing ``k``: the terms of ``_shift_add`` on
-    the lifted grids, in its order, without building the lifts.
+    The product adds ``F[:, k] x``, shifted by ``(M k, N k)``, for each
+    ``k`` where some row is nonzero, in increasing ``k``: the terms of
+    ``_shift_add`` on the lifted grids, in its order, without building the
+    lifts.  A product is dropped once its norms are taken, so a group holds
+    one at a time.
     """
     (M, N), d = (pat.M, pat.N), F.shape[1] - 1
     x1, x2 = x.shape[1:]
-    out = np.zeros((len(F), M * d + x1, N * d + x2), dtype=np.complex128)
+    n1, n2 = M * d + x1, N * d + x2
+    out = np.zeros((len(F), n1, n2), dtype=np.complex128)
     for k in np.flatnonzero(F.any(axis=0)).tolist():
         out[:, M * k:M * k + x1, N * k:N * k + x2] += F[:, k, None, None] * x
-    return out
+    out[:, 0, 0] -= 1.0
+    w = _weight_rows(alphas, max(n1, n2) - 1)
+    return _norms2(out, w[:, :n1], w[:, :n2])
 
 
 def restriction_margins(trials: int, seed: int) -> Margins:
@@ -131,12 +167,14 @@ def restriction_margins(trials: int, seed: int) -> Margins:
     rng = np.random.default_rng(seed)
     alphas = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     betas = np.array([beta_of_alpha(a) for a in alphas])
+    grids = _Draws(2, 10)
     for size in _blocks(trials):
-        grids, picks = [], []
+        picks = []
+        grids.clear()
         for _ in range(size):
-            grids.append(_random_grid(rng))
+            grids.draw(rng)
             picks.append(int(rng.integers(0, len(alphas))))
-        f = _stack(grids)
+        f = grids.stack()
         g = _diag_restrict(f)
         lhs = _norms1(g, _weight_rows(betas[picks], g.shape[-1] - 1))
         n1, n2 = f.shape[1:]
@@ -148,16 +186,19 @@ def restriction_margins(trials: int, seed: int) -> Margins:
 def separable_margins(trials: int, seed: int) -> Margins:
     """Norm of a product series factors into the one-variable norms."""
     rng = np.random.default_rng(seed)
+    gs, hs = _Draws(1, 12), _Draws(1, 12)
     for size in _blocks(trials):
-        gs, hs, alphas = [], [], np.empty(size)
+        alphas = np.empty(size)
+        gs.clear()
+        hs.clear()
         for i in range(size):
-            gs.append(_random_row(rng))
-            hs.append(_random_row(rng))
+            gs.draw(rng)
+            hs.draw(rng)
             alphas[i] = float(rng.uniform(-2.0, 2.0))
-        g, h = _stack(gs), _stack(hs)
+        g, h = gs.stack(), hs.stack()
         w = _weight_rows(alphas, max(g.shape[1], h.shape[1]) - 1)
-        lhs = np.array([_norms2(_separable(gi, hi), wi[:len(gi)], wi[:len(hi)])
-                        for gi, hi, wi in zip(gs, hs, w)])
+        lhs = np.array([_norms2(_separable(gi[:m], hi[:n]), wi[:m], wi[:n])
+                        for gi, hi, wi, (m,), (n,) in zip(g, h, w, gs.shapes, hs.shapes)])
         rhs = _norms1(g, w[:, :g.shape[1]]) * _norms1(h, w[:, :h.shape[1]])
         yield -np.abs(lhs - rhs), 1e-12 * np.maximum(rhs, 1e-300)
 
@@ -165,25 +206,23 @@ def separable_margins(trials: int, seed: int) -> Margins:
 def polyextraction_margins(trials: int, seed: int) -> Margins:
     """Projecting a competitor onto the pattern cannot increase the residual."""
     rng = np.random.default_rng(seed)
+    Fs, rs = _Draws(1, 6), _Draws(2, 8)
     for size in _blocks(trials):
-        groups: Dict[DiagonalPattern, List[int]] = {}
-        Fs, rs, alphas = [], [], np.empty(size)
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        alphas = np.empty(size)
+        Fs.clear()
+        rs.clear()
         for i in range(size):
-            groups.setdefault(_random_pattern(rng), []).append(i)
-            Fs.append(_random_row(rng, max_deg=6))
-            rs.append(_random_grid(rng, max_deg=8))
+            groups.setdefault((int(rng.integers(1, 4)), int(rng.integers(1, 4))), []).append(i)
+            Fs.draw(rng)
+            rs.draw(rng)
             alphas[i] = float(rng.uniform(-1.5, 1.5))
         margin, slack = np.empty(size), np.empty(size)
-        for pat, idx in groups.items():
-            F = _stack([Fs[i] for i in idx])
-            r = _stack([rs[i] for i in idx])
+        for (M, N), idx in groups.items():
+            pat, F, r = DiagonalPattern(M, N), Fs.stack(idx), rs.stack(idx)
             # the residuals r f - 1 and s f - 1, s the projection of r
-            lhs, rhs = (_pattern_products(F, x, pat) for x in (r, _diagonal_project(r, pat)))
-            lhs[..., 0, 0] -= 1.0
-            rhs[..., 0, 0] -= 1.0
-            n1, n2 = lhs.shape[1:]
-            w = _weight_rows(alphas[idx], max(n1, n2) - 1)
-            lhs, rhs = (_norms2(x, w[:, :n1], w[:, :n2]) for x in (lhs, rhs))
+            lhs = _residual_norms(F, r, pat, alphas[idx])
+            rhs = _residual_norms(F, _diagonal_project(r, pat), pat, alphas[idx])
             margin[idx] = lhs - rhs
             slack[idx] = _REL_SLACK * np.maximum(lhs, 1.0)
         yield margin, slack
@@ -194,23 +233,24 @@ def comparison_margins(trials: int, seed: int) -> Margins:
     rng = np.random.default_rng(seed)
     patterns = [DiagonalPattern(M, N) for M in (1, 2, 3) for N in (1, 2, 3)]
     t = 0
+    Fs = _Draws(1, 10)
     for size in _blocks(trials):
-        pats, Fs, alphas = [], [], np.empty(size)
+        pats, alphas = [], np.empty(size)
+        Fs.clear()
         for i in range(size):
             pats.append(patterns[t % len(patterns)])
             t += 1
-            Fs.append(_random_row(rng, max_deg=10))
+            Fs.draw(rng)
             alphas[i] = float(rng.uniform(-2.0, 2.0))
+        # the restriction of a lift is the row drawn: R is the stack of the rows
+        R = Fs.stack()
         # the largest lifted grid is (3 deg + 1) square
-        w = _weight_rows(alphas, 3 * max(len(F) for F in Fs) - 3)
-        mid, c1, c2, restricted = np.empty(size), np.empty(size), np.empty(size), []
-        for i, (pat, F, alpha) in enumerate(zip(pats, Fs, alphas.tolist())):
-            f = _lift(F, pat)
+        w = _weight_rows(alphas, 3 * R.shape[1] - 3)
+        mid, c1, c2 = np.empty(size), np.empty(size), np.empty(size)
+        for i, (pat, alpha, F, (n,)) in enumerate(zip(pats, alphas.tolist(), R, Fs.shapes)):
+            f = _lift(F[:n], pat)
             mid[i] = _norms2(f, w[i, : f.shape[0]], w[i, : f.shape[1]])
-            restricted.append(_restrict(f, pat))
-            cc = comparison_constants(alpha, pat)
-            c1[i], c2[i] = cc.c1, cc.c2
-        R = _stack(restricted)
+            c1[i], c2[i] = _comparison_pair(alpha, pat.M, pat.N)
         base = _norms1(R, _weight_rows(2.0 * alphas, R.shape[1] - 1))
         yield np.minimum(mid - c2 * base, c1 * base - mid), _REL_SLACK * np.maximum(mid, 1.0)
 
@@ -218,18 +258,19 @@ def comparison_margins(trials: int, seed: int) -> Margins:
 def slice_margins(trials: int, seed: int) -> Margins:
     """Slice norms are controlled by the kernel norm at the slice point."""
     rng = np.random.default_rng(seed)
+    grids = _Draws(2, 10)
     for size in _blocks(trials):
-        grids = []
-        alpha, w = np.empty(size), np.empty(size, dtype=np.complex128)
+        grids.clear()
+        alpha, radius, angle = np.empty(size), np.empty(size), np.empty(size)
         fix = np.empty(size, dtype=int)
         for i in range(size):
-            grids.append(_random_grid(rng))
+            grids.draw(rng)
             alpha[i] = float(rng.uniform(-1.5, 1.5))
-            radius = float(rng.uniform(0.0, 0.9))
-            angle = float(rng.uniform(0.0, 2.0 * np.pi))
-            w[i] = radius * np.exp(1j * angle)
+            radius[i] = float(rng.uniform(0.0, 0.9))
+            angle[i] = float(rng.uniform(0.0, 2.0 * np.pi))
             fix[i] = 2 if rng.integers(0, 2) else 1
-        f = _stack(grids)
+        w = radius * np.exp(1j * angle)
+        f = grids.stack()
         n1, n2 = f.shape[1:]
         weights = _weight_rows(alpha, max(n1, n2) - 1)
         lhs = np.empty(size)
@@ -256,6 +297,7 @@ def available_suites() -> List[str]:
 def run_suite(name: str, trials: int = 500, seed: int = 7) -> SuiteResult:
     if name not in _MARGINS:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(_MARGINS)}")
+    trials, seed = _as_int(trials, f"trials={trials!r}"), _as_int(seed, f"seed={seed!r}")
     if trials < 1:
         raise InputError(f"a suite needs at least one trial (got trials={trials})")
     if seed < 0:

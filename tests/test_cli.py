@@ -635,6 +635,13 @@ def test_full_cos_pair_scan_output_is_unchanged(capsys):
     assert out == (GOLDEN / "decay_full_cos_pair.csv").read_text()
 
 
+def test_verify_all_seed11_output_is_unchanged(capsys):
+    # every suite at a second seed, 500 trials: seven full blocks of draws and a partial one
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--trials", "500", "--seed", "11")
+    assert code == 0, err
+    assert out == (GOLDEN / "verify_all_seed11.txt").read_text()
+
+
 class TestReadmeExamples:
     """The README's CLI examples print byte-identical output."""
 

@@ -1,8 +1,9 @@
-"""Per-stage time split of the benchmark's decay scans on two source trees.
+"""Per-stage time split of the benchmark's decay scans, and its suites' times, on two source trees.
 
 Runs the decay scans of the benchmark's ``full_scan`` and ``reduced_scan``
-workloads (``perfbench/workloads.py``, seed ``SEED``) on a baseline tree,
-named by ``--src``, and on the tree this script belongs to.  Each tree runs
+workloads (``perfbench/workloads.py``, seed ``SEED``), and the ``verify``
+commands of its ``cli_batch`` workload, on a baseline tree, named by
+``--src``, and on the tree this script belongs to.  Each tree runs
 in its own processes, under the environment ``perfbench/run.py`` pins for
 its workers (``PINNED``: one BLAS thread, no huge pages for numpy, a fixed
 malloc mmap threshold), and the two alternate for ``ROUNDS`` rounds so that
@@ -23,11 +24,20 @@ time (less the stages it calls) is kept:
 * certify: ``_certify`` (residual and orthogonality certificate);
 * rest: the scan's wall time less those stages (dispatch, results, checks).
 
+The ``verify`` commands run through ``cli.main``, their output captured,
+and so does each suite they run, through ``suites.run_suite``: a process
+makes one untimed warm-up pass, then ``REPEATS`` passes, keeping each
+command's and each suite's fastest wall time and median minor faults.  A
+digest of each suite's margins and slacks, block by block, and of each
+command's output stands for the results.
+
 The JSON written to ``--out`` holds, per tree, the revision (git HEAD, a
-dirty flag and a digest of ``src/bidisk``) and, per workload, the scans'
-total time of every round, the medians over rounds of that total, of each
-scan's time, faults and stage split, the stage call counts, and a digest of
-every result's fields and coefficients, which must agree between the trees;
+dirty flag and a digest of ``src/bidisk``) and, per workload, the total time
+of every round (of the scans, or of the ``verify`` commands), the medians
+over rounds of that total, of each scan's or command's time and faults, of
+each scan's stage split, the stage call counts, of each suite's time and
+faults, and a digest of every result (a scan's fields and coefficients, a
+suite's margins, a command's output), which must agree between the trees;
 the ratio of the two totals in each round; and the machine: core count,
 BLAS, its thread count, and versions.
 
@@ -37,14 +47,17 @@ BLAS, its thread count, and versions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import hashlib
+import io
 import json
 import os
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -53,7 +66,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import PINNED  # noqa: E402  (perfbench/run.py, on the path just above)
 
 WORKLOADS = ("full_scan", "reduced_scan")
-SEED = 1  # the full scan's random product; the reduced scans' order
+VERIFY = "cli_batch_verify"  # the verify commands of the cli_batch workload
+SEED = 1  # the full scan's random product; the reduced scans' order; the last verify's seed
 ROUNDS, REPEATS = 10, 15
 STAGES = ("assemble", "factor", "solve", "cond", "certify", "rest")
 
@@ -199,14 +213,74 @@ def time_scans(analysis, approximants, scans) -> dict:
     }
 
 
+def margins_digest(suites, name: str, trials: int, seed: int) -> str:
+    digest = hashlib.sha256()
+    for margin, slack in suites._MARGINS[name](trials, seed):
+        digest.update(margin.tobytes())
+        digest.update(slack.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def time_verify(cli, suites, commands) -> dict:
+    """One warm-up pass, then ``REPEATS`` passes of the ``verify`` commands and of the suites they run."""
+
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        return code, out.getvalue()
+
+    def timed(call, *args):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t = time.perf_counter()
+        call(*args)
+        return time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+
+    labels = [" ".join(argv) for argv in commands]
+    runs = {}  # each suite a command runs, once: (name, trials, seed) by label
+    for argv in commands:
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        names = suites.available_suites() if opts["--suite"] == "all" else [opts["--suite"]]
+        for name in names:
+            runs[f"{name} trials={opts['--trials']} seed={opts['--seed']}"] = (
+                name, int(opts["--trials"]), int(opts["--seed"]))
+    outputs = [run(argv) for argv in commands]  # the warm-up pass
+    for name, trials, seed in runs.values():
+        suites.run_suite(name, trials=trials, seed=seed)
+    wall = {label: [] for label in [*labels, *runs]}
+    faults = {label: [] for label in wall}
+    for _ in range(REPEATS):
+        for label, argv in zip(labels, commands):
+            seconds, minflt = timed(run, argv)
+            wall[label].append(seconds)
+            faults[label].append(minflt)
+        for label, (name, trials, seed) in runs.items():
+            seconds, minflt = timed(suites.run_suite, name, trials, seed)
+            wall[label].append(seconds)
+            faults[label].append(minflt)
+    margins = {label: margins_digest(suites, *args) for label, args in runs.items()}
+    results = hashlib.sha256(repr((outputs, sorted(margins.items()))).encode())
+    return {
+        "command_s": {label: min(wall[label]) for label in labels},
+        "minflt": {label: statistics.median(faults[label]) for label in labels},
+        "suite_s": {label: min(wall[label]) for label in runs},
+        "suite_minflt": {label: statistics.median(faults[label]) for label in runs},
+        "margins_sha256": margins,
+        "results_sha256": results.hexdigest()[:16],
+    }
+
+
 def worker(tree: Path) -> dict:
-    """Time the scans with the ``bidisk`` of ``tree``; the workloads come from this script's tree."""
+    """Time the scans and the suites with the ``bidisk`` of ``tree``; the workloads come from this script's tree."""
     sys.path[:0] = [str(tree / "src"), str(ROOT / "tests")]
-    from bidisk import analysis, approximants
+    from bidisk import analysis, approximants, cli, suites
     import workloads
 
     out = {name: time_scans(analysis, approximants, getattr(workloads, name)(SEED, False).scans)
            for name in WORKLOADS}
+    with tempfile.TemporaryDirectory() as tmp:  # the batch writes its series file here
+        batch = workloads.CliBatch(SEED, False, Path(tmp))
+    out[VERIFY] = time_verify(cli, suites, [argv for argv, _ in batch.commands if argv[0] == "verify"])
     return {"workloads": out, "machine": machine()}
 
 
@@ -217,26 +291,32 @@ def spawn(tree: Path) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summarize(rounds: list) -> dict:
-    """Medians over rounds: per scan, per stage, of the scans' total and of the faults per pass."""
-    labels = list(rounds[0]["scan_s"])
-    total = [sum(r["scan_s"].values()) for r in rounds]
-    stage_total = {k: statistics.median(sum(r["stage_s"][label][k] for label in labels)
-                                        for r in rounds) for k in STAGES}
-    return {
+def summarize(rounds: list, timed: str = "scan_s") -> dict:
+    """Medians over rounds: per scan (or command, ``timed``), per stage, per suite, of the total and of the faults per pass."""
+    labels = list(rounds[0][timed])
+    total = [sum(r[timed].values()) for r in rounds]
+
+    def medians(key):
+        return {label: statistics.median(r[key][label] for r in rounds) for label in rounds[0][key]}
+
+    out = {
         "total_s": statistics.median(total),
         "total_s_rounds": total,
         "minflt_per_pass": statistics.median(sum(r["minflt"].values()) for r in rounds),
-        "scan_s": {label: statistics.median(r["scan_s"][label] for r in rounds)
-                   for label in labels},
-        "scan_minflt": {label: statistics.median(r["minflt"][label] for r in rounds)
-                        for label in labels},
-        "stage_total_s": stage_total,
-        "stage_s": {label: {k: statistics.median(r["stage_s"][label][k] for r in rounds)
-                            for k in STAGES} for label in labels},
-        "stage_calls": rounds[0]["stage_calls"],
+        timed: medians(timed),
+        timed.replace("_s", "_minflt"): medians("minflt"),
         "results_sha256": sorted({r["results_sha256"] for r in rounds}),
     }
+    if "stage_s" in rounds[0]:
+        out["stage_total_s"] = {k: statistics.median(sum(r["stage_s"][label][k] for label in labels)
+                                                      for r in rounds) for k in STAGES}
+        out["stage_s"] = {label: {k: statistics.median(r["stage_s"][label][k] for r in rounds)
+                                  for k in STAGES} for label in labels}
+        out["stage_calls"] = rounds[0]["stage_calls"]
+    if "suite_s" in rounds[0]:
+        out["suite_s"], out["suite_minflt"] = medians("suite_s"), medians("suite_minflt")
+        out["margins_sha256"] = rounds[0]["margins_sha256"]
+    return out
 
 
 def compare(base: dict, change: dict) -> dict:
@@ -268,24 +348,28 @@ def main(argv=None) -> int:
     for i in range(ROUNDS):
         for name in (trees if i % 2 == 0 else reversed(list(trees))):
             rounds[name].append(spawn(trees[name]))
+    timed = {**dict.fromkeys(WORKLOADS, "scan_s"), VERIFY: "command_s"}
     sides = {name: {"revision": revision(tree),
-                    **{w: summarize([r["workloads"][w] for r in rounds[name]]) for w in WORKLOADS}}
+                    **{w: summarize([r["workloads"][w] for r in rounds[name]], key)
+                       for w, key in timed.items()}}
              for name, tree in trees.items()}
-    comparison = {w: compare(sides["baseline"][w], sides["change"][w]) for w in WORKLOADS}
+    comparison = {w: compare(sides["baseline"][w], sides["change"][w]) for w in timed}
     report = {
         "what": "decay scans of perfbench full_scan and reduced_scan: wall time, minor page "
-                "faults and per-stage split",
+                "faults and per-stage split; the verify commands of perfbench cli_batch and "
+                "the suites they run: wall time, minor page faults and a digest of the margins",
         "settings": {"rounds": ROUNDS, "repeats": REPEATS, "seed": SEED, **PINNED,
-                     "statistic": "scan_s: fastest of the repeats of a round; minflt: median "
-                                  "of the untraced repeats; stage_s: median of the traced "
-                                  "repeats; each then the median over rounds"},
+                     "statistic": "scan_s, command_s, suite_s: fastest of the repeats of a "
+                                  "round; minflt: median of the untraced repeats; stage_s: "
+                                  "median of the traced repeats; each then the median over "
+                                  "rounds"},
         "machine": rounds["change"][0]["machine"],
         "results_identical": all(c["results_identical"] for c in comparison.values()),
         "comparison": comparison,
         **sides,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    for w in WORKLOADS:
+    for w in timed:
         base, change, c = sides["baseline"][w], sides["change"][w], comparison[w]
         print(f"{w}: baseline {1e3 * base['total_s']:.2f} ms, change {1e3 * change['total_s']:.2f} ms "
               f"({100 * c['total_change_frac']:+.1f}%); change/baseline by round: median "
