@@ -35,7 +35,9 @@ from .approximants import (
     residual_norm_sq,
     riesz_approximant,
     riesz_diagonal,
+    riesz_orders,
     solve_optimal,
+    solve_orders,
 )
 from .capacity import (
     EnergyReport,

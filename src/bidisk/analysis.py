@@ -17,6 +17,7 @@ decaying / plateau / inconclusive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -29,6 +30,7 @@ from .errors import (
     DegenerateFitError,
     InsufficientPointsError,
     MonotonicityError,
+    NumericalError,
     UnsupportedRateError,
 )
 from .series import DiagonalPattern, TwoVarSeries, _as_order, _check_tolerance
@@ -48,6 +50,9 @@ __all__ = [
 
 _MONOTONE_SLACK = 1e-10
 
+# The smallest positive normal float; a smaller predicted value has lost its precision.
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class DecaySeries:
@@ -61,6 +66,9 @@ class DecaySeries:
         ns = [n for n, _ in self.points]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ArgumentError("orders must be strictly increasing")
+        for n, v in self.points:
+            if not math.isfinite(v):
+                raise NumericalError(f"dist_sq at order n={n} is not finite ({v!r})", n=n)
         values = [v for _, v in self.points]
         for a, b in zip(values, values[1:]):
             if b > a + _MONOTONE_SLACK:
@@ -107,9 +115,16 @@ class TheoryRate:
     exponent: Optional[float] = None
 
     def predicted_value(self, n: int) -> Optional[float]:
-        """Reference decay value at order ``n`` (None where undefined)."""
+        """Reference decay value at order ``n``.
+
+        None where undefined, and where a power is not a positive normal float.
+        """
         if self.mode == "power":
-            return float((n + 1.0) ** self.exponent)
+            try:
+                value = (float(n) + 1.0) ** self.exponent
+            except OverflowError:
+                return None
+            return value if _TINY <= value < math.inf else None
         if self.mode == "logarithmic":
             return 1.0 / np.log(n + 1.0) if n >= 1 else None
         return 1.0
@@ -150,9 +165,9 @@ def decay_scan(
     aw = as_alpha(a)
     if basis == "diagonal" and pattern is None:
         pattern = DiagonalPattern(1, 1)
+    bases = [BasisSpec(n, basis, pattern) for n in n_values]
     results = []
     try:
-        bases = [BasisSpec(n, basis, pattern) for n in n_values]
         for result in solve_orders(f, aw, bases, ortho_tol=ortho_tol):
             results.append(result)
     except BidiskError as exc:

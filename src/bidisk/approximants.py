@@ -10,9 +10,10 @@ times the polynomial space.
 Every basis is a lattice box: the exponents ``(a, c)`` for ``0 <= a <= A``
 and ``0 <= c <= C``, at position ``a (C + 1) + c``.  ``G[i, j]`` vanishes
 unless the supports of ``m_i f`` and ``m_j f`` overlap, so in the basis
-order ``G`` is banded.  Each pair of nonzero coefficients of ``f`` either
-misses the box or adds one strided block to one row of the upper band; the
-band is assembled pair by pair and factored by banded Cholesky.  A
+order ``G`` is banded.  The offsets ``p - q`` between nonzero coefficients
+of ``f`` are tabled once per assembly, each with its pairs: an offset fills
+one rectangle of one row of the upper band, and each of its pairs adds one
+strided block there.  The band is factored by banded Cholesky.  A
 one-variable problem is a single column, with no second-variable weight.
 A diagonal basis ``{z1^(Mk) z2^(Nk)}`` is a sum of such problems: the
 exponents of ``f`` fall into disjoint cosets ``q0 + Z (M, N)``, each the
@@ -39,15 +40,16 @@ its largest order within ``SOLVER_CAP`` (the top order), and holds that band
 for the whole scan.  ``G[i, j]`` depends only on the monomials, so ``G``
 over every lower order's box is a principal submatrix of the top one.  A
 full scan gathers each lower order's band from the top band, one strided
-rectangle per pair offset of ``f``, into one scratch array; each full order
-forms ``|G|`` in one buffer, then copies its band into it and factors it
-there in place.  Both arrays are sized once, to the top band, and freed with
-the scan.  The one-column boxes (``C = 0``) of a one-variable or diagonal
-scan are leading boxes, and each band is a leading slice of the top band,
-factored from LAPACK's own copy, which costs these small bands less.  Every
-order factors, solves, estimates the condition of and certifies its own
-band, bit-identical to assembling it alone.  ``GramSystem.band`` is never
-written, so a ridge retry starts again from it.
+rectangle per offset of the top order's table, into one scratch array;
+each full order forms ``|G|`` in one buffer, then copies its band into it
+and factors it there in place.  Both arrays are sized once, to the top
+band, and freed with the scan.  The one-column boxes (``C = 0``) of a
+one-variable or diagonal scan are leading boxes, and each band is a leading
+slice of the top band, factored from LAPACK's own copy, which costs these
+small bands less.  Every order factors, solves, estimates the condition of
+and certifies its own band in one body, bit-identical to assembling it
+alone.  ``GramSystem.band`` is never written, so a ridge retry starts again
+from it.
 
 The bookkeeping around the LAPACK calls is done once per solve, so that a
 small banded solve costs little more than its factorization and its solves,
@@ -60,7 +62,7 @@ its largest order, and every order is a corner of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -223,32 +225,23 @@ class GramSystem:
     ``u = band.shape[0] - 1`` is the bandwidth.  The basis is the lattice
     box ``lattice``, on the pattern ``pattern`` of a diagonal basis;
     ``basis`` lists its exponents, built on first read.  ``terms`` is ``f``
-    as :func:`_terms` split it for the assembly, kept for the certificate.
-    A solve never writes ``band``.
+    as :func:`_terms` split it for the assembly, kept for the certificate,
+    and ``pair_offsets`` the offset table (:func:`_offsets`) of each term,
+    which the assembly read and a scan's gather reads again.  A solve never
+    writes ``band``.
     """
 
     lattice: Lattice
-    onevar: bool
     band: np.ndarray
     rhs: np.ndarray
     terms: list = field(repr=False, compare=False)
+    pair_offsets: list = field(repr=False, compare=False)
     pattern: Optional[DiagonalPattern] = None
 
     @cached_property
     def basis(self) -> tuple:
         """Exponents of the basis monomials in basis order: ints for a one-variable problem."""
-        return self.lattice.basis(self.onevar, self.pattern)
-
-    @cached_property
-    def pair_offsets(self) -> list:
-        """The distinct offsets ``p - q`` of the pairs of nonzero coefficients ``f[p]``, ``f[q]`` of a one-term ``f``.
-
-        Found on first read, so a scan that gathers its lower orders from
-        its top order's system finds them once.
-        """
-        (F, _), = self.terms  # a box with two variables is full, and f is one term
-        nonzero = np.argwhere(_grid(F)).tolist()
-        return sorted({(p1 - q1, p2 - q2) for p1, p2 in nonzero for q1, q2 in nonzero})
+        return self.lattice.basis(isinstance(self.terms[0][0], OneVarSeries), self.pattern)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -335,64 +328,68 @@ def _terms(f: Series, aw, b: BasisSpec) -> list:
             for q1, q2 in sorted(starts)]
 
 
-def _blocks(grid: np.ndarray, lat: Lattice) -> Tuple[int, list]:
-    """The bandwidth ``u`` of ``G`` over ``lat`` for ``grid``, and the blocks that make up its upper band.
+def _offsets(grid: np.ndarray, lat: Lattice) -> list:
+    """``[((da, dc), [(p, q), ...]), ...]``: each offset ``p - q`` of two nonzero entries filling the band over ``lat``.
 
-    A block is ``(j - i, p1, p2, q1, q2, a0, a1, c0, c1)``: the pair of
-    nonzero coefficients ``f[p]``, ``f[q]`` adds to the band row ``j - i``
-    over the rectangle ``[a0, a1] x [c0, c1]`` of the columns ``j``, as
-    :func:`_gram_band` describes.  The blocks come in the order of the pairs.
-    """
-    nonzero = np.argwhere(grid).tolist()
-    blocks = []
-    for p1, p2 in nonzero:
-        for q1, q2 in nonzero:
-            rect = _rectangle(p1 - q1, p2 - q2, lat)
-            if rect is not None:
-                d, a0, a1, c0, c1 = rect
-                blocks.append((d, p1, p2, q1, q2, a0, a1, c0, c1))
-    return max((block[0] for block in blocks), default=0), blocks
-
-
-def _rectangle(da: int, dc: int, lat: Lattice) -> Optional[Tuple[int, int, int, int, int]]:
-    """``(d, a0, a1, c0, c1)``: a pair offset ``(da, dc)`` fills the band row ``u - d`` over ``[a0, a1] x [c0, c1]``.
-
-    None when the offset fills no entry of the upper band over ``lat``.
+    It holds every offset that fills the band over a box inside ``lat``.
+    The pairs run over ``p``, then ``q``, in ``argwhere`` order; so do the
+    offsets, each from its first pair.
     """
     A, C = lat
-    a0, a1 = max(0, -da), min(A, A - da)
-    c0, c1 = max(0, -dc), min(C, C - dc)
-    d = -(da * (C + 1) + dc)
-    return (d, a0, a1, c0, c1) if d >= 0 and a0 <= a1 and c0 <= c1 else None
+    nonzero = [tuple(p) for p in np.argwhere(grid).tolist()]
+    table = {}
+    for p in nonzero:
+        for q in nonzero:
+            da, dc = p[0] - q[0], p[1] - q[1]
+            if abs(da) <= A and abs(dc) <= C and da * (C + 1) + dc <= 0:
+                table.setdefault((da, dc), []).append((p, q))
+    return list(table.items())
 
 
-def _gram_band(grid: np.ndarray, aw, lat: Lattice) -> np.ndarray:
-    """Upper band of ``G`` over the lattice box ``lat`` for the coefficient grid ``grid``.
+def _rectangles(offsets: list, lat: Lattice) -> Tuple[int, list]:
+    """The bandwidth ``u`` of ``G`` over ``lat``, and ``(d, (da, dc), pairs, box)`` per offset filling its band.
+
+    The offset ``(da, dc)`` fills the band row ``u - d``,
+    ``d = -(da (C + 1) + dc)``, over the rectangle ``box`` (two slices) of
+    the columns ``(a, c)``; it fills none if ``d < 0``, ``|da| > A`` or ``|dc| > C``.
+    """
+    A, C = lat
+    rects = []
+    for (da, dc), pairs in offsets:
+        a0, a1, c0, c1 = max(0, -da), min(A, A - da), max(0, -dc), min(C, C - dc)
+        d = -(da * (C + 1) + dc)
+        if d >= 0 and a0 <= a1 and c0 <= c1:
+            rects.append((d, (da, dc), pairs, (slice(a0, a1 + 1), slice(c0, c1 + 1))))
+    return max((rect[0] for rect in rects), default=0), rects
+
+
+def _gram_band(grid: np.ndarray, offsets: list, aw, lat: Lattice) -> np.ndarray:
+    """Upper band of ``G`` over the lattice box ``lat`` for the coefficient grid ``grid`` and its table ``offsets``.
 
     ``m_j f`` and ``m_i f`` overlap where ``m_j + p = m_i + q`` for nonzero
     coefficients ``f[p]``, ``f[q]``; each such pair adds ``f[p] conj(f[q])``
     times the weight at ``m_j + p`` to ``G[i, j]``.  Then
     ``i - j = (p1 - q1) (C + 1) + p2 - q2`` is the same for all ``j``, and
     the columns ``j`` with ``m_j + p - q`` in the box form a rectangle of
-    the box: the pair adds one strided block to one band row.  A single
-    column (``C = 0`` and a one-column ``grid``) takes no second-variable weight.
+    the box.  ``G[i, j]`` takes its pairs from the one offset ``m_i - m_j``,
+    in pair order.  A single column (``C = 0`` and a one-column ``grid``)
+    takes no second-variable weight.
     """
     A, C = lat
     F1, F2 = grid.shape
     # one weight row, as long as the longer variable needs; both read slices of it
     w = aw.weights(max(A + F1, C + F2) - 1)
-    u, blocks = _blocks(grid, lat)
+    weighted = {}  # f[p] times the weight at m_j + p, for every column j
+    for p1, p2 in np.argwhere(grid).tolist():
+        x = (grid[p1, p2] * w[p1:A + p1 + 1])[:, None]
+        weighted[p1, p2] = x * w[None, p2:C + p2 + 1] if C + F2 > 1 else x
+    u, rects = _rectangles(offsets, lat)
     band = np.zeros((u + 1, (A + 1) * (C + 1)), dtype=np.complex128)
     rows = band.reshape(u + 1, A + 1, C + 1)
-    p = None
-    for d, p1, p2, q1, q2, a0, a1, c0, c1 in blocks:
-        if (p1, p2) != p:
-            # f[p] times the weight at m_j + p, for every column j
-            p = (p1, p2)
-            weighted = (grid[p] * w[p1:A + p1 + 1])[:, None]
-            if C + F2 > 1:
-                weighted = weighted * w[None, p2:C + p2 + 1]
-        rows[u - d, a0:a1 + 1, c0:c1 + 1] += weighted[a0:a1 + 1, c0:c1 + 1] * np.conj(grid[q1, q2])
+    for d, _, pairs, box in rects:
+        row = rows[u - d]
+        for p, q in pairs:
+            row[box] += weighted[p][box] * np.conj(grid[q])
     band[u].imag = 0.0  # the diagonal of a Hermitian matrix is real
     return band
 
@@ -411,8 +408,7 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     ``f``, have the stage ``"assemble"``.
     """
     aw = a if isinstance(a, PatternWeight) else as_alpha(a)
-    onevar = isinstance(f, OneVarSeries)
-    if onevar:
+    if isinstance(f, OneVarSeries):
         b._require_onevar()
     lat = b.lattice()
     size = (lat.A + 1) * (lat.C + 1)
@@ -422,8 +418,9 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     if not f.coeffs.any():
         raise ArgumentError("f must not be identically zero", stage="assemble")
     terms = _terms(f, aw, b)
+    offsets = [_offsets(_grid(F), lat) for F, _ in terms]
     with np.errstate(over="ignore", invalid="ignore"):
-        bands = [_gram_band(_grid(F), w, lat) for F, w in terms]
+        bands = [_gram_band(_grid(F), table, w, lat) for (F, w), table in zip(terms, offsets)]
         band = bands[0]
         if len(bands) > 1:  # each coset band is added to the bottom rows of the widest
             band = np.zeros((max(x.shape[0] for x in bands), band.shape[1]), dtype=np.complex128)
@@ -433,7 +430,7 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
         raise _not_finite(aw.alpha, b.n, "assemble")
     rhs = np.zeros(band.shape[1], dtype=np.complex128)
     rhs[0] = np.conj(f.coeffs[(0,) * f.coeffs.ndim])  # position 0 is the constant monomial
-    return GramSystem(lattice=lat, onevar=onevar, band=band, rhs=rhs, terms=terms, pattern=b.pattern)
+    return GramSystem(lattice=lat, band=band, rhs=rhs, terms=terms, pair_offsets=offsets, pattern=b.pattern)
 
 
 def _band_norm1(band: np.ndarray, buf: Optional[np.ndarray] = None) -> float:
@@ -549,24 +546,6 @@ def _factor(gram: GramSystem, n: int, alpha: float,
     return factor, norm, ridge
 
 
-def _solve_normal(gram: GramSystem, n: int, alpha: float,
-                  buf: Optional[np.ndarray]) -> Tuple[np.ndarray, float, float]:
-    """Coefficients, the ridge applied (0.0 if none) and a 1-norm condition estimate, factoring in ``buf``."""
-    factor, norm, ridge = _factor(gram, n, alpha, buf)
-    pbtrs = _lapack("pbtrs")
-
-    def solve(x):
-        y, info = pbtrs(factor, x)
-        if info != 0:
-            raise NumericalError(f"banded solve at order n={n} failed: LAPACK pbtrs info {info}",
-                                 n=n, stage="solve")
-        return y
-
-    c = solve(gram.rhs)
-    cond = norm * _inverse_norm1(solve, len(c))
-    return c, ridge, cond
-
-
 def residual_norm_sq(p: Series, f: Series, a: AlphaLike) -> float:
     """Exact ``||p f - 1||^2`` by explicit series multiplication."""
     if isinstance(p, OneVarSeries):
@@ -627,8 +606,19 @@ def _certify(
 
 def _solve(gram: GramSystem, b: BasisSpec, alpha: float, ortho_tol: Optional[float],
            buf: Optional[np.ndarray]) -> ApproximantResult:
-    """Factor in ``buf``, solve and certify the normal equations ``gram`` of the basis ``b``; errors name ``b.n``."""
-    c, ridge, cond = _solve_normal(gram, b.n, alpha, buf)
+    """Factor in ``buf``, solve, estimate and certify the normal equations ``gram`` of ``b``; errors name ``b.n``."""
+    factor, norm, ridge = _factor(gram, b.n, alpha, buf)
+    pbtrs = _lapack("pbtrs")
+
+    def solve(x):
+        y, info = pbtrs(factor, x)
+        if info != 0:
+            raise NumericalError(f"banded solve at order n={b.n} failed: LAPACK pbtrs info {info}",
+                                 n=b.n, stage="solve")
+        return y
+
+    c = solve(gram.rhs)
+    cond = norm * _inverse_norm1(solve, len(c))
     lat, terms = gram.lattice, gram.terms
     p = lat.series(c, isinstance(terms[0][0], OneVarSeries))
     res_sq, ortho = _certify(p, terms, lat, n=b.n, ridge=ridge, cond=cond, ortho_tol=ortho_tol)
@@ -656,11 +646,11 @@ def _top_basis(bases: List[BasisSpec]) -> Optional[BasisSpec]:
 def _gather(top: GramSystem, lat: Lattice, store: Optional[np.ndarray]) -> GramSystem:
     """The normal equations over a box ``lat`` inside ``top``'s, entry for entry those of :func:`gram_assemble`.
 
-    ``G[i, j]`` depends only on ``m_i`` and ``m_j``.  A pair offset
-    ``(da, dc)`` of ``top.pair_offsets`` fills one rectangle of columns
-    ``(a, c)`` of the band row ``u - d``, ``d = -(da (C + 1) + dc)``
-    (:func:`_rectangle`), and the same one of ``top``'s row ``U - d'``, with
-    ``top``'s ``C'`` for ``C``: each offset is one strided copy into
+    ``G[i, j]`` depends only on ``m_i`` and ``m_j``.  An offset ``(da, dc)``
+    of ``top``'s table fills one rectangle of columns ``(a, c)`` of the band
+    row ``u - d``, ``d = -(da (C + 1) + dc)`` (:func:`_rectangles`), and the
+    same one of ``top``'s row ``U - d'``, with ``top``'s ``C'`` for ``C``:
+    each offset is one strided copy into
     ``store``, of at least ``top.band.size`` entries, zero elsewhere.  A
     one-column box has ``d = d'``, and its band is a view of ``top``'s
     bottom rows and first columns.
@@ -672,16 +662,14 @@ def _gather(top: GramSystem, lat: Lattice, store: Optional[np.ndarray]) -> GramS
     if C == 0:
         band = top.band[-min(U, A) - 1:, :size]
     else:
-        rects = [(da, dc, rect) for da, dc in top.pair_offsets
-                 if (rect := _rectangle(da, dc, lat)) is not None]
-        u = max(rect[0] for _, _, rect in rects)
+        (offsets,) = top.pair_offsets  # a box with two variables is full, and f is one term
+        u, rects = _rectangles(offsets, lat)
         band = store[:(u + 1) * size].reshape(u + 1, size)
         band.fill(0.0)
         rows, top_rows = band.reshape(u + 1, A + 1, C + 1), top.band.reshape(U + 1, A1 + 1, C1 + 1)
-        for da, dc, (d, a0, a1, c0, c1) in rects:
-            rows[u - d, a0:a1 + 1, c0:c1 + 1] = top_rows[U + da * (C1 + 1) + dc, a0:a1 + 1, c0:c1 + 1]
-    return GramSystem(lattice=lat, onevar=top.onevar, band=band, rhs=top.rhs[:size], terms=top.terms,
-                      pattern=top.pattern)
+        for d, (da, dc), _, box in rects:
+            rows[u - d][box] = top_rows[U + da * (C1 + 1) + dc][box]
+    return replace(top, lattice=lat, band=band, rhs=top.rhs[:size])
 
 
 def _solve_orders(

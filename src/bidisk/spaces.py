@@ -183,30 +183,39 @@ def _rate_gauge(a: AlphaLike) -> AlphaWeight:
     return aw
 
 
+def _out_of_range(what: str, alpha: float, how: str = "overflows") -> NumericalError:
+    """The refusal of a value, ``what``, that Python float arithmetic cannot hold at ``alpha``."""
+    return NumericalError(f"{what} at alpha = {alpha!r} {how}")
+
+
 def phi(a: AlphaLike, s: float) -> float:
     """Decay gauge: ``s^(1-alpha)`` for ``alpha < 1``, ``max(log s, 0)`` at ``alpha = 1``.
 
     Undefined for ``alpha > 1`` (the spaces are algebras there and no rate is
-    attached to them).
+    attached to them).  A NaN ``s`` is refused with :class:`ArgumentError`,
+    and a value that overflows with :class:`NumericalError` naming ``alpha``.
     """
     alpha = _rate_gauge(a).alpha
-    if s < 0.0:
+    if not s >= 0.0:  # NaN included
         raise ArgumentError("the rate gauge is defined on s >= 0")
     if alpha == 1.0:
         return max(math.log(s), 0.0) if s > 0.0 else 0.0
-    return float(s) ** (1.0 - alpha)
+    try:
+        return float(s) ** (1.0 - alpha)
+    except OverflowError:
+        raise _out_of_range(f"the rate gauge phi(s), s = {s!r},", alpha) from None
 
 
 def phi_inv(a: AlphaLike, t: float) -> float:
-    """Inverse of :func:`phi` on the branch ``s >= 1``."""
+    """Inverse of :func:`phi` on the branch ``s >= 1``; refuses NaN and overflow as :func:`phi` does."""
     alpha = _rate_gauge(a).alpha
-    if alpha == 1.0:
-        if t < 0.0:
-            raise ArgumentError("the logarithmic gauge only takes values t >= 0")
-        return math.exp(t)
-    if t < 0.0:
-        raise ArgumentError("the power gauge only takes values t >= 0")
-    return float(t) ** (1.0 / (1.0 - alpha))
+    if not t >= 0.0:  # NaN included
+        gauge = "logarithmic" if alpha == 1.0 else "power"
+        raise ArgumentError(f"the {gauge} gauge only takes values t >= 0")
+    try:
+        return math.exp(t) if alpha == 1.0 else float(t) ** (1.0 / (1.0 - alpha))
+    except OverflowError:
+        raise _out_of_range(f"the inverse rate gauge phi_inv(t), t = {t!r},", alpha) from None
 
 
 def beta_of_alpha(alpha: float) -> float:
@@ -305,9 +314,16 @@ def comparison_constants(alpha: float, pat: DiagonalPattern) -> ComparisonConsta
     For a series supported on ``(M k, N k)`` the per-term weight ratio
     ``((Mk+1)(Nk+1) / (k+1)^2)^alpha`` runs monotonically between 1 and
     ``(M N)^alpha``, which yields the closed forms below; the pattern
-    ``(1, 1)`` is an exact isometry.
+    ``(1, 1)`` is an exact isometry.  A constant that overflows, or a ``c2``
+    that underflows to 0, is refused with :class:`NumericalError` naming ``alpha``.
     """
-    c1, c2 = _comparison_pair(as_alpha(alpha).alpha, pat.M, pat.N)
+    alpha, what = as_alpha(alpha).alpha, f"the comparison constants of the pattern ({pat.M}, {pat.N})"
+    try:
+        c1, c2 = _comparison_pair(alpha, pat.M, pat.N)
+    except OverflowError:
+        raise _out_of_range(what, alpha, "overflow") from None
+    if c2 == 0.0:
+        raise _out_of_range(what, alpha, "underflow")
     return ComparisonConstants(c1=c1, c2=c2)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from bidisk.analysis import (
     DecaySeries,
+    TheoryRate,
     cyclicity_verdict,
     decay_scan,
     fit_log_mode,
@@ -28,6 +29,7 @@ from bidisk.errors import (
     DegenerateFitError,
     InsufficientPointsError,
     MonotonicityError,
+    NumericalError,
     UnsupportedRateError,
 )
 from bidisk.series import DiagonalPattern, OneVarSeries, TwoVarSeries, constant2, separable
@@ -90,6 +92,18 @@ class TestDecayScan:
             assert res == solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(n, PAT11))
             assert res.pattern == PAT11
         assert ds.meta["pattern"] == PAT11
+
+    @pytest.mark.parametrize("basis, pattern, match", [
+        ("foo", None, "unknown basis kind 'foo'"),
+        ("full", PAT11, "other kinds must not carry one"),
+    ])
+    def test_a_bad_basis_names_no_order(self, basis, pattern, match):
+        # the bases are built before any solve: their refusal is about the arguments, not an order
+        with pytest.raises(ArgumentError) as info:
+            decay_scan(F_DIAG, 0.0, [1, 2], basis=basis, pattern=pattern)
+        assert str(info.value) == (f"unknown basis kind {basis!r}" if basis == "foo" else
+                                   "diagonal bases need a pattern; other kinds must not carry one")
+        assert info.value.n is None and match in str(info.value)
 
     @pytest.mark.parametrize("basis", ["full", "onevar"])
     def test_pattern_refused_off_the_diagonal_basis(self, basis):
@@ -179,6 +193,12 @@ class TestDecayScan:
     def test_monotonicity_enforced(self):
         with pytest.raises(MonotonicityError):
             DecaySeries(points=((1, 0.5), (2, 0.75)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_a_value_that_is_not_finite_is_refused_by_its_order(self, bad):
+        with pytest.raises(NumericalError, match=r"dist_sq at order n=2 is not finite") as info:
+            DecaySeries(points=((1, 0.1), (2, bad), (3, 0.9)))
+        assert info.value.n == 2 and not isinstance(info.value, MonotonicityError)
 
 
 def _bits(result):
@@ -473,6 +493,20 @@ class TestPredictedRate:
         tr = predicted_rate(0.0, "diagonal")
         assert tr.predicted_value(9) == pytest.approx(0.1)
         assert predicted_rate(1.0, "diagonal").predicted_value(7) == 1.0
+
+    def test_predicted_value_that_underflows_is_none(self):
+        tr = predicted_rate(-400.0, "separable")  # (n + 1)^-401
+        assert tr.predicted_value(4) == 5.0 ** -401
+        assert tr.predicted_value(5) is None  # 6^-401 is subnormal
+        assert tr.predicted_value(10 ** 6) is None  # 0.0
+        assert tr.predicted_value(np.int64(10 ** 6)) is None
+        assert predicted_rate(-300.0, "onevar").predicted_value(100) is None
+
+    def test_predicted_value_that_overflows_is_none(self):
+        tr = TheoryRate(family="separable", alpha=0.0, mode="power", exponent=400.0)
+        assert tr.predicted_value(5) is None
+        assert tr.predicted_value(np.int64(5)) is None
+        assert tr.predicted_value(1) == 2.0 ** 400
 
 
 class TestSharpRates:

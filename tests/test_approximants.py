@@ -70,6 +70,14 @@ def patch_lapack(monkeypatch, name, fake):
     monkeypatch.setattr(approximants, "_lapack", lambda n: fake(real(n)) if n == name else real(n))
 
 
+def test_the_package_exports_every_public_function_and_class():
+    import bidisk
+
+    public = [name for name in approximants.__all__ if name != "SOLVER_CAP"]
+    assert "solve_orders" in public and "riesz_orders" in public
+    assert [name for name in public if getattr(bidisk, name, None) is not getattr(approximants, name)] == []
+
+
 class TestBasisSpec:
     def test_full_ordering(self):
         idx = BasisSpec.full(1).indices2()
@@ -307,6 +315,138 @@ class TestLatticeAssembly:
             entries = max(band.size, -(-(u + 1) * (size + u + 1) // 2))
             buf = np.full(entries + int(rng.integers(0, 50)), np.nan + 1j * np.inf)
             assert approximants._band_norm1(band, buf) == loop(band)
+
+
+def pair_by_pair_band(grid, aw, lat):
+    """The upper band of ``G`` assembled pair by pair, one rectangle per pair: the reference for the offset table.
+
+    Returns the bandwidth and the band.  Every pair of nonzero coefficients
+    ``f[p]``, ``f[q]``, ``p`` then ``q`` in ``argwhere`` order, finds its own
+    band row and rectangle and adds ``f[p] conj(f[q])`` times the weights there.
+    """
+    A, C = lat
+    F1, F2 = grid.shape
+    w = aw.weights(max(A + F1, C + F2) - 1)
+    nonzero = np.argwhere(grid).tolist()
+    blocks = []
+    for p1, p2 in nonzero:
+        for q1, q2 in nonzero:
+            da, dc = p1 - q1, p2 - q2
+            a0, a1 = max(0, -da), min(A, A - da)
+            c0, c1 = max(0, -dc), min(C, C - dc)
+            d = -(da * (C + 1) + dc)
+            if d >= 0 and a0 <= a1 and c0 <= c1:
+                blocks.append((d, p1, p2, q1, q2, a0, a1, c0, c1))
+    u = max((block[0] for block in blocks), default=0)
+    band = np.zeros((u + 1, (A + 1) * (C + 1)), dtype=np.complex128)
+    rows = band.reshape(u + 1, A + 1, C + 1)
+    p = None
+    for d, p1, p2, q1, q2, a0, a1, c0, c1 in blocks:
+        if (p1, p2) != p:
+            p = (p1, p2)
+            weighted = (grid[p] * w[p1:A + p1 + 1])[:, None]
+            if C + F2 > 1:
+                weighted = weighted * w[None, p2:C + p2 + 1]
+        rows[u - d, a0:a1 + 1, c0:c1 + 1] += weighted[a0:a1 + 1, c0:c1 + 1] * np.conj(grid[q1, q2])
+    band[u].imag = 0.0
+    return u, band
+
+
+class TestOffsetTable:
+    """The band read from the offset table is the pair-by-pair band, byte for byte."""
+
+    def assert_band_is_pair_by_pair(self, grid, aw, lat, top=None):
+        """The band over ``lat`` from the table of ``grid`` over ``top`` (default ``lat``), a box around it."""
+        offsets = approximants._offsets(grid, top or lat)
+        u, band = pair_by_pair_band(grid, aw, lat)
+        assert approximants._rectangles(offsets, lat)[0] == u
+        own = approximants._gram_band(grid, offsets, aw, lat)
+        assert own.shape == band.shape and own.tobytes() == band.tobytes()
+
+    @pytest.mark.parametrize("lat", [(0, 0), (1, 0), (7, 0), (1, 1), (2, 3), (3, 2), (9, 9)])
+    def test_offsets_list_the_pairs_that_fill_the_band_in_pair_order(self, lat):
+        grid = random_with_holes(np.random.default_rng(120), (4, 5))
+        nonzero = [tuple(p) for p in np.argwhere(grid).tolist()]
+        order = {(p, q): i for i, (p, q) in enumerate((p, q) for p in nonzero for q in nonzero)}
+        A, C = lat
+        table = approximants._offsets(grid, approximants.Lattice(A, C))
+        offsets = [offset for offset, _ in table]
+        assert len(set(offsets)) == len(offsets)
+        # a pair is listed when some column of the box meets its offset in the upper band
+        filling = [(p, q) for p in nonzero for q in nonzero
+                   if any(0 <= a + p[0] - q[0] <= A and 0 <= c + p[1] - q[1] <= C
+                          and (a + p[0] - q[0]) * (C + 1) + c + p[1] - q[1] <= a * (C + 1) + c
+                          for a in range(A + 1) for c in range(C + 1))]
+        flat = [pair for _, pairs in table for pair in pairs]
+        assert sorted(flat) == sorted(filling)
+        for (da, dc), pairs in table:
+            assert all((p[0] - q[0], p[1] - q[1]) == (da, dc) for p, q in pairs)
+            assert pairs == sorted(pairs, key=order.get)
+        # each offset comes with its first pair
+        firsts = [pairs[0] for _, pairs in table]
+        assert firsts == sorted(firsts, key=order.get)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_full_boxes(self, seed):
+        rng = np.random.default_rng(130 + seed)
+        grid = random_with_holes(rng, tuple(rng.integers(1, 6, 2)))
+        aw = as_alpha(float(rng.uniform(-2.0, 2.0)))
+        for n in range(13):
+            lat = BasisSpec.full(n).lattice()
+            self.assert_band_is_pair_by_pair(grid, aw, lat)
+            # the table of the top box of a scan serves every box inside it
+            self.assert_band_is_pair_by_pair(grid, aw, lat, BasisSpec.full(12).lattice())
+
+    def test_boxes_narrower_than_f(self):
+        # C < F2 - 1: full(1) of an f of degree 3 in z2, and lower orders of wider grids
+        rng = np.random.default_rng(140)
+        for shape in ((2, 4), (3, 4), (5, 6), (1, 7)):
+            grid = random_with_holes(rng, shape)
+            for n in range(shape[1] - 1):
+                self.assert_band_is_pair_by_pair(grid, as_alpha(0.75), BasisSpec.full(n).lattice())
+
+    def test_one_column_box_of_a_two_column_grid(self):
+        # C = 0: a TwoVarSeries on a onevar basis, its second variable weighted at c = 0
+        rng = np.random.default_rng(150)
+        for shape in ((4, 2), (6, 3), (1, 2)):
+            f = TwoVarSeries(random_with_holes(rng, shape))
+            for n in (0, 1, 3, 8, 40):
+                b = BasisSpec.onevar(n)
+                self.assert_band_is_pair_by_pair(f.coeffs, as_alpha(-0.5), b.lattice())
+                assert gram_assemble(f, -0.5, b).band.tobytes() == pair_by_pair_band(
+                    f.coeffs, as_alpha(-0.5), b.lattice())[1].tobytes()
+
+    @pytest.mark.parametrize("pat", [PAT11, DiagonalPattern(2, 3), DiagonalPattern(3, 1)])
+    def test_pattern_weight_coset_rows(self, pat):
+        rng = np.random.default_rng(160 + pat.M + 7 * pat.N)
+        f = TwoVarSeries(random_with_holes(rng, (6, 7)))
+        for n in (0, 3, 9, 30):
+            b = BasisSpec.diagonal(n, pat)
+            terms = approximants._terms(f, as_alpha(0.25), b)
+            assert len(terms) > 1
+            for F, weight in terms:
+                self.assert_band_is_pair_by_pair(approximants._grid(F), weight, b.lattice())
+
+    def test_every_term_keeps_its_table(self):
+        # three coset terms, one table each; a gathered system reads its top system's table
+        gs = gram_assemble(builtin_series("product_one_minus").series, 0.0, BasisSpec.diagonal(4, PAT11))
+        assert len(gs.pair_offsets) == len(gs.terms) == 3
+        for (F, _), table in zip(gs.terms, gs.pair_offsets):
+            assert table == approximants._offsets(approximants._grid(F), gs.lattice)
+        top = gram_assemble(F_PROD, 0.5, BasisSpec.full(9))
+        gathered = approximants._gather(top, BasisSpec.full(4).lattice(), np.empty(top.band.size, complex))
+        assert gathered.pair_offsets is top.pair_offsets and gathered.terms is top.terms
+
+    @pytest.mark.parametrize("f, b", [
+        (F_ONEVAR, BasisSpec.onevar(4)),
+        (F_PROD, BasisSpec.onevar(4)),
+        (F_PROD, BasisSpec.full(3)),
+        (F_PROD, BasisSpec.diagonal(6, DiagonalPattern(2, 3))),
+    ])
+    def test_basis_is_read_from_the_terms(self, f, b):
+        gs = gram_assemble(f, 0.0, b)
+        assert gs.basis == b.lattice().basis(isinstance(f, OneVarSeries), b.pattern)
+        assert not hasattr(gs, "onevar")
 
 
 class TestRidge:

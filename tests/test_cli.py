@@ -147,6 +147,30 @@ class TestDecay:
             assert float(dist_sq) == 0.0
             assert predicted == "" and ratio == ""
 
+    @pytest.mark.parametrize("argv, rated", [
+        # the Cesaro rows of a full scan; (n + 1)^-401 is normal up to n = 4 only
+        ("--series builtin:product_one_minus --alpha -400 --nmin 1 --nmax 40 --basis full "
+         "--method cesaro", [1, 2, 3, 4]),
+        # optimal one-variable rows; (n + 1)^-301 underflows to 0.0
+        ("--series builtin:one_minus_z1 --alpha -300 --nmin 100 --nmax 120 --step 10 --basis onevar", []),
+    ])
+    def test_predicted_value_that_underflows_leaves_both_columns_empty(self, capsys, argv, rated):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "decay", *argv.split())
+        assert (code, err) == (0, "")
+        rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+        assert [int(n) for n, _, predicted, _ in rows if predicted] == rated
+        for n, dist_sq, predicted, ratio in rows:
+            assert float(dist_sq) > 0.0
+            if predicted:
+                assert float(predicted) == (int(n) + 1.0) ** -401
+                assert float(ratio) == float(dist_sq) / float(predicted) < float("inf")
+            else:
+                assert ratio == ""
+        if not rated:
+            assert out.splitlines()[1] == "100,9.5452169531742428e-29,,"
+
     def test_plateau_ratio_flat(self, capsys):
         code, out, _ = run_cli(
             capsys, "decay", "--series", "builtin:one_minus_z1z2", "--alpha", "1",
@@ -393,6 +417,20 @@ class TestErrors:
                                      "--alpha", "300", "--n", "3")
         assert (code, out) == (3, "")
         assert err.startswith("error: NumericalError: the Gram matrix at alpha = 300.0, order n=3 ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        "approx --series builtin:one_minus_z1z2 --alpha -1000 --n 30 --method riesz --basis full",
+        "decay --series builtin:one_minus_z1z2 --alpha -1000 --nmin 1 --nmax 40 --basis diag:1,1 "
+        "--method riesz",
+    ])
+    def test_overflowing_rate_gauge_refused(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (3, "")
+        assert err.startswith("error: NumericalError: the rate gauge phi(s), s = ")
+        assert err.rstrip().endswith("at alpha = -1000.0 overflows")
         assert len(err.splitlines()) == 1
 
     def test_violation_fails_verify(self, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Norms, inner products, rate gauges, kernel norms, comparison constants."""
 
+import math
 import re
 import tracemalloc
 import warnings
@@ -132,6 +133,41 @@ class TestPhi:
     def test_log_branch_domain(self):
         with pytest.raises(ValueError):
             phi_inv(1.0, -0.1)
+
+
+class TestOutOfRange:
+    """Python float powers that overflow are refused by name, never raised bare; NaN is refused as an argument."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: phi(-1.0, 1e300), r"phi\(s\), s = 1e\+300, at alpha = -1\.0 overflows"),
+        (lambda: phi(-1000.0, 31), r"s = 31, at alpha = -1000\.0 overflows"),
+        (lambda: phi_inv(0.9, 1e300), r"phi_inv\(t\), t = 1e\+300, at alpha = 0\.9 overflows"),
+        (lambda: phi_inv(1.0, 1000.0), r"t = 1000\.0, at alpha = 1\.0 overflows"),
+        (lambda: comparison_constants(2000.0, DiagonalPattern(2, 1)),
+         r"pattern \(2, 1\) at alpha = 2000\.0 overflow"),
+        (lambda: comparison_constants(-2000.0, DiagonalPattern(1, 3)),
+         r"pattern \(1, 3\) at alpha = -2000\.0 underflow"),
+    ])
+    def test_overflow_is_a_numerical_error(self, call, match):
+        with pytest.raises(NumericalError, match=match) as info:
+            call()
+        assert not isinstance(info.value, InputError)
+
+    @pytest.mark.parametrize("call", [
+        lambda: phi(0.0, float("nan")),
+        lambda: phi(1.0, float("nan")),
+        lambda: phi_inv(0.0, float("nan")),
+        lambda: phi_inv(1.0, float("nan")),
+    ])
+    def test_nan_is_refused(self, call):
+        with pytest.raises(ArgumentError, match="t >= 0|s >= 0"):
+            call()
+
+    def test_largest_values_still_computed(self):
+        assert phi(-1.0, 1e150) == 1e150 ** 2.0
+        assert phi_inv(1.0, 709.0) == math.exp(709.0)
+        assert comparison_constants(1000.0, DiagonalPattern(2, 1)).c1 == 2.0 ** 1000
+        assert comparison_constants(-1000.0, DiagonalPattern(2, 1)).c2 == 2.0 ** -1000
 
 
 class TestBeta:

@@ -19,7 +19,10 @@ time (less the stages it calls) is kept:
   top order's: ``_gather`` (``_leading``, the one-column slice, in a tree
   that predates the gather);
 * factor: ``_factor`` (LAPACK ``pbtrf`` and any ridge retry);
-* solve: ``_solve_normal`` (the ``pbtrs`` for the coefficients);
+* solve: ``_solve``, the one body of a solve, less the stages it calls:
+  the ``pbtrs`` for the coefficients and the solve's bookkeeping (with
+  ``_solve_normal``, which held that ``pbtrs``, in a tree that predates the
+  fold, so that both trees are split the same way);
 * condition estimate: ``_band_norm1`` and ``_inverse_norm1``;
 * certify: ``_certify`` (residual and orthogonality certificate);
 * rest: the scan's wall time less those stages (dispatch, results, checks).
@@ -124,7 +127,7 @@ class Stages:
     """Self-time timers around the solver's stage functions, patched into ``bidisk.approximants``."""
 
     NAMES = {"gram_assemble": "assemble", "_gather": "assemble", "_leading": "assemble",
-             "_factor": "factor", "_solve_normal": "solve", "_band_norm1": "cond",
+             "_factor": "factor", "_solve": "solve", "_solve_normal": "solve", "_band_norm1": "cond",
              "_inverse_norm1": "cond", "_certify": "certify"}
 
     def __init__(self, approximants):
