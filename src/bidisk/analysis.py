@@ -144,10 +144,11 @@ def decay_scan(
     ``BasisSpec(n, basis, pattern)``; a diagonal basis defaults to the
     pattern ``(1, 1)``, and a ``pattern`` with any other basis is refused.
     Each result equals :func:`solve_optimal` at its order, bit for bit.  A
-    scan assembles its Gram band once, at its largest order within the
-    solver cap; a full scan gathers each lower order's band from it, a
-    one-variable or diagonal scan slices it, and every order factors,
-    solves, estimates the condition of and certifies its own band.
+    scan assembles its Gram band once, at its largest order, or, if that
+    assembly fails, every order alone; a full scan gathers each lower
+    order's band from the top one, a one-variable or diagonal scan slices
+    it, and every order factors, solves, estimates the condition of and
+    certifies its own band.
     ``ortho_tol`` is the orthogonality-certificate tolerance of every solve
     (default ``1e-8 * ||f||^2``); a negative or NaN one is refused before
     any solve.

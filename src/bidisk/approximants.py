@@ -35,9 +35,11 @@ a failed solve's error carries the order it names and the failed stage as
 ``n`` and ``stage``.  Every order takes ``||G||_1`` first, then factors.
 The residual ``p f - 1`` is formed once per solve and yields both the
 squared residual and the certificate.  :func:`solve_orders` maps bases to solves,
-:func:`solve_optimal` being its one-order case.  A scan assembles once, at
-its largest order within ``SOLVER_CAP`` (the top order), and holds that band
-for the whole scan.  ``G[i, j]`` depends only on the monomials, so ``G``
+:func:`solve_optimal` being its one-order case.  A scan of one kind and
+pattern assembles once, at its largest order (the top order), and holds
+that band for the whole scan; if that assembly fails, every order is
+assembled alone and fails where it would fail alone, so no cap is decided
+here.  ``G[i, j]`` depends only on the monomials, so ``G``
 over every lower order's box is a principal submatrix of the top one.  A
 full scan gathers each lower order's band from the top band, one strided
 rectangle per offset of the top order's table, into one scratch array;
@@ -57,20 +59,20 @@ bit-identical to forming each piece separately.
 
 The explicit constructions are Riesz-type means of ``1/f``;
 :func:`riesz_orders` is their one body.  A scan computes one reciprocal, at
-its largest order, and every order is a corner of it.
+its largest order, and every order is a corner of it; by the same rule, if
+that reciprocal fails, every order is computed alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ArgumentError, BasisSizeError, ConditioningError, NumericalError
+from .errors import ArgumentError, BasisSizeError, BidiskError, ConditioningError, NumericalError
 from .series import (
-    MAX_GRID_ENTRIES,
     DiagonalPattern,
     OneVarSeries,
     TwoVarSeries,
@@ -635,14 +637,6 @@ def _solve(gram: GramSystem, b: BasisSpec, alpha: float, ortho_tol: Optional[flo
     )
 
 
-def _top_basis(bases: List[BasisSpec]) -> Optional[BasisSpec]:
-    """The largest of ``bases`` within the cap, when all are of one kind and pattern (boxes inside it); else None."""
-    if len({(b.kind, b.pattern) for b in bases}) > 1:
-        return None
-    capped = [b for b in bases if (b.lattice().A + 1) * (b.lattice().C + 1) <= SOLVER_CAP]
-    return max(capped, key=lambda b: b.lattice().A, default=None)
-
-
 def _gather(top: GramSystem, lat: Lattice, store: Optional[np.ndarray]) -> GramSystem:
     """The normal equations over a box ``lat`` inside ``top``'s, entry for entry those of :func:`gram_assemble`.
 
@@ -669,28 +663,27 @@ def _gather(top: GramSystem, lat: Lattice, store: Optional[np.ndarray]) -> GramS
         rows, top_rows = band.reshape(u + 1, A + 1, C + 1), top.band.reshape(U + 1, A1 + 1, C1 + 1)
         for d, (da, dc), _, box in rects:
             rows[u - d][box] = top_rows[U + da * (C1 + 1) + dc][box]
-    return replace(top, lattice=lat, band=band, rhs=top.rhs[:size])
+    return GramSystem(lattice=lat, band=band, rhs=top.rhs[:size], terms=top.terms,
+                      pair_offsets=top.pair_offsets, pattern=top.pattern)
 
 
 def _solve_orders(
     f: Series, aw, bases: List[BasisSpec], ortho_tol: Optional[float]
 ) -> Iterator[ApproximantResult]:
     """The solves of :func:`solve_orders`, which checked ``ortho_tol``, under the weights ``aw``."""
-    top_basis, top, store, buf = _top_basis(bases), None, None, None
+    top = store = buf = None
+    if len(bases) > 1 and len({(b.kind, b.pattern) for b in bases}) == 1:
+        try:  # every box of the scan lies inside its largest
+            top = gram_assemble(f, aw, max(bases, key=lambda b: b.n))
+        except BidiskError:  # then each order is assembled alone, and fails where it would alone
+            pass
     for b in bases:
         lat = b.lattice()
-        shared = top_basis is not None and lat.A <= top_basis.lattice().A
-        if shared and top is None:
-            try:
-                top = gram_assemble(f, aw, top_basis)
-            except NumericalError:  # not finite: each order's own assembly names the first that overflows
-                top_basis, shared = None, False
-        if shared and store is None and lat.C and lat != top.lattice:  # the top order leaves it untouched
+        if top is not None and store is None and lat.C and lat != top.lattice:  # the top order leaves it untouched
             store = np.empty(top.band.size, dtype=np.complex128)
-        # past the cap gram_assemble raises, as it does at this order alone
-        gram = _gather(top, lat, store) if shared else gram_assemble(f, aw, b)
+        gram = gram_assemble(f, aw, b) if top is None else _gather(top, lat, store)
         if lat.C and (buf is None or buf.size < gram.band.size):  # in a shared scan, sized once to the top band
-            buf = np.empty((top if shared else gram).band.size, dtype=np.complex128)
+            buf = np.empty((gram if top is None else top).band.size, dtype=np.complex128)
         # a one-column band is small, and LAPACK's own copy of it is cheaper than one into a
         # buffer held across the scan (measured on the reduced scans)
         yield _solve(gram, b, aw.alpha, ortho_tol, buf if lat.C else None)
@@ -708,9 +701,10 @@ def solve_orders(
     The one place that maps bases to solves; each result equals that of
     :func:`solve_optimal` on its basis, bit for bit, and the iterator
     raises at the first basis whose solve fails, with that solve's error.
-    The bases of one scan share one Gram assembly, at its top order, as the
-    module docstring describes: a full scan gathers each lower order's band
-    from the top one's, and a one-variable or ``diag:M,N`` scan slices it.
+    The bases of one scan share one Gram assembly, at its largest order, or
+    none, as the module docstring describes: a full scan gathers each lower
+    order's band from the top one's, and a one-variable or ``diag:M,N``
+    scan slices it.
     ``ortho_tol`` is checked here, before any solve.
     """
     _check_tolerance(ortho_tol, "ortho_tol")
@@ -764,25 +758,28 @@ def riesz_orders(f: TwoVarSeries, a: AlphaLike, ns: Sequence[int], pat: Optional
     """The Riesz-type means of ``1/f`` of the orders ``ns``, in order, on the square grid or lifted from ``pat``.
 
     The one body of :func:`riesz_approximant`, :func:`riesz_diagonal` and
-    :func:`cesaro`.  The reciprocal is computed once, at the largest order
-    whose grid fits ``MAX_GRID_ENTRIES``; the recurrence is causal, so each
-    order's truncation is a corner of it, bit for bit.  A later order is
-    computed alone and raises as it would alone.
+    :func:`cesaro`.  The reciprocal is computed once, at the largest order;
+    the recurrence is causal, so each order's truncation is a corner of it,
+    bit for bit.  If that reciprocal fails, as past the grid cap, every
+    order is computed alone and raises where it would alone.
     """
     aw = _rate_gauge(a)
     ns = [_check_order(n, "n") for n in ns]
     F = f if pat is None else restrict(f, pat)
-    M, N = (1, 1) if pat is None else (pat.M, pat.N)
 
     def reciprocal(d: int) -> np.ndarray:
         # each order's series checks its own corner, so a non-finite tail past it neither raises nor warns
         with np.errstate(over="ignore", invalid="ignore"):
             return _reciprocal2(f, d, d, eps0) if pat is None else _reciprocal1(F, d, eps0)
 
-    top = max((n for n in ns if (M * n + 1) * (N * n + 1) <= MAX_GRID_ENTRIES), default=-1)
-    b_top = reciprocal(top) if top >= 0 else None
+    top = None
+    if len(ns) > 1:
+        try:
+            top = reciprocal(max(ns))
+        except BidiskError:  # then each order is computed alone, and fails where it would alone
+            pass
     for n in ns:
-        b = b_top[(slice(n + 1),) * b_top.ndim] if n <= top else reciprocal(n)
+        b = reciprocal(n) if top is None else top[(slice(n + 1),) * top.ndim]
         idx = np.arange(n + 1)
         if pat is None:
             b = TwoVarSeries(b)  # refuses a non-finite reciprocal, as reciprocal2 does

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import CoefficientRangeError
-from .series import TwoVarSeries, shifted_pairings
+from .series import TwoVarSeries, _as_int, shifted_pairings
 from .spaces import norm2
 
 __all__ = [
@@ -46,6 +46,11 @@ __all__ = [
 _HERMITIAN_TOL = 1e-12
 
 
+def _index(value, name: str) -> int:
+    """``value`` as a Python int by :func:`series._as_int`, so numpy integers pass; else refused, ``name`` naming it."""
+    return _as_int(value, f"{name}={value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class FourierMeasure:
     """Probability measure on the two-torus given by Fourier coefficients.
@@ -54,7 +59,8 @@ class FourierMeasure:
     upper half-plane ``l > 0`` or ``(l = 0, k >= 0)``, strictly increasing in
     ``(l, k)``; unlisted coefficients there are zero, and
     ``mu_hat(-k, -l) = conj(mu_hat(k, l))`` gives the other half.  However the
-    measure is built, construction checks that every index is within
+    measure is built, ``K`` is taken as an integer (:func:`_index`), and
+    construction checks that every index is within
     ``|k|, |l| <= K``, that ``mu_hat(0, 0) = 1`` (the first entry), and that
     every coefficient is finite and at most 1 in modulus.
     """
@@ -66,6 +72,7 @@ class FourierMeasure:
     value: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "K", _index(self.K, "K"))
         k, l = np.asarray(self.k), np.asarray(self.l)
         value = np.asarray(self.value, dtype=np.complex128)
         if self.K < 0:
@@ -93,7 +100,8 @@ class FourierMeasure:
             getattr(self, name).flags.writeable = False
 
     def mu_hat(self, k: int, l: int) -> complex:
-        """Single coefficient, range-checked against the stored cutoff."""
+        """Single coefficient, range-checked against the stored cutoff; ``k`` and ``l`` are integers."""
+        k, l = _index(k, "k"), _index(l, "l")
         if abs(k) > self.K or abs(l) > self.K:
             raise CoefficientRangeError(
                 f"coefficient ({k}, {l}) outside the stored range |k|,|l| <= {self.K}"
@@ -107,7 +115,8 @@ class FourierMeasure:
         return value.conjugate() if mirrored else value
 
     def quadrant(self, d1: int, d2: int) -> np.ndarray:
-        """Grid ``out[k, l] = mu_hat(k, l)`` for ``0 <= k <= d1, 0 <= l <= d2``."""
+        """Grid ``out[k, l] = mu_hat(k, l)`` for ``0 <= k <= d1, 0 <= l <= d2``, integers."""
+        d1, d2 = _index(d1, "d1"), _index(d2, "d2")
         if min(d1, d2) < 0 or max(d1, d2) > self.K:
             raise CoefficientRangeError(f"requested degrees ({d1}, {d2}) outside 0..{self.K}")
         stop = int(np.searchsorted(self.l, d2, side="right"))
@@ -134,6 +143,7 @@ def diagonal_current(K: int) -> FourierMeasure:
 
 def point_mass(K: int) -> FourierMeasure:
     """Unit point mass at ``(1, 1)``: every coefficient equals 1 (infinite energy)."""
+    K = _index(K, "K")
     # rows l = 0..K of k = -K..K, from the origin on
     l = np.repeat(np.arange(K + 1), 2 * K + 1)[K:]
     k = np.tile(np.arange(-K, K + 1), K + 1)[K:]
@@ -187,8 +197,10 @@ def energy(mu: FourierMeasure, K: int) -> EnergyReport:
     All four term groups are nonnegative, so the partial sums are
     nondecreasing in ``K``; growth without bound as ``K`` increases is
     evidence of infinite energy.  Each group is an exactly rounded sum of
-    its terms, read from the upper half-plane table in ``O(nnz)``.
+    its terms, read from the upper half-plane table in ``O(nnz)``.  ``K``
+    is an integer.
     """
+    K = _index(K, "K")
     if not 0 <= K <= mu.K:
         raise CoefficientRangeError(f"cutoff {K} outside the stored range 0..{mu.K}")
     stop = int(np.searchsorted(mu.l, K, side="right"))
@@ -241,8 +253,9 @@ def annihilation_check(f: TwoVarSeries, mu: FourierMeasure, maxdeg: int) -> floa
     form the box ``(maxdeg, maxdeg)``, whose pairings :func:`shifted_pairings`
     reads off windows of the transform's grid.  The measure must store
     coefficients out to ``maxdeg + deg(f)`` so every shifted product fits
-    that grid.
+    that grid.  ``maxdeg`` is an integer.
     """
+    maxdeg = _index(maxdeg, "maxdeg")
     if maxdeg < 0:
         raise CoefficientRangeError("maxdeg must be nonnegative")
     d1 = maxdeg + f.deg1

@@ -100,9 +100,9 @@ def builtin_series(name: str, /, **params) -> SeriesInfo:
 
 def _series_from_grid(obj: dict) -> TwoVarSeries:
     try:
-        d1, d2 = (int(d) for d in obj["deg"])
+        d1, d2 = (_integer(d) for d in obj["deg"])
         pairs = obj["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"series JSON needs 'deg': [d1, d2] and 'coeffs': [[re, im], ...] ({exc})")
     if d1 < 0 or d2 < 0:
         raise InputError("series degrees must be nonnegative")
@@ -193,11 +193,15 @@ def resolve_measure(spec: str, K: int) -> FourierMeasure:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise InputError("measure JSON needs 'coeffs': [[k, l, re, im], ...]")
     try:
-        rows = [((int(k), int(l)), complex(re, im)) for k, l, re, im in obj["coeffs"]]
-    except (TypeError, ValueError) as exc:
+        rows = [((_integer(k), _integer(l)), complex(re, im)) for k, l, re, im in obj["coeffs"]]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"measure coefficients must be [k, l, re, im] rows ({exc})")
     table = dict(rows)
     if any(table[key] is not value and table[key] != value for key, value in rows):
         raise InputError("measure file gives one coefficient twice with different values")
-    declared_K = obj.get("K")
-    return custom_measure(table, K=int(declared_K) if declared_K is not None else None)
+    K = obj.get("K")
+    try:
+        K = K if K is None else _integer(K)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"measure JSON 'K' must be an integer, got {K!r}") from exc
+    return custom_measure(table, K=K)

@@ -434,12 +434,12 @@ def _fix_index(fix) -> int:
 
 
 def slice_series(f: TwoVarSeries, fix, w: complex) -> OneVarSeries:
-    """Fix one variable at ``w`` (``|w| < 1``) and return the slice in the other.
+    """Fix one variable at ``w`` (``|w| < 1``, else :class:`DomainError`) and return the slice in the other.
 
     With ``fix='z2'`` the result is ``g(z) = f(z, w)``, i.e.
     ``g[k] = sum_l a[k,l] w^l``.
     """
-    if abs(w) >= 1.0:
+    if not abs(w) < 1.0:  # NaN is refused too
         raise DomainError(f"slice point must satisfy |w| < 1, got |w| = {abs(w):.6g}")
     return OneVarSeries(_slice(f.coeffs, complex(w), _fix_index(fix)))
 

@@ -236,15 +236,14 @@ def kernel_norm_sq(a: AlphaLike, w: complex, tol: float = _KERNEL_TOL) -> float:
     drops under 1, the terms are dominated by a geometric series with ratio
     ``q_k``.  Raises :class:`NumericalError` when a term overflows; a
     ``tol`` that is not positive, NaN included, could never stop the sum
-    and is refused with :class:`ArgumentError`.
+    and is refused with :class:`ArgumentError`; a ``w`` not inside the
+    disk, NaN included, with :class:`DivergentKernelError`.
     """
     alpha = as_alpha(a).alpha
     if not tol > 0.0:
         raise ArgumentError(f"tol must be a positive number, got {tol!r}")
-    if abs(w) >= 1.0:
-        raise DivergentKernelError(
-            f"kernel norm diverges for |w| = {abs(w):.6g} >= 1"
-        )
+    if not abs(w) < 1.0:  # NaN is refused too
+        raise DivergentKernelError(f"kernel norm needs |w| < 1, got |w| = {abs(w):.6g}")
     return float(_kernel_norms_sq(alpha, w, tol))
 
 

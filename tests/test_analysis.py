@@ -362,8 +362,8 @@ class TestScanAssemblesOnce:
         assert f"n={failing}" in str(info.value)
 
     @pytest.mark.parametrize("alpha, ns, failing, assembled", [
-        # the top order is 99, the last within the cap: 100 is refused when it is reached
-        (0.0, [4, 8, 99, 100], 100, [99, 100]),
+        # the top order 100 is past the cap: every order is assembled alone, and 100 is refused when reached
+        (0.0, [4, 8, 99, 100], 100, [100, 4, 8, 99, 100]),
         # the top band overflows: every order is assembled alone, up to the first that overflows
         (150.0, [2, 5, 9, 20], 9, [20, 2, 5, 9]),
     ])
@@ -377,6 +377,64 @@ class TestScanAssemblesOnce:
         with pytest.raises(BidiskError) as alone:
             solve_optimal(F_PROD, alpha, BasisSpec.full(failing))
         assert scanned[1] == (type(alone.value), str(alone.value), None)
+
+    @pytest.mark.parametrize("f, bases, assembled", [
+        # one kind out of order shares the top at 8
+        (F_PROD, [BasisSpec.full(n) for n in (8, 2, 5)], [8]),
+        # duplicated bases share it too
+        (F_PROD, [BasisSpec.full(n) for n in (3, 6, 3, 6)], [6]),
+        (builtin_series("one_minus_z1").series, [BasisSpec.onevar(n) for n in (100, 50, 100)], [100]),
+        (F_DIAG, [BasisSpec.diagonal(n, PAT11) for n in (40, 40)], [40]),
+        # a zero f: the top fails, and so does the first order alone
+        (TwoVarSeries(np.zeros((2, 2))), [BasisSpec.full(n) for n in (2, 5)], [5, 2]),
+        # a one-variable f on full bases: likewise
+        (OneVarSeries([1.0, -0.5]), [BasisSpec.full(n) for n in (2, 5)], [5, 2]),
+    ], ids=["out-of-order", "duplicated-full", "duplicated-onevar", "duplicated-diagonal",
+            "zero-f", "onevar-f-on-full"])
+    def test_assembly_count_and_outcomes(self, monkeypatch, f, bases, assembled):
+        calls = _assemblies(monkeypatch)
+        scanned = _outcomes(solve_orders(f, 0.5, bases))
+        assert calls == assembled
+        monkeypatch.undo()
+        assert scanned == _outcomes(_one_by_one(f, 0.5, bases))
+
+    @pytest.mark.parametrize("f, alpha, ns, kind, pattern", [
+        (F_PROD, 0.5, [2, 4, 8, 16], "full", None),
+        (F_PROD, 0.0, [4, 8, 99, 100], "full", None),
+        (F_PROD, 150.0, [2, 5, 9, 20], "full", None),
+        (builtin_series("one_minus_z1").series, 0.0, [50, 100, 10_000, 20_000], "onevar", None),
+        (builtin_series("one_minus_z1").series, 150.0, [50, 100, 200, 900], "onevar", None),
+        (builtin_series("one_minus_z1").series, 1.0, list(range(9950, 10051, 50)), "onevar", None),
+        (F_DIAG, 0.0, DIAG_NS, "diagonal", PAT11),
+        (F_DIAG, 0.0, [50, 100, 9_999, 10_000], "diagonal", PAT11),
+    ])
+    def test_a_scan_shares_its_top_or_nothing(self, monkeypatch, f, alpha, ns, kind, pattern):
+        # a one-kind scan assembles its largest order, and then either gathers every order from
+        # it or assembles every order alone, up to the first that fails: it never mixes the two
+        bases, calls = [BasisSpec(n, kind, pattern) for n in ns], _assemblies(monkeypatch)
+        results, error = _outcomes(solve_orders(f, alpha, bases))
+        monkeypatch.undo()
+        try:
+            gram_assemble(f, alpha, bases[-1])
+            shared = True
+        except BidiskError:
+            shared = False
+        reached = ns[:len(results) + (error is not None)]
+        assert calls == ([ns[-1]] if shared else [ns[-1], *reached])
+        assert (results, error) == _outcomes(_one_by_one(f, alpha, bases))
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_optimal(F_PROD, 300.0, BasisSpec.full(3)),  # the band overflows
+        lambda: solve_optimal(F_PROD, 0.0, BasisSpec.full(100)),  # past the solver cap
+        lambda: solve_optimal(TwoVarSeries(np.zeros((1, 1))), 0.0, BasisSpec.full(2)),
+        lambda: next(solve_orders(F_PROD, 300.0, [BasisSpec.onevar(6)])),
+        lambda: approximants.diagonal_reduce_solve(F_DIAG, 1000.0, 6, PAT11),
+    ], ids=["overflow", "cap", "zero-f", "solve_orders", "diagonal_reduce_solve"])
+    def test_one_order_assembles_once_even_when_it_fails(self, monkeypatch, solve):
+        calls = _assemblies(monkeypatch)
+        with pytest.raises(BidiskError):
+            solve()
+        assert len(calls) == 1
 
     def test_ridge_at_a_middle_order(self, monkeypatch):
         real = approximants._lapack

@@ -28,6 +28,7 @@ from bidisk.catalog import builtin_series
 from bidisk.errors import (
     ArgumentError,
     BasisSizeError,
+    BidiskError,
     ConditioningError,
     GridSizeError,
     NumericalError,
@@ -798,6 +799,48 @@ class TestRieszOrders:
         with pytest.raises(ArgumentError, match=r"the order n=2\.5 must be an integer"):
             build(2.5)
         assert build(np.int64(2)) == build(2)
+
+
+class TestRieszScanSharesItsTopOrNothing:
+    """A Riesz scan computes its largest order's reciprocal, or, if that fails, every order's alone."""
+
+    @pytest.mark.parametrize("f, ns, pat, computed", [
+        # past the grid cap: every order alone, and the top one raises when it is reached
+        (F_DIAG, [2, 4, 4096], None, [4096, 2, 4, 4096]),
+        # a reciprocal that cannot be computed: the first order alone raises as the top did
+        (TwoVarSeries.from_terms({(1, 0): 1.0}), [2, 4, 8], None, [8, 2]),
+        # on a pattern the top is one-variable and fits: every order is a corner of it,
+        # and the lift of the order past the grid cap raises
+        (TwoVarSeries.from_terms({(0, 0): 1, (2, 3): -1}), [1, 2, 3000], DiagonalPattern(2, 3), [3000]),
+        (F_DIAG, [8, 2, 5, 8], None, [8]),
+    ], ids=["grid-cap", "singular", "pattern", "out-of-order"])
+    def test_reciprocals_and_outcomes(self, reciprocal_orders, f, ns, pat, computed):
+        scanned, error = [], None
+        try:
+            for p in riesz_orders(f, 0.5, ns, pat):
+                scanned.append(p)
+        except BidiskError as exc:
+            error = exc
+        assert reciprocal_orders == computed
+        for n, p in zip(ns, scanned):
+            assert same_bytes(p, riesz_alone(f, 0.5, n, pat))
+        if error is None:
+            assert len(scanned) == len(ns)
+        else:
+            with pytest.raises(type(error)) as alone:
+                riesz_alone(f, 0.5, ns[len(scanned)], pat)
+            assert str(error) == str(alone.value)
+
+    @pytest.mark.parametrize("build", [
+        lambda: riesz_approximant(F_DIAG, 0.5, 4096),
+        lambda: cesaro(TwoVarSeries.from_terms({(1, 0): 1.0}), 3),
+        lambda: riesz_diagonal(F_DIAG, 0.5, 5000, PAT11),
+        lambda: next(riesz_orders(F_DIAG, 0.5, [4096])),
+    ], ids=["riesz_approximant", "cesaro", "riesz_diagonal", "riesz_orders"])
+    def test_one_order_computes_once_even_when_it_fails(self, reciprocal_orders, build):
+        with pytest.raises(BidiskError):
+            build()
+        assert len(reciprocal_orders) == 1
 
 
 class TestDiagonalReduce:

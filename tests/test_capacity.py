@@ -16,7 +16,7 @@ from bidisk.capacity import (
     lebesgue,
     point_mass,
 )
-from bidisk.errors import CoefficientRangeError
+from bidisk.errors import ArgumentError, CoefficientRangeError
 from bidisk.series import TwoVarSeries, constant2, monomial2, shifted_pairings
 
 F_DIAG = TwoVarSeries.from_terms({(0, 0): 1, (1, 1): -1})
@@ -277,6 +277,42 @@ class TestAnnihilation:
     def test_negative_maxdeg(self, maxdeg):
         with pytest.raises(CoefficientRangeError, match="maxdeg must be nonnegative"):
             annihilation_check(F_DIAG, diagonal_current(5), maxdeg)
+
+
+class TestIntegerArguments:
+    """Cutoffs, degrees and indices are taken by ``operator.index``: numpy integers pass, fractions are refused."""
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda x: lebesgue(x), "K"),
+        (lambda x: diagonal_current(x), "K"),
+        (lambda x: point_mass(x), "K"),
+        (lambda x: FourierMeasure(K=x, kind="lebesgue", k=[0], l=[0], value=[1.0]), "K"),
+        (lambda x: energy(diagonal_current(5), x), "K"),
+        (lambda x: diagonal_current(5).mu_hat(x, 1), "k"),
+        (lambda x: diagonal_current(5).mu_hat(1, x), "l"),
+        (lambda x: diagonal_current(5).quadrant(x, 2), "d1"),
+        (lambda x: diagonal_current(5).quadrant(2, x), "d2"),
+        (lambda x: cauchy_transform(diagonal_current(5), x, 2), "d1"),
+        (lambda x: cauchy_transform(diagonal_current(5), 2, x), "d2"),
+        (lambda x: annihilation_check(F_DIAG, diagonal_current(8), x), "maxdeg"),
+    ])
+    def test_fraction_refused_and_numpy_integer_taken(self, build, name):
+        with pytest.raises(ArgumentError, match=rf"^{name}=2\.5 must be an integer$"):
+            build(2.5)
+        with pytest.raises(ArgumentError, match=rf"^{name}=.*2\.0\)? must be an integer$"):
+            build(np.float64(2.0))
+        expected, taken = build(2), build(np.int64(2))
+        if isinstance(expected, FourierMeasure):
+            assert type(taken.K) is int and taken.K == expected.K
+            assert all(np.array_equal(getattr(taken, a), getattr(expected, a)) for a in ("k", "l", "value"))
+        elif isinstance(expected, (TwoVarSeries, np.ndarray)):  # a transform, or a quadrant grid
+            assert getattr(taken, "coeffs", taken).tobytes() == getattr(expected, "coeffs", expected).tobytes()
+        else:
+            assert taken == expected
+
+    def test_energy_report_carries_an_int_cutoff(self):
+        report = energy(diagonal_current(np.int32(5)), np.int64(4))
+        assert type(report.K) is int and report == energy(diagonal_current(5), 4)
 
 
 class TestShiftedPairings:

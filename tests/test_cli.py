@@ -295,6 +295,27 @@ class TestVerify:
         assert out.count("PASS") == 5
 
 
+# Integer fields of series and measure files, each with a value that is not an integer and the refusal.
+SERIES_INTEGER_FIELDS = [
+    ({"deg": [1.5, 1], "coeffs": [[1.0, 0.0]] + [[0.0, 0.0]] * 3},
+     "series JSON needs 'deg': [d1, d2] and 'coeffs': [[re, im], ...] (1.5 is not an integer)"),
+    ({"deg": [1, float("inf")], "coeffs": [[1.0, 0.0]] * 4},
+     "series JSON needs 'deg': [d1, d2] and 'coeffs': [[re, im], ...] "
+     "(cannot convert float infinity to integer)"),
+]
+MEASURE_INTEGER_FIELDS = [
+    ({"K": 4.7, "coeffs": [[1, 1, 0.5, 0.0]]}, "measure JSON 'K' must be an integer, got 4.7"),
+    ({"K": float("inf"), "coeffs": [[1, 1, 0.5, 0.0]]}, "measure JSON 'K' must be an integer, got inf"),
+    ({"K": "x", "coeffs": [[1, 1, 0.5, 0.0]]}, "measure JSON 'K' must be an integer, got 'x'"),
+    ({"K": 4, "coeffs": [[1.5, 1, 0.5, 0.0]]},
+     "measure coefficients must be [k, l, re, im] rows (1.5 is not an integer)"),
+    ({"K": 4, "coeffs": [[1, 1.5, 0.5, 0.0]]},
+     "measure coefficients must be [k, l, re, im] rows (1.5 is not an integer)"),
+    ({"builtin": "diagonal_current", "params": {"K": 4.7}},
+     "measure JSON needs an integer param K, got {'K': 4.7}"),
+]
+
+
 class TestErrors:
     def test_missing_series_file(self, capsys):
         code, _, err = run_cli(capsys, "norm", "--series", "no/such/file.json", "--alpha", "0")
@@ -527,6 +548,38 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: InputError: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, obj, message", [
+        *[("norm", obj, message) for obj, message in SERIES_INTEGER_FIELDS],
+        *[(command, obj, message) for command in ("energy", "annihilate")
+          for obj, message in MEASURE_INTEGER_FIELDS],
+    ])
+    def test_fractional_json_integer_refused(self, capsys, tmp_path, command, obj, message):
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps(obj))
+        argv = {
+            "norm": ["norm", "--series", str(path), "--alpha", "0"],
+            "energy": ["energy", "--measure", str(path), "--K", "4"],
+            "annihilate": ["annihilate", "--series", "builtin:one_minus_z1z2", "--measure", str(path),
+                           "--maxdeg", "2"],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: InputError: {message}\n"
+
+    def test_integral_json_floats_still_read(self, capsys, tmp_path):
+        measure = tmp_path / "mu.json"
+        measure.write_text(json.dumps({"K": 4.0, "coeffs": [[1.0, 1.0, 0.5, 0.0]]}))
+        code, out, _ = run_cli(capsys, "energy", "--measure", str(measure), "--K", "4")
+        assert code == 0 and json.loads(out)["K"] == 4
+
+    def test_scan_past_the_solver_cap_names_the_order(self, capsys):
+        # the top order 10050 is past the cap: every order is solved alone, and 10000 is refused
+        code, out, err = run_cli(capsys, "decay", "--series", "builtin:one_minus_z1", "--alpha", "1",
+                                 "--nmin", "9950", "--nmax", "10050", "--step", "50", "--basis", "onevar")
+        assert (code, out) == (2, "")
+        assert err == ("error: BasisSizeError: order n=10000: basis of 10001 unknowns exceeds the "
+                       "solver cap of 10000; choose a reduced basis explicitly\n")
 
     def test_series_file_checked_by_the_library(self, capsys, tmp_path):
         series = tmp_path / "nan.json"

@@ -312,6 +312,11 @@ class TestSlice:
         with pytest.raises(DomainError):
             slice_series(ONE_MINUS_Z1Z2, "z2", 1.0)
 
+    @pytest.mark.parametrize("w", [float("nan"), complex(float("nan"), 0.0), complex(0.0, float("inf"))])
+    def test_point_not_inside_the_disk_is_refused(self, w):
+        with pytest.raises(DomainError, match=r"slice point must satisfy \|w\| < 1"):
+            slice_series(ONE_MINUS_Z1Z2, "z2", w)
+
 
 class TestDiagRestrict:
     def test_single_antidiagonal(self):

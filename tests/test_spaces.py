@@ -196,6 +196,11 @@ class TestKernel:
         with pytest.raises(DivergentKernelError):
             kernel_norm_sq(0.0, 1.0)
 
+    @pytest.mark.parametrize("w", [float("nan"), complex(float("nan"), 0.0), complex(0.0, float("inf"))])
+    def test_point_not_inside_the_disk_is_refused(self, w):
+        with pytest.raises(DivergentKernelError, match=r"kernel norm needs \|w\| < 1"):
+            kernel_norm_sq(0.0, w)
+
     def test_tolerance_is_respected(self):
         loose = kernel_norm_sq(1.0, 0.9, tol=1e-4)
         tight = kernel_norm_sq(1.0, 0.9, tol=1e-13)
