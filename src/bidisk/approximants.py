@@ -77,10 +77,12 @@ from .series import (
     OneVarSeries,
     TwoVarSeries,
     _as_order,
+    _check_entries,
     _check_order,
     _check_tolerance,
     _reciprocal1,
     _reciprocal2,
+    _require_invertible,
     lift,
     multiply1,
     multiply2,
@@ -768,6 +770,11 @@ def riesz_orders(f: TwoVarSeries, a: AlphaLike, ns: Sequence[int], pat: Optional
     F = f if pat is None else restrict(f, pat)
 
     def reciprocal(d: int) -> np.ndarray:
+        if pat is not None:
+            # the order's lifted grid is refused before the recurrence, after the singularity check, as
+            # _reciprocal2 refuses its own grid
+            _require_invertible(complex(F.coeffs[0]), eps0)
+            _check_entries((pat.M * d + 1) * (pat.N * d + 1))
         # each order's series checks its own corner, so a non-finite tail past it neither raises nor warns
         with np.errstate(over="ignore", invalid="ignore"):
             return _reciprocal2(f, d, d, eps0) if pat is None else _reciprocal1(F, d, eps0)

@@ -8,7 +8,15 @@ closed-form constants, and the slice bound through the kernel norm.  A
 suite passes when no trial violates its inequality beyond rounding slack.
 
 A suite makes the same generator calls for each trial, in the same order,
-whatever the number of trials; the draws of a seed are its inputs.  Trials
+whatever the number of trials; the draws of a seed are its inputs.  Its
+degrees, picks and parameters are scalar ``integers`` and ``uniform`` draws,
+which a suite takes from ``_Stream``, not from the ``Generator``: the
+stream rebuilds them from ``random_raw`` and ``random`` as numpy does
+(Lemire's rejection on 32-bit halves of the 64-bit words, and ``low +
+(high - low) * random()``), so they are numpy's draws bit for bit at a
+fraction of numpy's per-call cost.  The stream holds the spare 32-bit half
+itself; that is exact because every 32-bit draw of the stream goes through
+it, so the bit generator's own half-word buffer stays empty.  Trials
 are taken ``BLOCK`` at a time.  Each kind of series a suite draws has one
 zero-padded complex array (``_Draws``), cleared for each block: a trial's
 degrees are drawn, then its real and imaginary parts, by one
@@ -85,6 +93,56 @@ class SuiteResult:
         return self.violations == 0
 
 
+class _Stream:
+    """A seed's generator whose ``integers`` and ``uniform`` are rebuilt from its raw words, bit for bit.
+
+    ``integers(low, high)`` is numpy's Lemire rejection (*Fast random
+    integer generation in an interval*, ACM TOMACS 2019) on 32-bit halves of
+    the bit generator's 64-bit words, the low half first and the high half
+    held for the next 32-bit draw, as PCG64's ``next_uint32`` holds it.
+    ``uniform(low, high)`` is ``low + (high - low) * random()``, and
+    ``standard_normal`` is the generator's own.  Each returns the Python
+    ``int`` or ``float`` of the ``Generator`` call and leaves the stream
+    where that call does, while the half held here is the only one: every
+    32-bit draw goes through ``integers``, so the bit generator's own
+    half-word buffer, empty in a fresh generator, stays empty.
+    """
+
+    def __init__(self, seed: int):
+        rng = np.random.default_rng(seed)
+        self._raw = rng.bit_generator.random_raw
+        self._random = rng.random
+        self.standard_normal = rng.standard_normal
+        self._half: Optional[int] = None
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._raw()
+            self._half = word >> 32
+            return word & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def integers(self, low: int, high: int) -> int:
+        """An integer in ``[low, high)``, as ``Generator.integers(low, high)`` draws it."""
+        n = high - low
+        if not 0 < n < 2**32:
+            raise ValueError(f"integers draws from 1 to 2**32 - 1 values, not {n}")
+        if n == 1:
+            return low  # numpy draws nothing
+        m = self._next32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = 2**32 % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * n
+        return low + (m >> 32)
+
+    def uniform(self, low: float, high: float) -> float:
+        """A float in ``[low, high)``, as ``Generator.uniform(low, high)`` draws it."""
+        return low + (high - low) * self._random()
+
+
 class _Draws:
     """The complex coefficient arrays of a block's trials, drawn into one zero-padded array.
 
@@ -103,7 +161,7 @@ class _Draws:
         self.max_deg = max_deg
         self.shapes: List[Tuple[int, ...]] = []
 
-    def draw(self, rng: np.random.Generator) -> None:
+    def draw(self, rng: _Stream) -> None:
         """Draw the next trial: a degree per axis, then its real and imaginary parts.
 
         ``standard_normal((2,) + shape)`` is the stream of two calls at
@@ -111,12 +169,12 @@ class _Draws:
         """
         i, top = len(self.shapes), self.max_deg + 1
         if self.block.ndim == 2:
-            n = int(rng.integers(0, top)) + 1
+            n = rng.integers(0, top) + 1
             self.parts[:, i, :n] = rng.standard_normal((2, n))
             self.shapes.append((n,))
         else:
-            n1 = int(rng.integers(0, top)) + 1
-            n2 = int(rng.integers(0, top)) + 1
+            n1 = rng.integers(0, top) + 1
+            n2 = rng.integers(0, top) + 1
             self.parts[:, i, :n1, :n2] = rng.standard_normal((2, n1, n2))
             self.shapes.append((n1, n2))
 
@@ -164,7 +222,7 @@ def _residual_norms(F: np.ndarray, x: np.ndarray, pat: DiagonalPattern, alphas: 
 
 def restriction_margins(trials: int, seed: int) -> Margins:
     """Diagonal restriction contracts into the shifted-index space."""
-    rng = np.random.default_rng(seed)
+    rng = _Stream(seed)
     alphas = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     betas = np.array([beta_of_alpha(a) for a in alphas])
     grids = _Draws(2, 10)
@@ -173,7 +231,7 @@ def restriction_margins(trials: int, seed: int) -> Margins:
         grids.clear()
         for _ in range(size):
             grids.draw(rng)
-            picks.append(int(rng.integers(0, len(alphas))))
+            picks.append(rng.integers(0, len(alphas)))
         f = grids.stack()
         g = _diag_restrict(f)
         lhs = _norms1(g, _weight_rows(betas[picks], g.shape[-1] - 1))
@@ -185,7 +243,7 @@ def restriction_margins(trials: int, seed: int) -> Margins:
 
 def separable_margins(trials: int, seed: int) -> Margins:
     """Norm of a product series factors into the one-variable norms."""
-    rng = np.random.default_rng(seed)
+    rng = _Stream(seed)
     gs, hs = _Draws(1, 12), _Draws(1, 12)
     for size in _blocks(trials):
         alphas = np.empty(size)
@@ -194,7 +252,7 @@ def separable_margins(trials: int, seed: int) -> Margins:
         for i in range(size):
             gs.draw(rng)
             hs.draw(rng)
-            alphas[i] = float(rng.uniform(-2.0, 2.0))
+            alphas[i] = rng.uniform(-2.0, 2.0)
         g, h = gs.stack(), hs.stack()
         w = _weight_rows(alphas, max(g.shape[1], h.shape[1]) - 1)
         lhs = np.array([_norms2(_separable(gi[:m], hi[:n]), wi[:m], wi[:n])
@@ -205,7 +263,7 @@ def separable_margins(trials: int, seed: int) -> Margins:
 
 def polyextraction_margins(trials: int, seed: int) -> Margins:
     """Projecting a competitor onto the pattern cannot increase the residual."""
-    rng = np.random.default_rng(seed)
+    rng = _Stream(seed)
     Fs, rs = _Draws(1, 6), _Draws(2, 8)
     for size in _blocks(trials):
         groups: Dict[Tuple[int, int], List[int]] = {}
@@ -213,10 +271,10 @@ def polyextraction_margins(trials: int, seed: int) -> Margins:
         Fs.clear()
         rs.clear()
         for i in range(size):
-            groups.setdefault((int(rng.integers(1, 4)), int(rng.integers(1, 4))), []).append(i)
+            groups.setdefault((rng.integers(1, 4), rng.integers(1, 4)), []).append(i)
             Fs.draw(rng)
             rs.draw(rng)
-            alphas[i] = float(rng.uniform(-1.5, 1.5))
+            alphas[i] = rng.uniform(-1.5, 1.5)
         margin, slack = np.empty(size), np.empty(size)
         for (M, N), idx in groups.items():
             pat, F, r = DiagonalPattern(M, N), Fs.stack(idx), rs.stack(idx)
@@ -230,7 +288,7 @@ def polyextraction_margins(trials: int, seed: int) -> Margins:
 
 def comparison_margins(trials: int, seed: int) -> Margins:
     """Two-sided comparison with the closed-form constants, all patterns in {1,2,3}^2."""
-    rng = np.random.default_rng(seed)
+    rng = _Stream(seed)
     patterns = [DiagonalPattern(M, N) for M in (1, 2, 3) for N in (1, 2, 3)]
     t = 0
     Fs = _Draws(1, 10)
@@ -241,7 +299,7 @@ def comparison_margins(trials: int, seed: int) -> Margins:
             pats.append(patterns[t % len(patterns)])
             t += 1
             Fs.draw(rng)
-            alphas[i] = float(rng.uniform(-2.0, 2.0))
+            alphas[i] = rng.uniform(-2.0, 2.0)
         # the restriction of a lift is the row drawn: R is the stack of the rows
         R = Fs.stack()
         # the largest lifted grid is (3 deg + 1) square
@@ -257,7 +315,7 @@ def comparison_margins(trials: int, seed: int) -> Margins:
 
 def slice_margins(trials: int, seed: int) -> Margins:
     """Slice norms are controlled by the kernel norm at the slice point."""
-    rng = np.random.default_rng(seed)
+    rng = _Stream(seed)
     grids = _Draws(2, 10)
     for size in _blocks(trials):
         grids.clear()
@@ -265,9 +323,9 @@ def slice_margins(trials: int, seed: int) -> Margins:
         fix = np.empty(size, dtype=int)
         for i in range(size):
             grids.draw(rng)
-            alpha[i] = float(rng.uniform(-1.5, 1.5))
-            radius[i] = float(rng.uniform(0.0, 0.9))
-            angle[i] = float(rng.uniform(0.0, 2.0 * np.pi))
+            alpha[i] = rng.uniform(-1.5, 1.5)
+            radius[i] = rng.uniform(0.0, 0.9)
+            angle[i] = rng.uniform(0.0, 2.0 * np.pi)
             fix[i] = 2 if rng.integers(0, 2) else 1
         w = radius * np.exp(1j * angle)
         f = grids.stack()

@@ -37,6 +37,7 @@ from bidisk.errors import (
     UnsupportedRateError,
 )
 from bidisk.series import (
+    MAX_GRID_ENTRIES,
     DiagonalPattern,
     OneVarSeries,
     TwoVarSeries,
@@ -809,9 +810,9 @@ class TestRieszScanSharesItsTopOrNothing:
         (F_DIAG, [2, 4, 4096], None, [4096, 2, 4, 4096]),
         # a reciprocal that cannot be computed: the first order alone raises as the top did
         (TwoVarSeries.from_terms({(1, 0): 1.0}), [2, 4, 8], None, [8, 2]),
-        # on a pattern the top is one-variable and fits: every order is a corner of it,
-        # and the lift of the order past the grid cap raises
-        (TwoVarSeries.from_terms({(0, 0): 1, (2, 3): -1}), [1, 2, 3000], DiagonalPattern(2, 3), [3000]),
+        # on a pattern the top's lifted grid is past the cap, so it is refused before its
+        # recurrence: every order alone, and the top one is refused again when it is reached
+        (TwoVarSeries.from_terms({(0, 0): 1, (2, 3): -1}), [1, 2, 3000], DiagonalPattern(2, 3), [1, 2]),
         (F_DIAG, [8, 2, 5, 8], None, [8]),
     ], ids=["grid-cap", "singular", "pattern", "out-of-order"])
     def test_reciprocals_and_outcomes(self, reciprocal_orders, f, ns, pat, computed):
@@ -831,16 +832,52 @@ class TestRieszScanSharesItsTopOrNothing:
                 riesz_alone(f, 0.5, ns[len(scanned)], pat)
             assert str(error) == str(alone.value)
 
-    @pytest.mark.parametrize("build", [
-        lambda: riesz_approximant(F_DIAG, 0.5, 4096),
-        lambda: cesaro(TwoVarSeries.from_terms({(1, 0): 1.0}), 3),
-        lambda: riesz_diagonal(F_DIAG, 0.5, 5000, PAT11),
-        lambda: next(riesz_orders(F_DIAG, 0.5, [4096])),
-    ], ids=["riesz_approximant", "cesaro", "riesz_diagonal", "riesz_orders"])
-    def test_one_order_computes_once_even_when_it_fails(self, reciprocal_orders, build):
+    @pytest.mark.parametrize("build, computed", [
+        (lambda: riesz_approximant(F_DIAG, 0.5, 4096), 1),
+        (lambda: cesaro(TwoVarSeries.from_terms({(1, 0): 1.0}), 3), 1),
+        # the lifted grid is refused before the recurrence
+        (lambda: riesz_diagonal(F_DIAG, 0.5, 5000, PAT11), 0),
+        # the reciprocal 1e10^(k+1) overflows at k = 30
+        (lambda: riesz_diagonal(TwoVarSeries([[1e-10, 0.0], [0.0, -1.0]]), 0.5, 40, PAT11), 1),
+        (lambda: next(riesz_orders(F_DIAG, 0.5, [4096])), 1),
+    ], ids=["riesz_approximant", "cesaro", "riesz_diagonal", "riesz_diagonal-overflow", "riesz_orders"])
+    def test_one_order_computes_once_even_when_it_fails(self, reciprocal_orders, build, computed):
         with pytest.raises(BidiskError):
             build()
-        assert len(reciprocal_orders) == 1
+        assert len(reciprocal_orders) == computed
+
+
+class TestRieszPatternGridRefusedFirst:
+    """An order whose lifted grid is past the cap is refused before its one-variable recurrence."""
+
+    BIG = 10**6
+
+    def message(self, n, pat):
+        return f"coefficient grid of {(pat.M * n + 1) * (pat.N * n + 1)} entries exceeds the cap of {MAX_GRID_ENTRIES}"
+
+    def test_a_refused_order_computes_nothing(self, reciprocal_orders):
+        with pytest.raises(GridSizeError) as err:
+            riesz_diagonal(F_DIAG, 0.5, self.BIG, PAT11)
+        assert reciprocal_orders == []
+        # the message the lift of that order raises
+        assert str(err.value) == self.message(self.BIG, PAT11) == (
+            "coefficient grid of 1000002000001 entries exceeds the cap of 16777216")
+
+    @pytest.mark.parametrize("pat", [PAT11, DiagonalPattern(2, 3)])
+    def test_a_scan_yields_its_orders_then_refuses(self, reciprocal_orders, pat):
+        f = F_DIAG if pat == PAT11 else TwoVarSeries.from_terms({(0, 0): 1, (2, 3): -1})
+        scan = riesz_orders(f, 0.5, [10, 20, self.BIG], pat)
+        for n in (10, 20):
+            assert same_bytes(next(scan), riesz_alone(f, 0.5, n, pat))
+        with pytest.raises(GridSizeError) as err:
+            next(scan)
+        assert str(err.value) == self.message(self.BIG, pat)
+        assert reciprocal_orders == [10, 20]
+
+    def test_a_singular_series_is_refused_as_singular(self, reciprocal_orders):
+        with pytest.raises(SingularReciprocalError):
+            riesz_diagonal(TwoVarSeries.from_terms({(1, 1): 1.0}), 0.5, self.BIG, PAT11)
+        assert reciprocal_orders == []
 
 
 class TestDiagonalReduce:

@@ -604,6 +604,14 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "GridSizeError" in err
 
+    def test_riesz_order_past_the_grid_cap_refused_before_its_recurrence(self, capsys, reciprocal_orders):
+        code, out, err = run_cli(
+            capsys, "approx", "--series", "builtin:one_minus_z1z2", "--alpha", "0.5",
+            "--n", "1000000", "--method", "riesz", "--basis", "diag:1,1",
+        )
+        assert (code, out, reciprocal_orders) == (2, "", [])
+        assert err == "error: GridSizeError: coefficient grid of 1000002000001 entries exceeds the cap of 16777216\n"
+
     def test_off_pattern_diagonal_scan_past_the_grid_cap(self, capsys):
         # an off-pattern f is solved as its coset rows: only printing p builds a grid
         code, out, _ = run_cli(

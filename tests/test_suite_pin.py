@@ -8,7 +8,10 @@ trial, and several blocks with a partial last one.
 
 The suites' one-call complex draw is checked against the two calls it
 replaced: the same arrays, and the generator left in the same state; and a
-block of draws against the per-trial arrays, zero-padded and stacked.
+block of draws against the per-trial arrays, zero-padded and stacked.  The
+suites' stream (``suites._Stream``) is checked against ``Generator.integers``
+and ``Generator.uniform`` draw for draw, and every suite is run on a
+generator that has neither.
 
 Regenerate the file with ``PYTHONPATH=src python tests/test_suite_pin.py``,
 only for a change meant to move these values.
@@ -89,7 +92,7 @@ def _padded(arrays):
 
 @pytest.mark.parametrize("ndim, max_deg", [(1, 6), (1, 12), (2, 8), (2, 10)])
 def test_block_holds_the_per_trial_draws(ndim, max_deg):
-    one, two = np.random.default_rng(3), np.random.default_rng(3)
+    one, two = suites._Stream(3), np.random.default_rng(3)
     draws = suites._Draws(ndim, max_deg)
     # a full block, then a partial one that must not see the first's entries
     for size in (BLOCK, 3):
@@ -99,12 +102,81 @@ def test_block_holds_the_per_trial_draws(ndim, max_deg):
             draws.draw(one)
             series = random_one_var(two, max_deg) if ndim == 1 else random_two_var(two, max_deg)
             want.append(series.coeffs)
-        assert one.bit_generator.state == two.bit_generator.state
+        _assert_same_next_draws(one, two)
         for x, shape in zip(want, draws.shapes):
             assert shape == x.shape
         assert draws.stack().tobytes() == _padded(want).tobytes()
         idx = [2, 0]
         assert draws.stack(idx).tobytes() == _padded([want[i] for i in idx]).tobytes()
+
+
+def _assert_same_next_draws(stream, rng):
+    """The stream and the generator are at the same point: their next draws of each kind agree."""
+    assert stream.integers(0, 3 * 2**30) == rng.integers(0, 3 * 2**30)
+    assert stream.uniform(-1.0, 1.0) == rng.uniform(-1.0, 1.0)
+    assert stream.standard_normal(3).tobytes() == rng.standard_normal(3).tobytes()
+    assert stream.integers(0, 7) == rng.integers(0, 7)
+
+
+# The suites' integer ranges and uniform bounds, a range that often takes Lemire's
+# rejection loop, and the largest and smallest ranges the stream accepts.
+RANGES = [(0, 7), (0, 9), (0, 11), (0, 13), (0, 5), (1, 4), (0, 2), (0, 1),
+          (0, 3 * 2**30), (0, 2**32 - 1), (-5, 2**31)]
+BOUNDS = [(-2.0, 2.0), (-1.5, 1.5), (0.0, 0.9), (0.0, 2.0 * np.pi)]
+
+
+class TestStream:
+    @pytest.mark.parametrize("seed", [0, 7, 11, 2024, 2**70 + 3])
+    def test_draws_are_the_generators(self, seed):
+        stream, rng = suites._Stream(seed), np.random.default_rng(seed)
+        kinds = np.random.default_rng(seed + 1).integers(0, 4, size=12_000)
+        for t, kind in enumerate(kinds.tolist()):
+            if kind == 0:
+                low, high = RANGES[t % len(RANGES)]
+                x = stream.integers(low, high)
+                assert type(x) is int and x == rng.integers(low, high), (t, low, high)
+            elif kind == 1:
+                low, high = BOUNDS[t % len(BOUNDS)]
+                x = stream.uniform(low, high)
+                assert type(x) is float and x == rng.uniform(low, high), t
+            elif kind == 2:
+                shape = (2, t % 3 + 1)
+                assert stream.standard_normal(shape).tobytes() == rng.standard_normal(shape).tobytes()
+            else:
+                # a draw of the bit generator's own that the stream does not make: random() is uniform(0, 1)
+                assert stream.uniform(0.0, 1.0) == rng.random()
+        _assert_same_next_draws(stream, rng)
+
+    def test_rejection_loop_is_taken(self):
+        # 2**32 % (3 * 2**30) = 2**30: a quarter of the 32-bit draws are rejected
+        stream, rng = suites._Stream(5), np.random.default_rng(5)
+        words = []
+        stream._raw = lambda raw=stream._raw: words.append(1) or raw()
+        for _ in range(1000):
+            assert stream.integers(0, 3 * 2**30) == rng.integers(0, 3 * 2**30)
+        # 1000 draws take 500 words with no rejection, about 667 with a quarter rejected
+        assert len(words) > 600
+
+    @pytest.mark.parametrize("low, high", [(0, 2**32), (0, 2**33), (-1, 2**32 - 1), (3, 3), (4, 3)])
+    def test_range_outside_one_to_2_32_minus_1_refused(self, low, high):
+        with pytest.raises(ValueError, match=r"2\*\*32 - 1"):
+            suites._Stream(7).integers(low, high)
+
+    @pytest.mark.parametrize("name", available_suites())
+    def test_no_suite_calls_the_generators_integers_or_uniform(self, monkeypatch, golden, name):
+        class Bare:
+            """A generator that offers a suite only what its stream may use."""
+
+            def __init__(self, rng):
+                self.bit_generator, self.random, self.standard_normal = (
+                    rng.bit_generator, rng.random, rng.standard_normal)
+
+            def __getattr__(self, attr):
+                raise AssertionError(f"the suite called Generator.{attr}")
+
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Bare(real(seed)))
+        assert _record(name, 7, 65) == golden[name]["seed=7/trials=65"]
 
 
 class TestRunSuiteArguments:
