@@ -41,17 +41,18 @@ that band for the whole scan; if that assembly fails, every order is
 assembled alone and fails where it would fail alone, so no cap is decided
 here.  ``G[i, j]`` depends only on the monomials, so ``G``
 over every lower order's box is a principal submatrix of the top one.  A
-full scan gathers each lower order's band from the top band, one strided
-rectangle per offset of the top order's table, into one scratch array;
-each full order forms ``|G|`` in one buffer, then copies its band into it
-and factors it there in place.  Both arrays are sized once, to the top
-band, and freed with the scan.  The one-column boxes (``C = 0``) of a
-one-variable or diagonal scan are leading boxes, and each band is a leading
-slice of the top band, factored from LAPACK's own copy, which costs these
-small bands less.  Every order factors, solves, estimates the condition of
-and certifies its own band in one body, bit-identical to assembling it
-alone.  ``GramSystem.band`` is never written, so a ridge retry starts again
-from it.
+full order's band is gathered from the band it was assembled in, its own
+or the top order's, one strided rectangle per offset of that table,
+straight into one factor buffer in LAPACK's column-major layout, and
+factored there in place; the buffer is sized once, to the top band, and
+freed with the scan, which so holds two band-sized arrays.  A ridge retry
+gathers the band there again, since the failed factorization overwrote it.
+The one-column boxes (``C = 0``) of a one-variable or diagonal scan are
+leading boxes, and each band is a leading slice of the top band, factored
+from LAPACK's own copy, which costs these small bands less.  ``||G||_1``
+reads only the band rows that the offsets fill.  Every order factors,
+solves, estimates the condition of and certifies its own band in one body,
+bit-identical to assembling it alone.  An assembled band is never written.
 
 The bookkeeping around the LAPACK calls is done once per solve, so that a
 small banded solve costs little more than its factorization and its solves,
@@ -66,7 +67,7 @@ that reciprocal fails, every order is computed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -226,17 +227,21 @@ class GramSystem:
 
     ``G`` is Hermitian and banded.  ``band`` holds its upper band in LAPACK
     storage: ``band[u + i - j, j] = G[i, j]`` for ``0 <= j - i <= u``, where
-    ``u = band.shape[0] - 1`` is the bandwidth.  The basis is the lattice
-    box ``lattice``, on the pattern ``pattern`` of a diagonal basis;
-    ``basis`` lists its exponents, built on first read.  ``terms`` is ``f``
-    as :func:`_terms` split it for the assembly, kept for the certificate,
-    and ``pair_offsets`` the offset table (:func:`_offsets`) of each term,
-    which the assembly read and a scan's gather reads again.  A solve never
-    writes ``band``.
+    ``u = band.shape[0] - 1`` is the bandwidth.  ``rows`` lists, in row
+    order, the rows of ``band`` that the offset tables fill; every other row
+    is zero.  The basis is the lattice box ``lattice``, on the pattern
+    ``pattern`` of a diagonal basis; ``basis`` lists its exponents, built on
+    first read.  ``terms`` is ``f`` as :func:`_terms` split it for the
+    assembly, kept for the certificate, and ``pair_offsets`` the offset
+    table (:func:`_offsets`) of each term, which the assembly read and a
+    gather reads again.  A solve never writes an assembled ``band``; a full
+    box's band gathered into a factor buffer (:func:`_gather`) is factored
+    there in place, so after its solve it holds the factor.
     """
 
     lattice: Lattice
     band: np.ndarray
+    rows: tuple
     rhs: np.ndarray
     terms: list = field(repr=False, compare=False)
     pair_offsets: list = field(repr=False, compare=False)
@@ -377,23 +382,29 @@ def _gram_band(grid: np.ndarray, offsets: list, aw, lat: Lattice) -> np.ndarray:
     the columns ``j`` with ``m_j + p - q`` in the box form a rectangle of
     the box.  ``G[i, j]`` takes its pairs from the one offset ``m_i - m_j``,
     in pair order.  A single column (``C = 0`` and a one-column ``grid``)
-    takes no second-variable weight.
+    takes no second-variable weight.  The pairs are taken ``p`` by ``p``, in
+    ``argwhere`` order: ``f[p]`` times the weights is formed once, added to
+    the rectangle of each of its pairs, and dropped, so each entry still
+    takes its pairs in pair order and only one weighted row is held.
     """
     A, C = lat
     F1, F2 = grid.shape
     # one weight row, as long as the longer variable needs; both read slices of it
     w = aw.weights(max(A + F1, C + F2) - 1)
-    weighted = {}  # f[p] times the weight at m_j + p, for every column j
-    for p1, p2 in np.argwhere(grid).tolist():
-        x = (grid[p1, p2] * w[p1:A + p1 + 1])[:, None]
-        weighted[p1, p2] = x * w[None, p2:C + p2 + 1] if C + F2 > 1 else x
     u, rects = _rectangles(offsets, lat)
     band = np.zeros((u + 1, (A + 1) * (C + 1)), dtype=np.complex128)
     rows = band.reshape(u + 1, A + 1, C + 1)
+    by_p = {}  # the (band row, rectangle, q) of each pair, by p
     for d, _, pairs, box in rects:
-        row = rows[u - d]
         for p, q in pairs:
-            row[box] += weighted[p][box] * np.conj(grid[q])
+            by_p.setdefault(p, []).append((u - d, box, q))
+    for (p1, p2), targets in sorted(by_p.items()):  # argwhere order
+        # f[p] times the weight at m_j + p, for every column j
+        weighted = (grid[p1, p2] * w[p1:A + p1 + 1])[:, None]
+        if C + F2 > 1:
+            weighted = weighted * w[None, p2:C + p2 + 1]
+        for r, box, q in targets:
+            rows[r][box] += weighted[box] * np.conj(grid[q])
     band[u].imag = 0.0  # the diagonal of a Hermitian matrix is real
     return band
 
@@ -432,33 +443,35 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
                 band[band.shape[0] - x.shape[0]:] += x
     if not np.isfinite(band).all():
         raise _not_finite(aw.alpha, b.n, "assemble")
+    u = band.shape[0] - 1  # an offset d of any term fills the row u - d
+    rows = tuple(sorted({u - d for table in offsets for d, *_ in _rectangles(table, lat)[1]}))
     rhs = np.zeros(band.shape[1], dtype=np.complex128)
     rhs[0] = np.conj(f.coeffs[(0,) * f.coeffs.ndim])  # position 0 is the constant monomial
-    return GramSystem(lattice=lat, band=band, rhs=rhs, terms=terms, pair_offsets=offsets, pattern=b.pattern)
+    return GramSystem(lattice=lat, band=band, rows=rows, rhs=rhs, terms=terms, pair_offsets=offsets,
+                      pattern=b.pattern)
 
 
-def _band_norm1(band: np.ndarray, buf: Optional[np.ndarray] = None) -> float:
-    """``||G||_1`` of the Hermitian matrix whose upper band is ``band``.
+def _band_norm1(band: np.ndarray, rows: Sequence[int]) -> float:
+    """``||G||_1`` of the Hermitian matrix whose upper band is ``band``, zero but for the rows ``rows``.
 
-    ``|G|`` is formed in ``buf`` when it is given, a complex array of at
-    least ``band.size`` entries: as floats it holds ``(u + 1) (size + u + 1)``
-    of them, since ``u < size``.
+    Column ``i`` of ``|G|`` sums ``|band|`` over ``rows``, in row order, then
+    adds the part below the diagonal, ``|G[i + d, i]|`` from the row
+    ``u - d``, in order of ``d``.  A zero row would add exact zeros at its
+    place in either order, so this is bit for bit the sum over every row.
+    ``band`` may have either memory layout.
     """
-    u, size = band.shape[0] - 1, band.shape[1]
-    # the last column only pads the flat view below
-    shape = (u + 1, size + u + 1)
-    mags = np.empty(shape) if buf is None else np.ndarray(shape, np.float64, buf)
-    mags[:, size:] = 0.0
-    np.abs(band, out=mags[:, :size])
-    # the sums of the columns on and above the diagonal replace the diagonal
-    mags[u, :size] = mags[:, :size].sum(axis=0)
-    # skew[0] is that row and skew[d, i] = mags[u - d, i + d] = |G[i + d, i]| for
-    # d >= 1 (zero past the end): summing skew over d adds the part of column i
-    # below the diagonal one d after another, in the order of a loop over d.
-    # In the flat array that entry sits at u + (u - d)(size + u) + i.
-    width = size + u
-    skew = mags.reshape(-1)[u:u + (u + 1) * width].reshape(u + 1, width)[::-1, :size]
-    return float(skew.sum(axis=0).max())
+    u = band.shape[0] - 1
+    mags = np.empty((len(rows), band.shape[1]))  # in C layout, whatever the layout of band
+    if len(rows) == u + 1:  # every row, as in most one-column bands
+        np.abs(band, out=mags)
+    else:
+        for mag, r in zip(mags, rows):
+            np.abs(band[r], out=mag)
+    sums = mags.sum(axis=0)  # one row after another, in row order
+    for mag, r in zip(mags[::-1], rows[::-1]):
+        if r < u:
+            sums[:r - u] += mag[u - r:]
+    return float(sums.max())
 
 
 def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> float:
@@ -506,39 +519,33 @@ def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> floa
     return max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3.0 * size))
 
 
-def _pbtrf(band: np.ndarray, buf: Optional[np.ndarray]) -> Tuple[np.ndarray, int]:
-    """LAPACK ``pbtrf`` of ``band``, copied into ``buf`` in column-major layout and factored there, or LAPACK's copy."""
-    pbtrf = _lapack("pbtrf")
-    if buf is None:
-        return pbtrf(band)
-    rows, cols = band.shape
-    ab = buf[:rows * cols].reshape(cols, rows).T
-    ab[...] = band
-    return pbtrf(ab, overwrite_ab=1)
-
-
 def _factor(gram: GramSystem, n: int, alpha: float,
-            buf: Optional[np.ndarray]) -> Tuple[np.ndarray, float, float]:
+            refill: Optional[Callable[[], GramSystem]]) -> Tuple[np.ndarray, float, float]:
     """Banded Cholesky factor of ``G`` by LAPACK ``pbtrf``, ``||G||_1`` and the ridge added to ``G``.
 
-    ``||G||_1`` is taken first, with ``buf`` as its scratch; then
-    ``gram.band`` is copied into ``buf`` and factored there in place.
-    Without ``buf`` both take their own arrays.  ``gram.band`` is never
-    written: a band that is not positive definite in floating point gets one
-    retry, from a copy of ``gram.band`` with the ridge on its diagonal.
+    ``||G||_1`` is taken first, over ``gram.rows``.  Without ``refill``,
+    ``gram.band`` is factored from LAPACK's own copy and never written.
+    With it, ``gram.band`` is a column-major view of a factor buffer, as
+    :func:`_gather` leaves a full box, and is factored there in place.  A
+    band that is not positive definite in floating point gets one retry
+    with the ridge ``1e-12 mean(diag G)`` on its diagonal: on a copy of
+    ``gram.band``, or, since the failed ``pbtrf`` overwrote the buffer, on
+    the band that ``refill()`` gathers there again.
     """
+    pbtrf = _lapack("pbtrf")
+    in_place = {} if refill is None else {"overwrite_ab": 1}
     band, ridge = gram.band, 0.0
-    norm = _band_norm1(band, buf)
-    factor, info = _pbtrf(band, buf)
+    norm = _band_norm1(band, gram.rows)
+    factor, info = pbtrf(band, **in_place)
     if info > 0:  # not positive definite in floating point: one retry with a ridge
-        band = band.copy()
+        band = band.copy() if refill is None else refill().band
         with np.errstate(over="ignore"):
             ridge = 1e-12 * float(np.mean(band[-1].real))
         if not np.isfinite(ridge):
             raise _not_finite(alpha, n, "factor")
         band[-1] += ridge
-        norm = _band_norm1(band, buf)
-        factor, info = _pbtrf(band, buf)
+        norm = _band_norm1(band, gram.rows)
+        factor, info = pbtrf(band, **in_place)
         if info > 0:
             raise ConditioningError(
                 f"Gram factorization at order n={n} failed even with ridge {ridge:.3e}",
@@ -609,9 +616,9 @@ def _certify(
 
 
 def _solve(gram: GramSystem, b: BasisSpec, alpha: float, ortho_tol: Optional[float],
-           buf: Optional[np.ndarray]) -> ApproximantResult:
-    """Factor in ``buf``, solve, estimate and certify the normal equations ``gram`` of ``b``; errors name ``b.n``."""
-    factor, norm, ridge = _factor(gram, b.n, alpha, buf)
+           refill: Optional[Callable[[], GramSystem]]) -> ApproximantResult:
+    """Factor (:func:`_factor`), solve, estimate and certify the normal equations ``gram`` of ``b``; errors name ``b.n``."""
+    factor, norm, ridge = _factor(gram, b.n, alpha, refill)
     pbtrs = _lapack("pbtrs")
 
     def solve(x):
@@ -639,33 +646,38 @@ def _solve(gram: GramSystem, b: BasisSpec, alpha: float, ortho_tol: Optional[flo
     )
 
 
-def _gather(top: GramSystem, lat: Lattice, store: Optional[np.ndarray]) -> GramSystem:
+def _gather(top: GramSystem, lat: Lattice, buf: Optional[np.ndarray]) -> GramSystem:
     """The normal equations over a box ``lat`` inside ``top``'s, entry for entry those of :func:`gram_assemble`.
 
-    ``G[i, j]`` depends only on ``m_i`` and ``m_j``.  An offset ``(da, dc)``
-    of ``top``'s table fills one rectangle of columns ``(a, c)`` of the band
-    row ``u - d``, ``d = -(da (C + 1) + dc)`` (:func:`_rectangles`), and the
-    same one of ``top``'s row ``U - d'``, with ``top``'s ``C'`` for ``C``:
-    each offset is one strided copy into
-    ``store``, of at least ``top.band.size`` entries, zero elsewhere.  A
-    one-column box has ``d = d'``, and its band is a view of ``top``'s
-    bottom rows and first columns.
+    ``G[i, j]`` depends only on ``m_i`` and ``m_j``.  A one-column box has
+    the offsets ``d`` of ``top``'s, and its band is a view of ``top``'s
+    bottom rows and first columns.  The band of a full box, ``top``'s own
+    included, is written into the factor buffer ``buf``, of at least
+    ``top.band.size`` entries, in LAPACK's column-major layout: zero, then,
+    for each offset ``(da, dc)`` of ``top``'s table, one strided copy of
+    the rectangle of columns ``(a, c)`` it fills in the band row ``u - d``,
+    ``d = -(da (C + 1) + dc)`` (:func:`_rectangles`), from the same
+    rectangle of ``top``'s row ``U - d'``, with ``top``'s ``C'`` for ``C``.
     """
-    if lat == top.lattice:
-        return top
     (A, C), (A1, C1), U = lat, top.lattice, top.band.shape[0] - 1
     size = (A + 1) * (C + 1)
     if C == 0:
-        band = top.band[-min(U, A) - 1:, :size]
+        u = min(U, A)
+        band = top.band[U - u:, :size]
+        rows = top.rows if u == U else tuple(r - U + u for r in top.rows if r >= U - u)
     else:
         (offsets,) = top.pair_offsets  # a box with two variables is full, and f is one term
         u, rects = _rectangles(offsets, lat)
-        band = store[:(u + 1) * size].reshape(u + 1, size)
-        band.fill(0.0)
-        rows, top_rows = band.reshape(u + 1, A + 1, C + 1), top.band.reshape(U + 1, A1 + 1, C1 + 1)
+        cells = buf[:(u + 1) * size]
+        cells.fill(0.0)
+        # cells[a, c, u - d] is the band's entry in the row u - d at the column (a, c)
+        cells = cells.reshape(A + 1, C + 1, u + 1)
+        top_rows = top.band.reshape(U + 1, A1 + 1, C1 + 1)
         for d, (da, dc), _, box in rects:
-            rows[u - d][box] = top_rows[U + da * (C1 + 1) + dc][box]
-    return GramSystem(lattice=lat, band=band, rhs=top.rhs[:size], terms=top.terms,
+            cells[box + (u - d,)] = top_rows[U + da * (C1 + 1) + dc][box]
+        band = cells.reshape(size, u + 1).T
+        rows = tuple(sorted({u - d for d, *_ in rects}))
+    return GramSystem(lattice=lat, band=band, rows=rows, rhs=top.rhs[:size], terms=top.terms,
                       pair_offsets=top.pair_offsets, pattern=top.pattern)
 
 
@@ -673,7 +685,7 @@ def _solve_orders(
     f: Series, aw, bases: List[BasisSpec], ortho_tol: Optional[float]
 ) -> Iterator[ApproximantResult]:
     """The solves of :func:`solve_orders`, which checked ``ortho_tol``, under the weights ``aw``."""
-    top = store = buf = None
+    top = buf = None
     if len(bases) > 1 and len({(b.kind, b.pattern) for b in bases}) == 1:
         try:  # every box of the scan lies inside its largest
             top = gram_assemble(f, aw, max(bases, key=lambda b: b.n))
@@ -681,14 +693,15 @@ def _solve_orders(
             pass
     for b in bases:
         lat = b.lattice()
-        if top is not None and store is None and lat.C and lat != top.lattice:  # the top order leaves it untouched
-            store = np.empty(top.band.size, dtype=np.complex128)
-        gram = gram_assemble(f, aw, b) if top is None else _gather(top, lat, store)
-        if lat.C and (buf is None or buf.size < gram.band.size):  # in a shared scan, sized once to the top band
-            buf = np.empty((gram if top is None else top).band.size, dtype=np.complex128)
+        own = gram_assemble(f, aw, b) if top is None else top
+        refill = None
         # a one-column band is small, and LAPACK's own copy of it is cheaper than one into a
         # buffer held across the scan (measured on the reduced scans)
-        yield _solve(gram, b, aw.alpha, ortho_tol, buf if lat.C else None)
+        if lat.C:
+            if buf is None or buf.size < own.band.size:  # in a shared scan, sized once to the top band
+                buf = np.empty(own.band.size, dtype=np.complex128)
+            refill = partial(_gather, own, lat, buf)
+        yield _solve(_gather(own, lat, buf), b, aw.alpha, ortho_tol, refill)
 
 
 def solve_orders(

@@ -315,15 +315,21 @@ class TestScanAssemblesOnce:
     ])
     def test_gathered_band_is_the_assembled_band(self, f, alpha, top_n, basis, pattern):
         top = gram_assemble(f, alpha, BasisSpec(top_n, basis, pattern))
-        # whatever the scratch holds must not leak into a gathered band
-        store = np.full(top.band.size, np.nan + 1j * np.inf)
+        # whatever the factor buffer holds must not leak into a gathered band
+        buf = np.full(top.band.size, np.nan + 1j * np.inf)
         # the orders below the bandwidth of f and a spread up to the top
         for n in sorted({*range(min(top_n, 45)), *range(0, top_n, max(1, top_n // 20)), top_n}):
             b = BasisSpec(n, basis, pattern)
-            own, view = gram_assemble(f, alpha, b), approximants._gather(top, b.lattice(), store)
+            own, view = gram_assemble(f, alpha, b), approximants._gather(top, b.lattice(), buf)
             assert view.lattice == own.lattice and view.pattern == own.pattern
             assert view.band.shape == own.band.shape and view.band.dtype == own.band.dtype
-            assert view.band.tobytes() == own.band.tobytes()
+            # a full box is written into the buffer in LAPACK's column-major layout; the top
+            # order's box too, where the band is copied
+            in_buf = b.lattice().C > 0
+            assert np.shares_memory(view.band, buf) == in_buf
+            assert view.band.flags.f_contiguous == in_buf or view.band.shape[0] == 1
+            assert view.band.tobytes() == own.band.tobytes()  # in logical (C) order, as own's bytes
+            assert view.rows == own.rows
             assert view.rhs.tobytes() == own.rhs.tobytes()
 
     @pytest.mark.parametrize("f, ns, basis, pattern", [

@@ -11,7 +11,9 @@ is past the block size of LAPACK's blocked ``pbtrf`` (32).
 
 The full scans of the benchmark's two functions are checked here too: they
 equal their orders solved one by one, bit for bit, and factor every order in
-place in one buffer, which leaves each Gram band unwritten.
+place in one buffer, which leaves each assembled Gram band unwritten; a
+ridge retry factors the band gathered there again plus the ridge; and a
+scan peaks at little more than its top band and that buffer.
 
 Regenerate the file with ``PYTHONPATH=src python tests/test_solve_pin.py``,
 only for a change meant to move these values.
@@ -202,6 +204,40 @@ def test_ridge_at_the_middle_order_of_a_full_scan(monkeypatch, name):
         _record(solve_optimal(f, alpha, b)) for b in bases if b is not middle]
 
 
+@pytest.mark.parametrize("name", [*FULL_SCANS, "alone"])
+def test_ridge_retry_factors_the_band_gathered_again_plus_the_ridge(monkeypatch, name):
+    """The failed in-place ``pbtrf`` overwrote the buffer; the retry factors ``G`` plus the ridge, byte for byte."""
+    if name == "alone":
+        f, alpha, bases = PRODUCT, 0.0, [BasisSpec.full(3)]
+    else:
+        f, alpha, bases = _full_scan(name)
+    middle = bases[len(bases) // 2]
+    columns = (middle.n + 1) ** 2
+    lapack, inputs = _failing_once(columns)[0], []
+
+    def spy(name):
+        routine = lapack(name)
+
+        def pbtrf(ab, **kwargs):
+            if ab.shape[1] == columns:
+                inputs.append(ab.copy())
+            factor, info = routine(ab, **kwargs)
+            if info > 0:
+                ab[...] = np.nan  # as a factorization that stopped part way leaves its buffer
+            return factor, info
+
+        return pbtrf if name == "pbtrf" else routine
+
+    monkeypatch.setattr(approximants, "_lapack", spy)
+    ridge = list(solve_orders(f, alpha, bases))[len(bases) // 2].ridge
+    monkeypatch.undo()
+    band = gram_assemble(f, alpha, middle).band
+    assert ridge == 1e-12 * float(np.mean(band[-1].real))
+    shifted = band.copy()
+    shifted[-1] += ridge
+    assert [x.tobytes() for x in inputs] == [band.tobytes(), shifted.tobytes()]
+
+
 @pytest.mark.parametrize("name", FULL_SCANS)
 @pytest.mark.parametrize("ridge", [False, True], ids=["factored", "ridge"])
 def test_full_scan_factors_in_place_in_one_buffer(monkeypatch, name, ridge):
@@ -248,6 +284,23 @@ def test_full_solve_peak_memory():
     tracemalloc.start()
     try:
         solve_optimal(PRODUCT, 0.5, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * band_bytes
+
+
+@pytest.mark.parametrize("ns", [range(4, 37, 4), range(4, 100, 19)], ids=["n=4..36", "n=4..99"])
+def test_full_scan_peak_memory(ns):
+    # the top band and the factor buffer each order is gathered into, and small change: no
+    # gather scratch, and |G| only over the rows the offsets fill
+    bases = [BasisSpec.full(n) for n in ns]
+    band_bytes = gram_assemble(PRODUCT, 0.5, bases[-1]).band.nbytes
+    solve_optimal(PRODUCT, 0.5, BasisSpec.full(4))  # load scipy.linalg first
+    tracemalloc.start()
+    try:
+        for _ in solve_orders(PRODUCT, 0.5, bases):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

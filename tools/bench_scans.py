@@ -15,9 +15,11 @@ wall time (other processes on a shared host only ever slow a scan, as
 private stages are wrapped in timers and the median of each stage's self
 time (less the stages it calls) is kept:
 
-* assemble: ``gram_assemble``, and the band of a lower order taken from the
-  top order's: ``_gather`` (``_leading``, the one-column slice, in a tree
-  that predates the gather);
+* assemble: ``gram_assemble``, and the band of an order taken from the
+  assembled one: ``_gather`` (``_leading``, the one-column slice, in a tree
+  that predates the gather), which also writes a full order's band, the
+  top order's too, into the factor buffer (in a tree that predates that,
+  the copy into the buffer is part of factor);
 * factor: ``_factor`` (LAPACK ``pbtrf`` and any ridge retry);
 * solve: ``_solve``, the one body of a solve, less the stages it calls:
   the ``pbtrs`` for the coefficients and the solve's bookkeeping (with
