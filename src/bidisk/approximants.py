@@ -650,19 +650,22 @@ def _gather(top: GramSystem, lat: Lattice, buf: Optional[np.ndarray]) -> GramSys
     """The normal equations over a box ``lat`` inside ``top``'s, entry for entry those of :func:`gram_assemble`.
 
     ``G[i, j]`` depends only on ``m_i`` and ``m_j``.  A one-column box has
-    the offsets ``d`` of ``top``'s, and its band is a view of ``top``'s
-    bottom rows and first columns.  The band of a full box, ``top``'s own
-    included, is written into the factor buffer ``buf``, of at least
-    ``top.band.size`` entries, in LAPACK's column-major layout: zero, then,
-    for each offset ``(da, dc)`` of ``top``'s table, one strided copy of
-    the rectangle of columns ``(a, c)`` it fills in the band row ``u - d``,
-    ``d = -(da (C + 1) + dc)`` (:func:`_rectangles`), from the same
-    rectangle of ``top``'s row ``U - d'``, with ``top``'s ``C'`` for ``C``.
+    the offsets ``d <= A`` of ``top``'s, and its band is a view of ``top``'s
+    first columns and bottom rows, from the row of the widest such offset
+    (below the degree of a sparse ``f``, it may be narrower than ``A``).
+    The band of a full box, ``top``'s own included, is written into the
+    factor buffer ``buf``, of at least ``top.band.size`` entries, in
+    LAPACK's column-major layout: zero, then, for each offset ``(da, dc)``
+    of ``top``'s table, one strided copy of the rectangle of columns
+    ``(a, c)`` it fills in the band row ``u - d``, ``d = -(da (C + 1) + dc)``
+    (:func:`_rectangles`), from the same rectangle of ``top``'s row
+    ``U - d'``, with ``top``'s ``C'`` for ``C``.
     """
     (A, C), (A1, C1), U = lat, top.lattice, top.band.shape[0] - 1
     size = (A + 1) * (C + 1)
     if C == 0:
-        u = min(U, A)
+        # the widest offset of top's that fits the box, d = U - r <= A; d = 0 always does
+        u = U - min(r for r in top.rows if r >= U - A)
         band = top.band[U - u:, :size]
         rows = top.rows if u == U else tuple(r - U + u for r in top.rows if r >= U - u)
     else:

@@ -5,11 +5,20 @@ Subcommands: ``norm``, ``approx``, ``decay``, ``energy``, ``annihilate``,
 as CSV with the fixed header ``n,dist_sq,predicted,ratio`` (``predicted``
 empty when no theoretical rate applies).  Output is deterministic for fixed
 inputs and seed.  Exit codes: 0 success, 2 input error, 3 numerical error.
+
+:func:`main` parses with one parser per process, built by its first call
+and reused by every later one: argparse keeps no state between parses, and
+``--help`` reads the terminal width when it prints, not when the parser is
+built.  A console-script run calls :func:`main` once, so it builds the
+parser once, as it always did; in-process callers that run many commands
+skip the rebuild.  :func:`build_parser` returns a fresh parser on each call,
+which its caller may change without touching the one :func:`main` uses.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -221,10 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--basis", default="full", help="full | diag:M,N | onevar")
         p.add_argument("--method", default="optimal", choices=["optimal", "riesz", "cesaro"])
         p.add_argument("--tol-eps0", dest="tol_eps0", type=float, default=1e-12,
-                       help="reciprocal admissibility threshold on |a00|")
+                       help="reciprocal admissibility threshold on |a00|; "
+                            "read by --method riesz and cesaro only")
         p.add_argument("--tol-ortho", dest="tol_ortho", type=float, default=None,
                        help="absolute orthogonality-certificate tolerance "
-                            "(default 1e-8 * ||f||^2)")
+                            "(default 1e-8 * ||f||^2); read by --method optimal only")
 
     p = sub.add_parser("norm", help="weighted norm of a series")
     add_common(p, series=True, alpha=True)
@@ -265,9 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser main uses, built by its first call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "step", 1) < 1:
             raise InputError("--step must be >= 1")

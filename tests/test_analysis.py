@@ -39,6 +39,8 @@ from oracles import onevar_one_minus_z_dist_sq, separable_dist_sq
 
 F_DIAG = TwoVarSeries.from_terms({(0, 0): 1, (1, 1): -1})
 F_PROD = separable(OneVarSeries([1, -1]), OneVarSeries([1, -1]))
+# offsets 0 and 3 only: an order below 3 assembles one band row, not min(n, 3) + 1
+F_GAPPED = OneVarSeries([1, 0, 0, -0.5])
 PAT11 = DiagonalPattern(1, 1)
 
 GEOMETRIC_N = [20, 27, 36, 49, 66, 89, 120, 161, 200]
@@ -296,6 +298,10 @@ class TestScanAssemblesOnce:
             self.assert_scan_is_per_order(_random_onevar(degree, degree, column), alpha,
                                           RANDOM_NS, "onevar")
 
+    @pytest.mark.parametrize("alpha", [-2.0, 0.5])
+    def test_gapped_onevar(self, alpha):
+        self.assert_scan_is_per_order(F_GAPPED, alpha, [0, 1, 2, 5], "onevar")
+
     @pytest.mark.parametrize("pattern", [PAT11, DiagonalPattern(2, 3)])
     def test_off_pattern(self, pattern):
         rng = np.random.default_rng(5)
@@ -310,6 +316,8 @@ class TestScanAssemblesOnce:
         *[(F_PROD, a, 300, "diagonal", DiagonalPattern(2, 3)) for a in (-2.0, 0.0, 0.75)],
         *[(builtin_series("one_minus_pow", M=2, N=3).series, a, n, "diagonal",
            DiagonalPattern(2, 3)) for a, n in ((0.0, 300), (150.0, 6))],
+        # a gapped f: orders 0, 1, 2 are narrower than the box (and 5 is the top)
+        *[(F_GAPPED, a, 5, "onevar", None) for a in (-2.0, 0.5)],
         # full boxes: every order 0..36 is gathered from the top band
         *[(f, a, 36, "full", None) for f in FULL_GATHER for a in (-1.0, 0.0, 0.5, 1.0)],
     ])

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, values, determinism, exit codes."""
 
+import argparse
 import json
 import shlex
 import warnings
@@ -10,7 +11,7 @@ import pytest
 
 from bidisk import suites
 from bidisk.approximants import BasisSpec
-from bidisk.cli import main
+from bidisk.cli import build_parser, main
 from bidisk.series import DiagonalPattern, OneVarSeries, separable
 
 from oracles import brute_gram_dist_sq
@@ -758,3 +759,79 @@ class TestReadmeExamples:
             assert out == ""
             out = (tmp_path / "scan.csv").read_text()
         assert out == (GOLDEN / expected).read_text()
+
+
+def _help(capsys, parse, argv):
+    """What ``parse(argv)`` prints for ``--help`` before it exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+class TestSharedParser:
+    """``main`` parses every command of a process with one parser."""
+
+    def test_errors_then_readme_examples(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        # a parse error exits from argparse, with nothing left behind for the next command
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--alpha", "0"])
+        assert exc.value.code == 2
+        assert "--series" in capsys.readouterr().err
+        code, _, err = run_cli(capsys, "norm", "--series", "builtin:nope", "--alpha", "0")
+        assert code == 2 and "InputError" in err
+        code, _, err = run_cli(capsys, "norm", "--series", "builtin:one_minus_z1z2",
+                               "--alpha", "800")
+        assert code == 3 and "alpha" in err
+        for expected, command in README_EXAMPLES:
+            code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+            assert code == 0, err
+            if "--out" in command:
+                assert out == ""
+                out = (tmp_path / "scan.csv").read_text()
+            assert out == (GOLDEN / expected).read_text(), command
+
+    @pytest.mark.parametrize("argv", [["--help"], ["decay", "--help"]])
+    def test_help_reads_the_width_when_it_prints(self, capsys, monkeypatch, argv):
+        printed = {}
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            printed[columns] = _help(capsys, main, argv)
+            assert printed[columns] == _help(capsys, build_parser().parse_args, argv)
+        assert printed["40"] != printed["200"]
+
+    def test_build_parser_is_fresh(self, capsys):
+        first, second = build_parser(), build_parser()
+        assert first is not second
+        first.add_argument("--extra")
+        argv = ["--extra", "x", "energy", "--measure", "m", "--K", "1"]
+        assert first.parse_args(argv).extra == "x"
+        errors = []
+        for parse in (second.parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "error: argument command: invalid choice" in errors[1]
+
+    def test_repeated_commands_build_at_most_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        build_parser()
+        per_build = len(built)  # the root parser and one per subcommand
+        assert per_build > 1
+        built.clear()
+        for _ in range(5):
+            code, _, err = run_cli(capsys, "norm", "--series", "builtin:one_minus_z1",
+                                   "--alpha", "0")
+            assert code == 0, err
+        assert len(built) in (0, per_build)

@@ -1,8 +1,8 @@
-"""Per-stage time split of the benchmark's decay scans, and its suites' times, on two source trees.
+"""Per-stage time split of the benchmark's decay scans, and its commands' and suites' times, on two source trees.
 
 Runs the decay scans of the benchmark's ``full_scan`` and ``reduced_scan``
-workloads (``perfbench/workloads.py``, seed ``SEED``), and the ``verify``
-commands of its ``cli_batch`` workload, on a baseline tree, named by
+workloads (``perfbench/workloads.py``, seed ``SEED``), and the commands of
+its ``cli_batch`` workload, on a baseline tree, named by
 ``--src``, and on the tree this script belongs to.  Each tree runs
 in its own processes, under the environment ``perfbench/run.py`` pins for
 its workers (``PINNED``: one BLAS thread, no huge pages for numpy, a fixed
@@ -29,22 +29,25 @@ time (less the stages it calls) is kept:
 * certify: ``_certify`` (residual and orthogonality certificate);
 * rest: the scan's wall time less those stages (dispatch, results, checks).
 
-The ``verify`` commands run through ``cli.main``, their output captured,
-and so does each suite they run, through ``suites.run_suite``: a process
-makes one untimed warm-up pass, then ``REPEATS`` passes, keeping each
-command's and each suite's fastest wall time and median minor faults.  A
+The ``cli_batch`` commands run through ``cli.main`` in a scratch
+directory, their output captured: a process makes one untimed warm-up
+pass, then ``REPEATS`` passes, keeping each command's fastest wall time and
+median minor faults, and a digest of each command's output (its stdout,
+and the file ``--out`` names) stands for its result.  The ``verify``
+commands among them are timed again on their own, as ``cli_batch_verify``,
+with each suite they run, through ``suites.run_suite``, in the same way; a
 digest of each suite's margins and slacks, block by block, and of each
 command's output stands for the results.
 
 The JSON written to ``--out`` holds, per tree, the revision (git HEAD, a
 dirty flag and a digest of ``src/bidisk``) and, per workload, the total time
-of every round (of the scans, or of the ``verify`` commands), the medians
+of every round (of the scans, or of the commands), the medians
 over rounds of that total, of each scan's or command's time and faults, of
 each scan's stage split, the stage call counts, of each suite's time and
 faults, and a digest of every result (a scan's fields and coefficients, a
 suite's margins, a command's output), which must agree between the trees;
-the ratio of the two totals in each round; and the machine: core count,
-BLAS, its thread count, and versions.
+the ratio of the two totals in each round, and the change of each command's
+time; and the machine: core count, BLAS, its thread count, and versions.
 
     python tools/bench_scans.py --src PATH/TO/BASELINE --out BENCH.json
 """
@@ -71,7 +74,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import PINNED  # noqa: E402  (perfbench/run.py, on the path just above)
 
 WORKLOADS = ("full_scan", "reduced_scan")
-VERIFY = "cli_batch_verify"  # the verify commands of the cli_batch workload
+BATCH = "cli_batch"  # every command of the cli_batch workload
+VERIFY = "cli_batch_verify"  # its verify commands, with the suites they run
 SEED = 1  # the full scan's random product; the reduced scans' order; the last verify's seed
 ROUNDS, REPEATS = 10, 15
 STAGES = ("assemble", "factor", "solve", "cond", "certify", "rest")
@@ -226,21 +230,49 @@ def margins_digest(suites, name: str, trials: int, seed: int) -> str:
     return digest.hexdigest()[:16]
 
 
+def run_command(cli, argv):
+    """Exit code and stdout of one command run through ``cli.main``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def measured(call, *args):
+    """Wall time and minor page faults of ``call(*args)``."""
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t = time.perf_counter()
+    call(*args)
+    return time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+
+
+def time_batch(cli, commands) -> dict:
+    """One warm-up pass, then ``REPEATS`` passes of ``commands``, and a digest of each one's output."""
+
+    def output(argv):
+        code, out = run_command(cli, argv)
+        written = Path(argv[argv.index("--out") + 1]).read_text() if "--out" in argv else None
+        return hashlib.sha256(repr((code, out, written)).encode()).hexdigest()[:16]
+
+    labels = [" ".join(argv) for argv in commands]
+    digests = {label: output(argv) for label, argv in zip(labels, commands)}  # the warm-up pass
+    wall = {label: [] for label in labels}
+    faults = {label: [] for label in labels}
+    for _ in range(REPEATS):
+        for label, argv in zip(labels, commands):
+            seconds, minflt = measured(run_command, cli, argv)
+            wall[label].append(seconds)
+            faults[label].append(minflt)
+    return {
+        "command_s": {label: min(wall[label]) for label in labels},
+        "minflt": {label: statistics.median(faults[label]) for label in labels},
+        "output_sha256": digests,
+        "results_sha256": hashlib.sha256(repr(digests).encode()).hexdigest()[:16],
+    }
+
+
 def time_verify(cli, suites, commands) -> dict:
     """One warm-up pass, then ``REPEATS`` passes of the ``verify`` commands and of the suites they run."""
-
-    def run(argv):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
-        return code, out.getvalue()
-
-    def timed(call, *args):
-        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        t = time.perf_counter()
-        call(*args)
-        return time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
-
     labels = [" ".join(argv) for argv in commands]
     runs = {}  # each suite a command runs, once: (name, trials, seed) by label
     for argv in commands:
@@ -249,18 +281,18 @@ def time_verify(cli, suites, commands) -> dict:
         for name in names:
             runs[f"{name} trials={opts['--trials']} seed={opts['--seed']}"] = (
                 name, int(opts["--trials"]), int(opts["--seed"]))
-    outputs = [run(argv) for argv in commands]  # the warm-up pass
+    outputs = [run_command(cli, argv) for argv in commands]  # the warm-up pass
     for name, trials, seed in runs.values():
         suites.run_suite(name, trials=trials, seed=seed)
     wall = {label: [] for label in [*labels, *runs]}
     faults = {label: [] for label in wall}
     for _ in range(REPEATS):
         for label, argv in zip(labels, commands):
-            seconds, minflt = timed(run, argv)
+            seconds, minflt = measured(run_command, cli, argv)
             wall[label].append(seconds)
             faults[label].append(minflt)
         for label, (name, trials, seed) in runs.items():
-            seconds, minflt = timed(suites.run_suite, name, trials, seed)
+            seconds, minflt = measured(suites.run_suite, name, trials, seed)
             wall[label].append(seconds)
             faults[label].append(minflt)
     margins = {label: margins_digest(suites, *args) for label, args in runs.items()}
@@ -284,8 +316,13 @@ def worker(tree: Path) -> dict:
     out = {name: time_scans(analysis, approximants, getattr(workloads, name)(SEED, False).scans)
            for name in WORKLOADS}
     with tempfile.TemporaryDirectory() as tmp:  # the batch writes its series file here
-        batch = workloads.CliBatch(SEED, False, Path(tmp))
-    out[VERIFY] = time_verify(cli, suites, [argv for argv, _ in batch.commands if argv[0] == "verify"])
+        os.chdir(tmp)  # and its paths, relative to it, name a command alike in every process
+        try:
+            commands = [argv for argv, _ in workloads.CliBatch(SEED, False, Path(".")).commands]
+            out[BATCH] = time_batch(cli, commands)
+            out[VERIFY] = time_verify(cli, suites, [a for a in commands if a[0] == "verify"])
+        finally:
+            os.chdir(ROOT)
     return {"workloads": out, "machine": machine()}
 
 
@@ -321,20 +358,26 @@ def summarize(rounds: list, timed: str = "scan_s") -> dict:
     if "suite_s" in rounds[0]:
         out["suite_s"], out["suite_minflt"] = medians("suite_s"), medians("suite_minflt")
         out["margins_sha256"] = rounds[0]["margins_sha256"]
+    if "output_sha256" in rounds[0]:
+        out["output_sha256"] = rounds[0]["output_sha256"]
     return out
 
 
 def compare(base: dict, change: dict) -> dict:
-    """The change against the baseline on one workload: totals, and the ratio of each round."""
+    """The change against the baseline on one workload: totals, the ratio of each round, and each command's change."""
     # the two runs of a round are adjacent in time, so their ratio cancels slow drift of the host
     ratios = [c / b for b, c in zip(base["total_s_rounds"], change["total_s_rounds"])]
-    return {
+    out = {
         "results_identical": base["results_sha256"] == change["results_sha256"],
         "total_change_frac": (change["total_s"] - base["total_s"]) / base["total_s"],
         "round_ratios": ratios,
         "round_ratio_median": statistics.median(ratios),
         "rounds_change_faster": sum(r < 1.0 for r in ratios),
     }
+    if "command_s" in base:
+        out["command_change_s"] = {label: change["command_s"][label] - seconds
+                                   for label, seconds in base["command_s"].items()}
+    return out
 
 
 def main(argv=None) -> int:
@@ -353,15 +396,16 @@ def main(argv=None) -> int:
     for i in range(ROUNDS):
         for name in (trees if i % 2 == 0 else reversed(list(trees))):
             rounds[name].append(spawn(trees[name]))
-    timed = {**dict.fromkeys(WORKLOADS, "scan_s"), VERIFY: "command_s"}
+    totals = {**dict.fromkeys(WORKLOADS, "scan_s"), BATCH: "command_s", VERIFY: "command_s"}
     sides = {name: {"revision": revision(tree),
                     **{w: summarize([r["workloads"][w] for r in rounds[name]], key)
-                       for w, key in timed.items()}}
+                       for w, key in totals.items()}}
              for name, tree in trees.items()}
-    comparison = {w: compare(sides["baseline"][w], sides["change"][w]) for w in timed}
+    comparison = {w: compare(sides["baseline"][w], sides["change"][w]) for w in totals}
     report = {
         "what": "decay scans of perfbench full_scan and reduced_scan: wall time, minor page "
-                "faults and per-stage split; the verify commands of perfbench cli_batch and "
+                "faults and per-stage split; the commands of perfbench cli_batch: wall time, "
+                "minor page faults and a digest of each one's output; its verify commands and "
                 "the suites they run: wall time, minor page faults and a digest of the margins",
         "settings": {"rounds": ROUNDS, "repeats": REPEATS, "seed": SEED, **PINNED,
                      "statistic": "scan_s, command_s, suite_s: fastest of the repeats of a "
@@ -374,7 +418,7 @@ def main(argv=None) -> int:
         **sides,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    for w in timed:
+    for w in totals:
         base, change, c = sides["baseline"][w], sides["change"][w], comparison[w]
         print(f"{w}: baseline {1e3 * base['total_s']:.2f} ms, change {1e3 * change['total_s']:.2f} ms "
               f"({100 * c['total_change_frac']:+.1f}%); change/baseline by round: median "
