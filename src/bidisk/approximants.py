@@ -25,8 +25,10 @@ the one-variable ``P`` and lifts it only when ``p`` is read.
 
 Solver policy: normal equations, factored by LAPACK ``pbtrf`` with a single
 ridge-regularized retry, whose ridge is recorded on the result, and solved
-by ``pbtrs``, both looked up in ``scipy.linalg`` on the first factorization
-(so importing ``bidisk`` and work that solves nothing do not load it); a
+by ``pbtrs``, both read on the first factorization from scipy's compiled
+LAPACK module ``scipy.linalg._flapack``, loaded alone, without the
+``scipy.linalg`` package (so importing ``bidisk`` and work that solves
+nothing load no LAPACK, and no call loads ``scipy.linalg``); a
 Gram band that overflows is refused with :class:`NumericalError` naming
 ``alpha`` and the order; residuals are always recomputed from the returned
 coefficients by explicit series arithmetic, never read off the solver; every
@@ -66,8 +68,10 @@ that reciprocal fails, every order is computed alone.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
+from importlib.machinery import PathFinder
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -125,10 +129,22 @@ Series = Union[TwoVarSeries, OneVarSeries]
 
 @cache
 def _lapack(name: str):
-    """The complex LAPACK routine ``name`` (``pbtrf``, ``pbtrs``), looked up on its first call."""
-    import scipy.linalg  # here, not at module level: it is most of the package's import time
+    """The complex LAPACK routine ``name`` (``pbtrf``, ``pbtrs``), loaded on its first call.
 
-    return scipy.linalg.get_lapack_funcs(name, dtype=np.complex128)
+    It is read from scipy's compiled LAPACK module ``scipy.linalg._flapack``,
+    loaded alone from the directory of ``scipy.linalg`` without running that
+    package's ``__init__``, which would import about 300 modules.  The
+    routine is the object ``scipy.linalg.get_lapack_funcs(name,
+    dtype=np.complex128)`` returns, whichever of the two loads first.
+    """
+    linalg = importlib.util.find_spec("scipy.linalg")
+    spec = linalg and PathFinder.find_spec("scipy.linalg._flapack", linalg.submodule_search_locations)
+    if spec is None:
+        raise ImportError("scipy's compiled LAPACK module scipy.linalg._flapack was not found; "
+                          "bidisk needs scipy>=1.10", name="scipy.linalg._flapack")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return getattr(module, "z" + name)
 
 
 def _not_finite(alpha: float, n: int, stage: str) -> NumericalError:

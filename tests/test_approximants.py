@@ -990,7 +990,7 @@ class TestDispatch:
 
     def test_off_pattern_solve_memory(self):
         # the coset rows hold O(n) coefficients; the 2-D lattice they replace peaked at 214 MiB
-        solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(50, PAT11))  # load scipy.linalg first
+        solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(50, PAT11))  # load the LAPACK module first
         tracemalloc.start()
         try:
             solve_optimal(F_PROD, 0.0, BasisSpec.diagonal(2000, PAT11))

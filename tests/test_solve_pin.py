@@ -280,7 +280,7 @@ def test_full_solve_peak_memory():
     # and no |G| scratch of its own for the 1-norm
     b = BasisSpec.full(36)
     band_bytes = gram_assemble(PRODUCT, 0.5, b).band.nbytes
-    solve_optimal(PRODUCT, 0.5, BasisSpec.full(4))  # load scipy.linalg first
+    solve_optimal(PRODUCT, 0.5, BasisSpec.full(4))  # load the LAPACK module first
     tracemalloc.start()
     try:
         solve_optimal(PRODUCT, 0.5, b)
@@ -296,7 +296,7 @@ def test_full_scan_peak_memory(ns):
     # gather scratch, and |G| only over the rows the offsets fill
     bases = [BasisSpec.full(n) for n in ns]
     band_bytes = gram_assemble(PRODUCT, 0.5, bases[-1]).band.nbytes
-    solve_optimal(PRODUCT, 0.5, BasisSpec.full(4))  # load scipy.linalg first
+    solve_optimal(PRODUCT, 0.5, BasisSpec.full(4))  # load the LAPACK module first
     tracemalloc.start()
     try:
         for _ in solve_orders(PRODUCT, 0.5, bases):

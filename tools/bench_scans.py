@@ -3,11 +3,12 @@
 Runs the decay scans of the benchmark's ``full_scan`` and ``reduced_scan``
 workloads (``perfbench/workloads.py``, seed ``SEED``), and the commands of
 its ``cli_batch`` workload, on a baseline tree, named by
-``--src``, and on the tree this script belongs to.  Each tree runs
-in its own processes, under the environment ``perfbench/run.py`` pins for
-its workers (``PINNED``: one BLAS thread, no huge pages for numpy, a fixed
-malloc mmap threshold), and the two alternate for ``ROUNDS`` rounds so that
-drift of the host's speed hits both alike.  A process makes one untimed
+``--src``, and on the tree this script belongs to.  Each tree runs each of
+the three workloads in a process of its own, whose peak resident set size
+(``ru_maxrss``) is recorded, under the environment ``perfbench/run.py`` pins
+for its workers (``PINNED``: one BLAS thread, no huge pages for numpy, a
+fixed malloc mmap threshold), and the two alternate for ``ROUNDS`` rounds so
+that drift of the host's speed hits both alike.  A process makes one untimed
 warm-up pass, then ``REPEATS`` untraced passes, keeping each scan's fastest
 wall time (other processes on a shared host only ever slow a scan, as
 ``perfbench/worker.py`` notes) and its median count of minor page faults
@@ -39,15 +40,25 @@ with each suite they run, through ``suites.run_suite``, in the same way; a
 digest of each suite's margins and slacks, block by block, and of each
 command's output stands for the results.
 
+Each round also starts, per tree, one fresh interpreter per command of
+``COLD``: the README's ``approx``, which solves, and ``norm``, which solves
+nothing, each run as the ``bidisk`` console script runs it, and timed from
+its start to its exit.  Its wall time, its peak resident set size and a
+digest of its standard output are kept.
+
 The JSON written to ``--out`` holds, per tree, the revision (git HEAD, a
 dirty flag and a digest of ``src/bidisk``) and, per workload, the total time
 of every round (of the scans, or of the commands), the medians
-over rounds of that total, of each scan's or command's time and faults, of
-each scan's stage split, the stage call counts, of each suite's time and
-faults, and a digest of every result (a scan's fields and coefficients, a
-suite's margins, a command's output), which must agree between the trees;
-the ratio of the two totals in each round, and the change of each command's
-time; and the machine: core count, BLAS, its thread count, and versions.
+over rounds of that total, of the process's peak resident set size, of each
+scan's or command's time and faults, of each scan's stage split, the stage
+call counts, of each suite's time and faults, and a digest of every result
+(a scan's fields and coefficients, a suite's margins, a command's output),
+which must agree between the trees; per tree and cold-start command, the
+medians over rounds of its wall time and peak resident set size, and its
+output's digest; the ratio of the two totals in each round, and the change
+of each command's time and of each peak resident set size; and the machine:
+core count, the BLAS and LAPACK of numpy and of scipy (the solves run on
+scipy's), numpy's BLAS thread count, and versions.
 
     python tools/bench_scans.py --src PATH/TO/BASELINE --out BENCH.json
 """
@@ -79,6 +90,11 @@ VERIFY = "cli_batch_verify"  # its verify commands, with the suites they run
 SEED = 1  # the full scan's random product; the reduced scans' order; the last verify's seed
 ROUNDS, REPEATS = 10, 15
 STAGES = ("assemble", "factor", "solve", "cond", "certify", "rest")
+# The commands timed from a fresh interpreter: the README's approx, and norm as the control.
+COLD = {"approx": ["approx", "--series", "builtin:one_minus_z1z2", "--alpha", "0", "--n", "1",
+                   "--method", "optimal", "--basis", "full"],
+        "norm": ["norm", "--series", "builtin:one_minus_z1z2", "--alpha", "0"]}
+CONSOLE = "from bidisk.cli import run; run()"  # what the bidisk console script runs
 
 
 def revision(tree: Path) -> dict:
@@ -117,15 +133,22 @@ def machine() -> dict:
     import numpy as np
     import scipy
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    def named(deps, name):
+        return f"{deps[name].get('name')} {deps[name].get('version')}"
+
+    numpy_deps = np.show_config(mode="dicts")["Build Dependencies"]
+    scipy_deps = scipy.show_config(mode="dicts")["Build Dependencies"]  # loads no scipy.linalg
     return {
         "nproc": os.cpu_count(),
         "nproc_affinity": len(os.sched_getaffinity(0)),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas": named(numpy_deps, "blas"),
         "blas_threads": blas_threads(),
+        "lapack": named(numpy_deps, "lapack"),
+        "scipy_blas": named(scipy_deps, "blas"),
+        "scipy_lapack": named(scipy_deps, "lapack"),
     }
 
 
@@ -307,30 +330,66 @@ def time_verify(cli, suites, commands) -> dict:
     }
 
 
-def worker(tree: Path) -> dict:
-    """Time the scans and the suites with the ``bidisk`` of ``tree``; the workloads come from this script's tree."""
+def worker(tree: Path, workload: str) -> dict:
+    """Time one workload (``cli_batch`` with its verify commands) with the ``bidisk`` of ``tree``.
+
+    The workloads come from this script's tree.  Each timed workload
+    carries the process's peak resident set size, taken before the machine
+    is read.
+    """
     sys.path[:0] = [str(tree / "src"), str(ROOT / "tests")]
     from bidisk import analysis, approximants, cli, suites
     import workloads
 
-    out = {name: time_scans(analysis, approximants, getattr(workloads, name)(SEED, False).scans)
-           for name in WORKLOADS}
-    with tempfile.TemporaryDirectory() as tmp:  # the batch writes its series file here
-        os.chdir(tmp)  # and its paths, relative to it, name a command alike in every process
-        try:
-            commands = [argv for argv, _ in workloads.CliBatch(SEED, False, Path(".")).commands]
-            out[BATCH] = time_batch(cli, commands)
-            out[VERIFY] = time_verify(cli, suites, [a for a in commands if a[0] == "verify"])
-        finally:
-            os.chdir(ROOT)
+    if workload in WORKLOADS:
+        out = {workload: time_scans(analysis, approximants,
+                                    getattr(workloads, workload)(SEED, False).scans)}
+    else:
+        with tempfile.TemporaryDirectory() as tmp:  # the batch writes its series file here
+            os.chdir(tmp)  # and its paths, relative to it, name a command alike in every process
+            try:
+                commands = [argv for argv, _ in workloads.CliBatch(SEED, False, Path(".")).commands]
+                out = {BATCH: time_batch(cli, commands),
+                       VERIFY: time_verify(cli, suites, [a for a in commands if a[0] == "verify"])}
+            finally:
+                os.chdir(ROOT)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    for timed in out.values():
+        timed["peak_rss_mb"] = peak
     return {"workloads": out, "machine": machine()}
 
 
-def spawn(tree: Path) -> dict:
-    cmd = [sys.executable, __file__, "--worker", str(tree)]
+def spawn(tree: Path, workload: str) -> dict:
+    cmd = [sys.executable, __file__, "--worker", str(tree), "--workload", workload]
     proc = subprocess.run(cmd, env={**os.environ, **PINNED}, capture_output=True, text=True,
                           check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def cold_start(tree: Path, argv) -> dict:
+    """Wall time, peak RSS and a digest of the stdout of one fresh ``bidisk`` interpreter of ``tree``."""
+    env = {**os.environ, **PINNED, "PYTHONPATH": str(tree / "src")}
+    with tempfile.TemporaryFile() as out:
+        t = time.perf_counter()
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-c", CONSOLE, *argv], env,
+                             file_actions=[(os.POSIX_SPAWN_DUP2, out.fileno(), 1)])
+        _, status, usage = os.wait4(pid, 0)  # the rusage of this one child
+        wall = time.perf_counter() - t
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise RuntimeError(f"bidisk {' '.join(argv)} failed in {tree}")
+        out.seek(0)
+        digest = hashlib.sha256(out.read()).hexdigest()[:16]
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024, "output_sha256": digest}
+
+
+def summarize_cold(runs: list) -> dict:
+    """Medians over rounds of a cold-start command's wall time and peak RSS, and its outputs' digests."""
+    return {
+        "wall_s": statistics.median(r["wall_s"] for r in runs),
+        "wall_s_rounds": [r["wall_s"] for r in runs],
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+        "results_sha256": sorted({r["output_sha256"] for r in runs}),
+    }
 
 
 def summarize(rounds: list, timed: str = "scan_s") -> dict:
@@ -344,6 +403,7 @@ def summarize(rounds: list, timed: str = "scan_s") -> dict:
     out = {
         "total_s": statistics.median(total),
         "total_s_rounds": total,
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rounds),
         "minflt_per_pass": statistics.median(sum(r["minflt"].values()) for r in rounds),
         timed: medians(timed),
         timed.replace("_s", "_minflt"): medians("minflt"),
@@ -363,13 +423,18 @@ def summarize(rounds: list, timed: str = "scan_s") -> dict:
     return out
 
 
+def change_frac(base: dict, change: dict, key: str) -> float:
+    return (change[key] - base[key]) / base[key]
+
+
 def compare(base: dict, change: dict) -> dict:
     """The change against the baseline on one workload: totals, the ratio of each round, and each command's change."""
     # the two runs of a round are adjacent in time, so their ratio cancels slow drift of the host
     ratios = [c / b for b, c in zip(base["total_s_rounds"], change["total_s_rounds"])]
     out = {
         "results_identical": base["results_sha256"] == change["results_sha256"],
-        "total_change_frac": (change["total_s"] - base["total_s"]) / base["total_s"],
+        "total_change_frac": change_frac(base, change, "total_s"),
+        "peak_rss_change_frac": change_frac(base, change, "peak_rss_mb"),
         "round_ratios": ratios,
         "round_ratio_median": statistics.median(ratios),
         "rounds_change_faster": sum(r < 1.0 for r in ratios),
@@ -380,40 +445,68 @@ def compare(base: dict, change: dict) -> dict:
     return out
 
 
+def compare_cold(base: dict, change: dict) -> dict:
+    """The change against the baseline on one cold-start command."""
+    return {
+        "results_identical": base["results_sha256"] == change["results_sha256"],
+        "wall_change_frac": change_frac(base, change, "wall_s"),
+        "peak_rss_change_frac": change_frac(base, change, "peak_rss_mb"),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, help="root of the baseline source tree")
     parser.add_argument("--out", type=Path, help="JSON file to write")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--workload", choices=(*WORKLOADS, BATCH), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
-        print(json.dumps(worker(args.worker.resolve())))
+        print(json.dumps(worker(args.worker.resolve(), args.workload)))
         return 0
     if args.src is None or args.out is None:
         parser.error("--src and --out are required")
     trees = {"baseline": args.src.resolve(), "change": ROOT}
     rounds = {name: [] for name in trees}
+    cold = {name: {command: [] for command in COLD} for name in trees}
     for i in range(ROUNDS):
         for name in (trees if i % 2 == 0 else reversed(list(trees))):
-            rounds[name].append(spawn(trees[name]))
+            workloads = {}
+            for workload in (*WORKLOADS, BATCH):
+                run = spawn(trees[name], workload)
+                workloads.update(run["workloads"])
+            rounds[name].append({"workloads": workloads, "machine": run["machine"]})
+            for command, cmd_argv in COLD.items():
+                cold[name][command].append(cold_start(trees[name], cmd_argv))
     totals = {**dict.fromkeys(WORKLOADS, "scan_s"), BATCH: "command_s", VERIFY: "command_s"}
     sides = {name: {"revision": revision(tree),
                     **{w: summarize([r["workloads"][w] for r in rounds[name]], key)
-                       for w, key in totals.items()}}
+                       for w, key in totals.items()},
+                    "cold_start": {command: summarize_cold(runs)
+                                   for command, runs in cold[name].items()}}
              for name, tree in trees.items()}
     comparison = {w: compare(sides["baseline"][w], sides["change"][w]) for w in totals}
+    comparison["cold_start"] = {command: compare_cold(sides["baseline"]["cold_start"][command],
+                                                      sides["change"]["cold_start"][command])
+                                for command in COLD}
+    identical = [comparison[w]["results_identical"] for w in totals]
+    identical += [c["results_identical"] for c in comparison["cold_start"].values()]
     report = {
         "what": "decay scans of perfbench full_scan and reduced_scan: wall time, minor page "
                 "faults and per-stage split; the commands of perfbench cli_batch: wall time, "
                 "minor page faults and a digest of each one's output; its verify commands and "
-                "the suites they run: wall time, minor page faults and a digest of the margins",
+                "the suites they run: wall time, minor page faults and a digest of the margins; "
+                "the peak resident set size of each workload's process; fresh bidisk approx "
+                "and norm interpreters: wall time, peak resident set size and a digest of "
+                "the output",
         "settings": {"rounds": ROUNDS, "repeats": REPEATS, "seed": SEED, **PINNED,
                      "statistic": "scan_s, command_s, suite_s: fastest of the repeats of a "
                                   "round; minflt: median of the untraced repeats; stage_s: "
-                                  "median of the traced repeats; each then the median over "
-                                  "rounds"},
+                                  "median of the traced repeats; peak_rss_mb: ru_maxrss of "
+                                  "the process; each then the median over rounds; "
+                                  "cold_start: one run per round, the median over rounds"},
         "machine": rounds["change"][0]["machine"],
-        "results_identical": all(c["results_identical"] for c in comparison.values()),
+        "results_identical": all(identical),
         "comparison": comparison,
         **sides,
     }
@@ -424,7 +517,12 @@ def main(argv=None) -> int:
               f"({100 * c['total_change_frac']:+.1f}%); change/baseline by round: median "
               f"{c['round_ratio_median']:.3f}, change faster in {c['rounds_change_faster']} of "
               f"{len(c['round_ratios'])}; minor faults per pass {base['minflt_per_pass']:.0f} -> "
-              f"{change['minflt_per_pass']:.0f}")
+              f"{change['minflt_per_pass']:.0f}; peak RSS {base['peak_rss_mb']:.1f} -> "
+              f"{change['peak_rss_mb']:.1f} MB ({100 * c['peak_rss_change_frac']:+.1f}%)")
+    for command in COLD:
+        base, change = (sides[name]["cold_start"][command] for name in trees)
+        print(f"cold start {command}: {1e3 * base['wall_s']:.0f} -> {1e3 * change['wall_s']:.0f} "
+              f"ms, peak RSS {base['peak_rss_mb']:.1f} -> {change['peak_rss_mb']:.1f} MB")
     print(f"results identical: {report['results_identical']}")
     return 0
 
