@@ -56,9 +56,19 @@ reads only the band rows that the offsets fill.  Every order factors,
 solves, estimates the condition of and certifies its own band in one body,
 bit-identical to assembling it alone.  An assembled band is never written.
 
-The bookkeeping around the LAPACK calls is done once per solve, so that a
-small banded solve costs little more than its factorization and its solves,
-bit-identical to forming each piece separately.
+The bookkeeping around the LAPACK calls is done once per solve, and what
+depends only on ``f`` or on the size is not redone at each order:
+``||f||^2`` is taken once per assembly (:class:`GramSystem`), the condition
+estimator's start and safeguard vectors once per size
+(:func:`_estimator_vectors`), and each product ``p F`` of the certificate is
+formed straight into one array.  All of it is bit-identical to forming each
+piece separately.  On the benchmark's reduced scans (76 one-column orders of
+11 to 601 unknowns and bandwidth 1, one BLAS thread on a shared 2-vCPU VM)
+an order takes about 150 microseconds.  Its seven LAPACK calls take about 55
+of them (``pbtrf`` 13, the six ``pbtrs`` 44).  Of the rest, the certificate
+takes about 40, the estimator's own Python 16, ``||G||_1`` 12, the band's
+slice (with its share of the scan's one assembly) 12, and the solve's other
+bookkeeping and its result about 20.
 
 The explicit constructions are Riesz-type means of ``1/f``;
 :func:`riesz_orders` is their one body.  A scan computes one reciprocal, at
@@ -70,7 +80,7 @@ from __future__ import annotations
 
 import importlib.util
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from importlib.machinery import PathFinder
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -83,8 +93,11 @@ from .series import (
     TwoVarSeries,
     _as_order,
     _check_entries,
+    _check_finite,
     _check_order,
     _check_tolerance,
+    _multiply1,
+    _multiply2,
     _reciprocal1,
     _reciprocal2,
     _require_invertible,
@@ -250,9 +263,13 @@ class GramSystem:
     first read.  ``terms`` is ``f`` as :func:`_terms` split it for the
     assembly, kept for the certificate, and ``pair_offsets`` the offset
     table (:func:`_offsets`) of each term, which the assembly read and a
-    gather reads again.  A solve never writes an assembled ``band``; a full
-    box's band gathered into a factor buffer (:func:`_gather`) is factored
-    there in place, so after its solve it holds the factor.
+    gather reads again.  ``f_norm_sq`` is ``||f||^2``, the squared norms of
+    the terms summed in order, taken once per assembly and carried by
+    every band gathered or sliced from it; the default certificate
+    tolerance is ``1e-8`` times it.  A solve never writes an assembled
+    ``band``; a full box's band gathered into a factor buffer
+    (:func:`_gather`) is factored there in place, so after its solve it
+    holds the factor.
     """
 
     lattice: Lattice
@@ -261,6 +278,7 @@ class GramSystem:
     rhs: np.ndarray
     terms: list = field(repr=False, compare=False)
     pair_offsets: list = field(repr=False, compare=False)
+    f_norm_sq: float = field(repr=False, compare=False)
     pattern: Optional[DiagonalPattern] = None
 
     @cached_property
@@ -433,7 +451,8 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     :func:`_gram_band` builds the upper band over the lattice box of ``b`` in
     ``O(B nnz(f)^2)`` for ``B`` unknowns; on a diagonal basis the bands of
     the coset problems of ``f`` are summed.  ``a`` is a space parameter, or a
-    :class:`PatternWeight` for a one-variable ``f``.  A band that overflows
+    :class:`PatternWeight` for a one-variable ``f``.  ``||f||^2`` is summed
+    once here, term by term in order.  A band that overflows
     is refused with :class:`NumericalError` naming ``alpha`` and ``b.n``.
     That refusal, and those of a basis past ``SOLVER_CAP`` and of a zero
     ``f``, have the stage ``"assemble"``.
@@ -463,8 +482,12 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     rows = tuple(sorted({u - d for table in offsets for d, *_ in _rectangles(table, lat)[1]}))
     rhs = np.zeros(band.shape[1], dtype=np.complex128)
     rhs[0] = np.conj(f.coeffs[(0,) * f.coeffs.ndim])  # position 0 is the constant monomial
+    f_sq = 0.0
+    for F, w in terms:
+        grid = _grid(F)
+        f_sq += _norm_sq(grid, w.weights(max(grid.shape) - 1))
     return GramSystem(lattice=lat, band=band, rows=rows, rhs=rhs, terms=terms, pair_offsets=offsets,
-                      pattern=b.pattern)
+                      f_norm_sq=f_sq, pattern=b.pattern)
 
 
 def _band_norm1(band: np.ndarray, rows: Sequence[int]) -> float:
@@ -490,6 +513,25 @@ def _band_norm1(band: np.ndarray, rows: Sequence[int]) -> float:
     return float(sums.max())
 
 
+@lru_cache(maxsize=32)
+def _estimator_vectors(size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The start ``x = 1/size`` and the alternating safeguard of :func:`_inverse_norm1` for ``size`` unknowns.
+
+    They depend on the size alone, so they are built once per size, in
+    complex128, and kept read-only, at most 32 sizes at a time (at most
+    10 MB at ``SOLVER_CAP``).  This pays where sizes recur: the scans of one
+    ``f`` at several ``alpha``, or a repeated scan; a scan whose orders all
+    differ in size only fills it.  The safeguard is
+    ``(-1)^i (1 + i / (size - 1))``; a single unknown takes ``[1]``, unread.
+    """
+    start = np.full(size, 1.0 / size, dtype=np.complex128)
+    alternating = (1.0 + np.arange(size) / max(size - 1.0, 1.0)).astype(np.complex128)
+    alternating[1::2] *= -1.0
+    start.setflags(write=False)
+    alternating.setflags(write=False)
+    return start, alternating
+
+
 def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> float:
     """Estimate of ``||G^-1||_1`` for Hermitian ``G`` from a few solves.
 
@@ -498,11 +540,12 @@ def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> floa
     alternating-sign vector as a safeguard.  Every candidate is
     ``||G^-1 x||_1 / ||x||_1`` for some ``x``, so the estimate never exceeds
     the true norm; it is deterministic.  ``G`` being Hermitian, the adjoint
-    solves reuse ``solve``.
+    solves reuse ``solve``.  ``|y|`` is taken once per solve ``y`` and serves
+    both its 1-norm and its signs; the start and the safeguard come from
+    :func:`_estimator_vectors`, built once per size.
     """
 
-    def sign(y):
-        mag = np.abs(y)
+    def sign(y, mag):
         if mag.min() >= _TINY:
             return y / mag
         # y / |y| overflows for subnormal |y| (numpy's complex division forms
@@ -513,25 +556,26 @@ def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> floa
             out[small] = np.where(mag[small] > 0.0, np.exp(1j * np.angle(y[small])), 1.0)
         return out
 
-    y = solve(np.full(size, 1.0 / size, dtype=np.complex128))
-    est = float(np.abs(y).sum())
+    start, alternating = _estimator_vectors(size)
+    y = solve(start)
+    mag = np.abs(y)
+    est = float(mag.sum())
     if size == 1:
         return est
-    j = int(np.abs(solve(sign(y))).argmax())
+    j = int(np.abs(solve(sign(y, mag))).argmax())
     for _ in range(4):
         unit = np.zeros(size, dtype=np.complex128)
         unit[j] = 1.0
         y = solve(unit)
-        candidate = float(np.abs(y).sum())
+        mag = np.abs(y)
+        candidate = float(mag.sum())
         if candidate <= est:
             break
         est = candidate
-        z = np.abs(solve(sign(y)))
+        z = np.abs(solve(sign(y, mag)))
         j_last, j = j, int(z.argmax())
         if z[j_last] == z[j]:
             break
-    alternating = 1.0 + np.arange(size) / (size - 1.0)
-    alternating[1::2] *= -1.0
     return max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3.0 * size))
 
 
@@ -593,7 +637,7 @@ def _certify(
     n: int,
     ridge: float,
     cond: float,
-    ortho_tol: Optional[float],
+    ortho_tol: float,
 ) -> Tuple[float, float]:
     """``||p f - 1||^2`` and the certificate ``max_i |<p f - 1, m_i f>|``, from one product per term.
 
@@ -601,13 +645,20 @@ def _certify(
     the constant ``-1``; the squared norms and the pairings of the terms are
     summed, the pairings before the max is taken.  ``lat`` is the basis box:
     the pairings with its shifts ``m_i f`` are windows of the weighted
-    residual.  Raises a conditioning error when the certificate exceeds
-    ``ortho_tol`` (default ``1e-8 * ||f||^2``).
+    residual.  Each product ``p F`` is formed once, straight into an array
+    of its own, as :func:`multiply1` (a column) or :func:`multiply2` (a box)
+    forms it, and the ``-1`` is subtracted there; a product that is not
+    finite is refused with :class:`ArgumentError`, as a series refuses it.
+    ``||f||^2`` is not taken here: :func:`_solve` sets ``ortho_tol``, by
+    default ``1e-8`` times the ``||f||^2`` its assembly took.  Raises a
+    conditioning error when the certificate exceeds ``ortho_tol`` or is NaN.
     """
     onevar = isinstance(p, OneVarSeries)
-    pairings, res_sq, f_sq = 0.0, 0.0, 0.0
+    product = _multiply1 if onevar else _multiply2
+    pairings, res_sq = 0.0, 0.0
     for i, (f, aw) in enumerate(terms):
-        r = np.array((multiply1(p, f) if onevar else multiply2(p, f)).coeffs)
+        r = product(p.coeffs, f.coeffs)
+        _check_finite(r)
         if i == 0:
             r[(0,) * r.ndim] += -1.0  # p f - 1, on the product's array
         if onevar:
@@ -619,12 +670,10 @@ def _certify(
         fg = _grid(f)
         pairings = pairings + shifted_pairings(np.conj(fg), wr, lat)
         res_sq += _norm_sq(r, w)
-        f_sq += _norm_sq(fg, w)
     ortho = float(np.abs(pairings).max())
-    tol = 1e-8 * f_sq if ortho_tol is None else ortho_tol
-    if ortho > tol:
+    if not ortho <= ortho_tol:  # a NaN certificate, of a weighted residual that overflows, too
         raise ConditioningError(
-            f"orthogonality certificate {ortho:.3e} exceeds tolerance {tol:.3e} "
+            f"orthogonality certificate {ortho:.3e} exceeds tolerance {ortho_tol:.3e} "
             f"at order n={n} (condition estimate {cond:.3e}, ridge {ridge:.3e})",
             cond_estimate=cond, n=n, stage="certify",
         )
@@ -648,7 +697,8 @@ def _solve(gram: GramSystem, b: BasisSpec, alpha: float, ortho_tol: Optional[flo
     cond = norm * _inverse_norm1(solve, len(c))
     lat, terms = gram.lattice, gram.terms
     p = lat.series(c, isinstance(terms[0][0], OneVarSeries))
-    res_sq, ortho = _certify(p, terms, lat, n=b.n, ridge=ridge, cond=cond, ortho_tol=ortho_tol)
+    tol = 1e-8 * gram.f_norm_sq if ortho_tol is None else ortho_tol
+    res_sq, ortho = _certify(p, terms, lat, n=b.n, ridge=ridge, cond=cond, ortho_tol=tol)
     return ApproximantResult(
         solved=p,
         residual_sq=res_sq,
@@ -697,7 +747,7 @@ def _gather(top: GramSystem, lat: Lattice, buf: Optional[np.ndarray]) -> GramSys
         band = cells.reshape(size, u + 1).T
         rows = tuple(sorted({u - d for d, *_ in rects}))
     return GramSystem(lattice=lat, band=band, rows=rows, rhs=top.rhs[:size], terms=top.terms,
-                      pair_offsets=top.pair_offsets, pattern=top.pattern)
+                      pair_offsets=top.pair_offsets, f_norm_sq=top.f_norm_sq, pattern=top.pattern)
 
 
 def _solve_orders(

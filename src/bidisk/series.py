@@ -69,14 +69,19 @@ def _check_entries(entries: int) -> None:
         )
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    """Refuse a coefficient array with a NaN or an infinite entry."""
+    if not np.isfinite(arr).all():
+        raise ArgumentError("coefficients must be finite (no NaN/Inf)")
+
+
 def _as_grid(values, ndim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != ndim:
         raise ArgumentError(f"expected a {ndim}-dimensional coefficient array, got shape {arr.shape}")
     if arr.size == 0:
         raise ArgumentError("coefficient array must be nonempty")
-    if not np.isfinite(arr).all():
-        raise ArgumentError("coefficients must be finite (no NaN/Inf)")
+    _check_finite(arr)
     _check_entries(arr.size)
     arr = arr.copy()
     arr.setflags(write=False)
@@ -284,15 +289,17 @@ def _separable(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def multiply2(f: TwoVarSeries, g: TwoVarSeries) -> TwoVarSeries:
     """Exact product; result degrees are ``(f.deg1+g.deg1, f.deg2+g.deg2)``."""
-    d1 = f.deg1 + g.deg1
-    d2 = f.deg2 + g.deg2
-    _check_entries((d1 + 1) * (d2 + 1))
+    return TwoVarSeries(_multiply2(f.coeffs, g.coeffs))
+
+
+def _multiply2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The grid of :func:`multiply2` for the grids ``a`` and ``b``, refused past the grid cap, not checked for finiteness."""
+    _check_entries((a.shape[0] + b.shape[0] - 1) * (a.shape[1] + b.shape[1] - 1))
     # Shift-add over the factor with fewer nonzero terms: exact and fast
     # when one factor is a short polynomial, which is the common case here.
-    a, b = f.coeffs, g.coeffs
     if np.count_nonzero(a) > np.count_nonzero(b):
         a, b = b, a
-    return TwoVarSeries(_shift_add(a, b))
+    return _shift_add(a, b)
 
 
 def _shift_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -312,7 +319,13 @@ def _shift_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def multiply1(F: OneVarSeries, G: OneVarSeries) -> OneVarSeries:
-    return OneVarSeries(np.convolve(F.coeffs, G.coeffs))
+    return OneVarSeries(_multiply1(F.coeffs, G.coeffs))
+
+
+def _multiply1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coefficients of :func:`multiply1` for the rows ``a`` and ``b``, refused past the grid cap, not checked for finiteness."""
+    _check_entries(a.size + b.size - 1)
+    return np.convolve(a, b)
 
 
 def shifted_pairings(coeffs: np.ndarray, target: np.ndarray, box: Tuple[int, int]) -> np.ndarray:

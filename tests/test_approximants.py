@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from bidisk import approximants
+from bidisk import approximants, series
 from bidisk.approximants import (
     BasisSpec,
     cesaro,
@@ -1092,6 +1092,7 @@ class TestPatternNativeSolve:
         f = TwoVarSeries.from_terms({(0, 0): 1, MN: -1})
         off = TwoVarSeries.from_terms({(0, 0): 1, (1, 0): 0.5j, (0, 2): -0.25, MN: -1})
         monkeypatch.setattr(approximants, "multiply2", refuse)
+        monkeypatch.setattr(approximants, "_multiply2", refuse)  # the certificate's product of a box
         res = diagonal_reduce_solve(f, 0.5, 12, pat)
         routed = solve_optimal(f, 0.5, BasisSpec.diagonal(12, pat))
         off_res = solve_optimal(off, 0.5, BasisSpec.diagonal(12, pat))
@@ -1103,23 +1104,27 @@ class TestPatternNativeSolve:
         assert np.array_equal(routed.solved.coeffs, res.solved.coeffs)
 
     def test_one_product_per_solve(self, monkeypatch):
+        # the certificate forms p f straight into an array: convolved for a column, shift-added for a box;
+        # any other product, through the public multiply1/multiply2 too, would be counted
         calls = []
-        for name in ("multiply1", "multiply2"):
-            original = getattr(approximants, name)
+        for module, name in ((approximants, "multiply1"), (approximants, "multiply2"),
+                             (approximants, "_multiply1"), (approximants, "_multiply2"),
+                             (series, "multiply1"), (series, "multiply2")):
+            original = getattr(module, name)
 
             def counted(*args, _original=original, _name=name):
                 calls.append(_name)
                 return _original(*args)
 
-            monkeypatch.setattr(approximants, name, counted)
+            monkeypatch.setattr(module, name, counted)
         solve_optimal(F_PROD, 0.5, BasisSpec.full(4))
-        assert calls == ["multiply2"]
+        assert calls == ["_multiply2"]
         calls.clear()
         solve_optimal(F_ONEVAR, 0.5, BasisSpec.onevar(6))
-        assert calls == ["multiply1"]
+        assert calls == ["_multiply1"]
         calls.clear()
         diagonal_reduce_solve(F_DIAG, 0.5, 6, PAT11)
-        assert calls == ["multiply1"]
+        assert calls == ["_multiply1"]
 
     def test_one_coset_split_per_solve(self, monkeypatch):
         calls = []

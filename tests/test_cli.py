@@ -727,6 +727,14 @@ def test_onevar_scan_output_is_unchanged(capsys):
     assert out == (GOLDEN / "decay_onevar.csv").read_text()
 
 
+def test_diag_scan_at_the_reduced_reach_output_is_unchanged(capsys):
+    # the benchmark's diagonal orders: every band is sliced from the one at n = 600
+    code, out, err = run_cli(capsys, "decay", "--series", "builtin:one_minus_z1z2", "--alpha", "0.5",
+                             "--nmin", "50", "--nmax", "600", "--step", "50", "--basis", "diag:1,1")
+    assert code == 0, err
+    assert out == (GOLDEN / "decay_diag_600.csv").read_text()
+
+
 def test_full_cos_pair_scan_output_is_unchanged(capsys):
     # every lower order's band of this full scan is gathered from the top order's, n = 40
     code, out, err = run_cli(capsys, "decay", "--series", "builtin:cos_pair:1", "--alpha", "0.5",

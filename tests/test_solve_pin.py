@@ -13,7 +13,14 @@ The full scans of the benchmark's two functions are checked here too: they
 equal their orders solved one by one, bit for bit, and factor every order in
 place in one buffer, which leaves each assembled Gram band unwritten; a
 ridge retry factors the band gathered there again plus the ridge; and a
-scan peaks at little more than its top band and that buffer.
+scan peaks at little more than its top band and that buffer.  So do the
+benchmark's six reduced scans, whose one-column bands are sliced from their
+top order's.  What a solve takes once is checked against what it replaced:
+``||f||^2`` once per assembly gives every gathered or sliced order the
+default tolerance it takes assembled alone, as the certificate summed it at
+each order; the product ``p f`` formed straight into an array still refuses
+a non-finite one; and the condition estimator's start and safeguard vectors,
+built once per size, stay read-only, complex128, bounded and unwritten.
 
 Regenerate the file with ``PYTHONPATH=src python tests/test_solve_pin.py``,
 only for a change meant to move these values.
@@ -21,6 +28,7 @@ only for a change meant to move these values.
 
 import hashlib
 import json
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -28,8 +36,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bidisk import approximants
+from bidisk import approximants, catalog
 from bidisk.approximants import BasisSpec, gram_assemble, solve_optimal, solve_orders
+from bidisk.errors import ArgumentError, ConditioningError
 from bidisk.series import DiagonalPattern, OneVarSeries, TwoVarSeries, lift, separable
 
 GOLDEN = Path(__file__).parent / "golden" / "solves.json"
@@ -63,6 +72,17 @@ RANDOM_PRODUCT = separable(_random_quadratic(_RNG), _random_quadratic(_RNG))
 # the full scans of the benchmark: (f, alpha), over the orders FULL_NS
 FULL_SCANS = {"product": (PRODUCT, 0.5), "random-product": (RANDOM_PRODUCT, 0.0)}
 FULL_NS = range(4, 37, 4)
+# the reduced scans of the benchmark (perfbench/workloads.py): (f, alpha, bases)
+_Z1Z2 = catalog.builtin_series("one_minus_z1z2").series
+_Z1 = catalog.builtin_series("one_minus_z1").series
+_POW23 = catalog.builtin_series("one_minus_pow", M=2, N=3).series
+_DIAG_NS, _POW_NS = range(50, 601, 50), range(30, 481, 30)
+REDUCED_SCANS = {
+    **{f"diag11/1-z1z2/a={a}": (_Z1Z2, a, [BasisSpec.diagonal(n, PAT11) for n in _DIAG_NS])
+       for a in (0.0, 0.5, 1.0)},
+    **{f"onevar/1-z1/a={a}": (_Z1, a, [BasisSpec.onevar(n) for n in _DIAG_NS]) for a in (0.0, 1.0)},
+    "diag23/1-z1^2z2^3/a=0.0": (_POW23, 0.0, [BasisSpec.diagonal(n, PAT23) for n in _POW_NS]),
+}
 
 
 def _cases():
@@ -176,6 +196,13 @@ def _full_scan(name):
 @pytest.mark.parametrize("name", FULL_SCANS)
 def test_full_scan_is_bit_identical_to_its_orders(name):
     f, alpha, bases = _full_scan(name)
+    assert [_record(r) for r in solve_orders(f, alpha, bases)] == [
+        _record(solve_optimal(f, alpha, b)) for b in bases]
+
+
+@pytest.mark.parametrize("name", REDUCED_SCANS)
+def test_reduced_scan_is_bit_identical_to_its_orders(name):
+    f, alpha, bases = REDUCED_SCANS[name]
     assert [_record(r) for r in solve_orders(f, alpha, bases)] == [
         _record(solve_optimal(f, alpha, b)) for b in bases]
 
@@ -305,6 +332,130 @@ def test_full_scan_peak_memory(ns):
     finally:
         tracemalloc.stop()
     assert peak <= 2.4 * band_bytes
+
+
+# The systems whose default tolerance is checked: the full, one-variable, two pattern and
+# six-coset off-pattern (2, 3) ones, over several orders below a top order
+TOLERANCE_SCANS = {
+    "full": (COMPLEX_2D, [BasisSpec.full(n) for n in (0, 2, 5, 9)]),
+    "onevar": (COMPLEX_1D, [BasisSpec.onevar(n) for n in (0, 3, 17, 60)]),
+    "diag:1,1": (ONE_MINUS_Z1Z2, [BasisSpec.diagonal(n, PAT11) for n in (0, 4, 30, 100)]),
+    "diag:2,3": (COMPLEX_PAT23, [BasisSpec.diagonal(n, PAT23) for n in (0, 5, 24, 45)]),
+    "diag:2,3/off-pattern": (COMPLEX_OFF23, [BasisSpec.diagonal(n, PAT23) for n in (0, 6, 15, 30)]),
+}
+
+
+def _tolerances(monkeypatch, solves):
+    """The tolerance each ``_certify`` call applies while ``solves()`` runs."""
+    real, tols = approximants._certify, []
+
+    def certify(*args, **kwargs):
+        tols.append(float.hex(kwargs["ortho_tol"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(approximants, "_certify", certify)
+    solves()
+    monkeypatch.undo()
+    return tols
+
+
+def _certificate_tolerance(f, alpha, b):
+    """``1e-8 ||f||^2`` as the certificate summed it at each order: each term's squared norm under the
+    weight row as long as the longer side of ``p F``, in term order."""
+    gram = gram_assemble(f, alpha, b)
+    lat = gram.lattice
+    f_sq = 0.0
+    for F, w in gram.terms:
+        grid = approximants._grid(F)
+        product_shape = (lat.A + grid.shape[0], lat.C + grid.shape[1])  # the shape of p F
+        f_sq += approximants._norm_sq(grid, w.weights(max(product_shape) - 1))
+    return float.hex(1e-8 * f_sq)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 1.0])
+@pytest.mark.parametrize("name", TOLERANCE_SCANS)
+def test_default_tolerance_of_a_gathered_order_is_that_of_the_order_alone(monkeypatch, name, alpha):
+    f, bases = TOLERANCE_SCANS[name]
+    scanned = _tolerances(monkeypatch, lambda: list(solve_orders(f, alpha, bases)))
+    alone = _tolerances(monkeypatch, lambda: [solve_optimal(f, alpha, b) for b in bases])
+    assert scanned == alone == [_certificate_tolerance(f, alpha, b) for b in bases]
+    top = gram_assemble(f, alpha, bases[-1])
+    buf = np.empty(top.band.size, dtype=np.complex128)
+    for b in bases:  # each order's system, gathered or sliced from the top, carries the top's ||f||^2
+        gathered = approximants._gather(top, b.lattice(), buf)
+        assert float.hex(gathered.f_norm_sq) == float.hex(gram_assemble(f, alpha, b).f_norm_sq)
+
+
+def _overflowing_coefficients(monkeypatch):
+    """Route ``pbtrs`` so that its first solve, of the coefficients, returns finite ones whose product with ``f`` overflows."""
+    real = approximants._lapack
+
+    def lapack(name):
+        routine = real(name)
+        if name != "pbtrs":
+            return routine
+        first = []
+
+        def pbtrs(factor, x):
+            y, info = routine(factor, x)
+            if not first:
+                first.append(True)
+                y = np.full(len(x), 1e308, dtype=np.complex128)
+                y[1::2] *= -1.0  # adjacent coefficients of opposite sign: their sums in p f overflow
+            return y, info
+
+        return pbtrs
+
+    monkeypatch.setattr(approximants, "_lapack", lapack)
+
+
+@pytest.mark.parametrize("f, basis", [
+    pytest.param(ONE_MINUS_Z, BasisSpec.onevar(6), id="onevar"),
+    pytest.param(PRODUCT, BasisSpec.full(2), id="full"),
+    pytest.param(ONE_MINUS_Z1Z2, BasisSpec.diagonal(6, PAT11), id="diag:1,1"),
+    pytest.param(TwoVarSeries([[1.0], [-1.0]]), BasisSpec.onevar(6), id="onevar/two-variable-f"),
+])
+def test_a_product_that_overflows_is_refused(monkeypatch, f, basis):
+    _overflowing_coefficients(monkeypatch)
+    with np.errstate(over="ignore"), pytest.raises(ArgumentError) as info:  # a box's shift-add warns
+        solve_optimal(f, 0.5, basis)
+    assert str(info.value) == "coefficients must be finite (no NaN/Inf)"
+
+
+@pytest.mark.parametrize("f, basis", [
+    pytest.param(OneVarSeries([1.0, -0.5]), BasisSpec.onevar(6), id="onevar"),
+    pytest.param(COMPLEX_OFF23, BasisSpec.diagonal(30, PAT23), id="diag:2,3/off-pattern"),
+])
+def test_a_weighted_residual_that_overflows_is_refused(monkeypatch, f, basis):
+    # p f is finite here, but its weighted entries overflow: the certificate is inf or NaN, and
+    # either is refused (a NaN one used to pass, with residual_sq inf)
+    _overflowing_coefficients(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConditioningError) as info:
+        solve_optimal(f, 0.5, basis)
+    assert (info.value.n, info.value.stage) == (basis.n, "certify")
+    assert re.match(r"orthogonality certificate (inf|nan) exceeds tolerance", str(info.value))
+
+
+def test_estimator_vectors_are_read_only_bounded_and_unwritten():
+    vectors = approximants._estimator_vectors
+    start, alternating = vectors(7)
+    assert vectors(7)[0] is start  # built once per size
+    for v in (start, alternating):
+        assert v.dtype == np.complex128 and not v.flags.writeable and v.shape == (7,)
+    assert np.array_equal(start, np.full(7, 1.0 / 7))
+    safeguard = 1.0 + np.arange(7) / 6.0
+    safeguard[1::2] *= -1.0
+    assert np.array_equal(alternating, safeguard)
+    assert vectors(1)[0].tolist() == [1.0]
+    cached = vectors(61)
+    before = [v.tobytes() for v in cached]
+    solve_optimal(ONE_MINUS_Z, 0.5, BasisSpec.onevar(60))  # each solve reads the cached pair
+    solve_optimal(ONE_MINUS_Z1Z2, 1.0, BasisSpec.diagonal(60, PAT11))
+    assert vectors(61) is cached and [v.tobytes() for v in cached] == before
+    assert vectors.cache_info().maxsize == 32
+    for size in range(1, 100):
+        vectors(size)
+    assert vectors.cache_info().currsize == 32
 
 
 if __name__ == "__main__":
