@@ -58,17 +58,20 @@ bit-identical to assembling it alone.  An assembled band is never written.
 
 The bookkeeping around the LAPACK calls is done once per solve, and what
 depends only on ``f`` or on the size is not redone at each order:
-``||f||^2`` is taken once per assembly (:class:`GramSystem`), the condition
-estimator's start and safeguard vectors once per size
-(:func:`_estimator_vectors`), and each product ``p F`` of the certificate is
-formed straight into one array.  All of it is bit-identical to forming each
-piece separately.  On the benchmark's reduced scans (76 one-column orders of
-11 to 601 unknowns and bandwidth 1, one BLAS thread on a shared 2-vCPU VM)
-an order takes about 150 microseconds.  Its seven LAPACK calls take about 55
-of them (``pbtrf`` 13, the six ``pbtrs`` 44).  Of the rest, the certificate
-takes about 40, the estimator's own Python 16, ``||G||_1`` 12, the band's
-slice (with its share of the scan's one assembly) 12, and the solve's other
-bookkeeping and its result about 20.
+``||f||^2`` and the certificate's state (each term's support, its
+conjugated coefficients there and its weight row) are taken once per
+assembly (:class:`GramSystem`), the condition estimator's start and
+safeguard vectors once per size (:func:`_estimator_vectors`); each product
+``p F`` of the certificate is formed straight into one array, and the solved
+series is built on the array ``pbtrs`` returned.  All of it is bit-identical
+to forming each piece separately.  On the benchmark's reduced scans (76
+one-column orders of 11 to 601 unknowns and bandwidth 1, one BLAS thread on
+a shared 2-vCPU VM, measured by ``tools/bench_scans.py``) an order takes
+about 150 microseconds.  Timed stage by stage, the condition estimate
+(``||G||_1`` and five ``pbtrs``) takes about 73 of them, the certificate 37,
+the coefficients' ``pbtrs`` with the solve's bookkeeping and its result 19,
+``pbtrf`` 17, the band's slice with its share of the scan's one assembly 15,
+and the scan's own work 8; the timers add about 19.
 
 The explicit constructions are Riesz-type means of ``1/f``;
 :func:`riesz_orders` is their one body.  A scan computes one reciprocal, at
@@ -105,7 +108,6 @@ from .series import (
     multiply1,
     multiply2,
     restrict,
-    shifted_pairings,
 )
 from .spaces import AlphaLike, PatternWeight, _norms2, _rate_gauge, as_alpha, norm1, norm2, phi
 
@@ -178,8 +180,16 @@ class Lattice(NamedTuple):
     C: int
 
     def series(self, coeffs: np.ndarray, onevar: bool) -> Series:
-        """The series with ``coeffs[a (C + 1) + c]`` at ``(a, c)``; a single column for ``onevar``."""
-        return OneVarSeries(coeffs) if onevar else TwoVarSeries(coeffs.reshape(self.A + 1, self.C + 1))
+        """The series with ``coeffs[a (C + 1) + c]`` at ``(a, c)``; a single column for ``onevar``.
+
+        ``coeffs`` is a fresh complex128 array that the caller hands over:
+        the series is built on it, not on a copy, and makes it read-only; a
+        non-finite one is refused with :class:`ArgumentError`, as a series
+        refuses it.
+        """
+        if onevar:
+            return OneVarSeries._owning(coeffs)
+        return TwoVarSeries._owning(coeffs.reshape(self.A + 1, self.C + 1))
 
     def basis(self, onevar: bool, pattern: Optional[DiagonalPattern] = None) -> tuple:
         """The exponents as Python ints in basis order: ``a`` alone for ``onevar``, ``a (M, N)`` on a pattern."""
@@ -250,6 +260,32 @@ class BasisSpec:
             raise ArgumentError("one-variable problems take a onevar basis")
 
 
+class _CertTerm(NamedTuple):
+    """What the certificate reads of one term ``(F, weights)`` of ``f``, taken once per assembly.
+
+    ``coeffs`` are ``F``'s; ``support`` lists the nonzero positions
+    ``(p1, p2)`` of its grid in row-major order, and ``conj`` the conjugate
+    ``conj(F[p])`` at each; ``weights`` is the term's weight row, as long as
+    the longest residual ``p F`` over the assembled box, so that every box
+    inside it reads leading slices of it.
+    """
+
+    coeffs: np.ndarray
+    support: tuple
+    conj: tuple
+    weights: np.ndarray
+
+
+def _cert_terms(terms: list, grids: list, weights: list) -> tuple:
+    """The :class:`_CertTerm` of each term of ``terms``, of coefficient grid in ``grids`` and weight row in ``weights``."""
+    out = []
+    for (F, _), grid, w in zip(terms, grids, weights):
+        conj = np.conj(grid)
+        support = tuple(tuple(p) for p in np.argwhere(conj).tolist())  # row-major, as np.nonzero
+        out.append(_CertTerm(F.coeffs, support, tuple(conj[p] for p in support), w))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class GramSystem:
     """Normal equations ``G c = rhs`` over an ordered monomial basis.
@@ -266,7 +302,10 @@ class GramSystem:
     gather reads again.  ``f_norm_sq`` is ``||f||^2``, the squared norms of
     the terms summed in order, taken once per assembly and carried by
     every band gathered or sliced from it; the default certificate
-    tolerance is ``1e-8`` times it.  A solve never writes an assembled
+    tolerance is ``1e-8`` times it.  ``certificate`` is what the
+    certificate reads of each term (:class:`_CertTerm`): its support, its
+    conjugated coefficients there and its weight row, taken once per
+    assembly too and carried likewise.  A solve never writes an assembled
     ``band``; a full box's band gathered into a factor buffer
     (:func:`_gather`) is factored there in place, so after its solve it
     holds the factor.
@@ -279,6 +318,7 @@ class GramSystem:
     terms: list = field(repr=False, compare=False)
     pair_offsets: list = field(repr=False, compare=False)
     f_norm_sq: float = field(repr=False, compare=False)
+    certificate: tuple = field(repr=False, compare=False)
     pattern: Optional[DiagonalPattern] = None
 
     @cached_property
@@ -406,8 +446,13 @@ def _rectangles(offsets: list, lat: Lattice) -> Tuple[int, list]:
     return max((rect[0] for rect in rects), default=0), rects
 
 
-def _gram_band(grid: np.ndarray, offsets: list, aw, lat: Lattice) -> np.ndarray:
-    """Upper band of ``G`` over the lattice box ``lat`` for the coefficient grid ``grid`` and its table ``offsets``.
+def _gram_band(grid: np.ndarray, rectangles: Tuple[int, list], w: np.ndarray, lat: Lattice) -> np.ndarray:
+    """Upper band of ``G`` over the lattice box ``lat`` for the coefficient grid ``grid``, under the weight row ``w``.
+
+    ``rectangles`` is :func:`_rectangles` of the table of ``grid``'s offsets
+    over ``lat``.  ``w`` is the term's weight row, at least
+    ``max(A + F1, C + F2)`` long for the grid's shape ``(F1, F2)``; both
+    variables read slices of it.
 
     ``m_j f`` and ``m_i f`` overlap where ``m_j + p = m_i + q`` for nonzero
     coefficients ``f[p]``, ``f[q]``; each such pair adds ``f[p] conj(f[q])``
@@ -422,10 +467,8 @@ def _gram_band(grid: np.ndarray, offsets: list, aw, lat: Lattice) -> np.ndarray:
     takes its pairs in pair order and only one weighted row is held.
     """
     A, C = lat
-    F1, F2 = grid.shape
-    # one weight row, as long as the longer variable needs; both read slices of it
-    w = aw.weights(max(A + F1, C + F2) - 1)
-    u, rects = _rectangles(offsets, lat)
+    F2 = grid.shape[1]
+    u, rects = rectangles
     band = np.zeros((u + 1, (A + 1) * (C + 1)), dtype=np.complex128)
     rows = band.reshape(u + 1, A + 1, C + 1)
     by_p = {}  # the (band row, rectangle, q) of each pair, by p
@@ -451,8 +494,11 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     :func:`_gram_band` builds the upper band over the lattice box of ``b`` in
     ``O(B nnz(f)^2)`` for ``B`` unknowns; on a diagonal basis the bands of
     the coset problems of ``f`` are summed.  ``a`` is a space parameter, or a
-    :class:`PatternWeight` for a one-variable ``f``.  ``||f||^2`` is summed
-    once here, term by term in order.  A band that overflows
+    :class:`PatternWeight` for a one-variable ``f``.  Each term takes one
+    weight row, as long as its longest residual ``p F`` over the box, and
+    one offset table with its rectangles; the band, ``||f||^2`` (summed term
+    by term in order) and the certificate's state (:func:`_cert_terms`) are
+    all taken here, once.  A band that overflows
     is refused with :class:`NumericalError` naming ``alpha`` and ``b.n``.
     That refusal, and those of a basis past ``SOLVER_CAP`` and of a zero
     ``f``, have the stage ``"assemble"``.
@@ -468,9 +514,15 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     if not f.coeffs.any():
         raise ArgumentError("f must not be identically zero", stage="assemble")
     terms = _terms(f, aw, b)
-    offsets = [_offsets(_grid(F), lat) for F, _ in terms]
+    grids = [_grid(F) for F, _ in terms]
+    offsets = [_offsets(grid, lat) for grid in grids]
+    rects = [_rectangles(table, lat) for table in offsets]
     with np.errstate(over="ignore", invalid="ignore"):
-        bands = [_gram_band(_grid(F), table, w, lat) for (F, w), table in zip(terms, offsets)]
+        # one weight row per term, as long as the longest residual p F over the box: the band, ||f||^2
+        # and the certificate of every box inside it read slices of it
+        weights = [w.weights(max(lat.A + grid.shape[0], lat.C + grid.shape[1]) - 1)
+                   for (_, w), grid in zip(terms, grids)]
+        bands = [_gram_band(*args, lat) for args in zip(grids, rects, weights)]
         band = bands[0]
         if len(bands) > 1:  # each coset band is added to the bottom rows of the widest
             band = np.zeros((max(x.shape[0] for x in bands), band.shape[1]), dtype=np.complex128)
@@ -479,15 +531,14 @@ def gram_assemble(f: Series, a: Union[AlphaLike, PatternWeight], b: BasisSpec) -
     if not np.isfinite(band).all():
         raise _not_finite(aw.alpha, b.n, "assemble")
     u = band.shape[0] - 1  # an offset d of any term fills the row u - d
-    rows = tuple(sorted({u - d for table in offsets for d, *_ in _rectangles(table, lat)[1]}))
+    rows = tuple(sorted({u - d for _, table in rects for d, *_ in table}))
     rhs = np.zeros(band.shape[1], dtype=np.complex128)
     rhs[0] = np.conj(f.coeffs[(0,) * f.coeffs.ndim])  # position 0 is the constant monomial
     f_sq = 0.0
-    for F, w in terms:
-        grid = _grid(F)
-        f_sq += _norm_sq(grid, w.weights(max(grid.shape) - 1))
+    for grid, w in zip(grids, weights):
+        f_sq += _norm_sq(grid, w)
     return GramSystem(lattice=lat, band=band, rows=rows, rhs=rhs, terms=terms, pair_offsets=offsets,
-                      f_norm_sq=f_sq, pattern=b.pattern)
+                      f_norm_sq=f_sq, certificate=_cert_terms(terms, grids, weights), pattern=b.pattern)
 
 
 def _band_norm1(band: np.ndarray, rows: Sequence[int]) -> float:
@@ -542,7 +593,9 @@ def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> floa
     the true norm; it is deterministic.  ``G`` being Hermitian, the adjoint
     solves reuse ``solve``.  ``|y|`` is taken once per solve ``y`` and serves
     both its 1-norm and its signs; the start and the safeguard come from
-    :func:`_estimator_vectors`, built once per size.
+    :func:`_estimator_vectors`, built once per size, and the unit vectors
+    are one array, allocated once per estimate: ``solve`` works on a copy
+    of its input (``pbtrs`` copies it).
     """
 
     def sign(y, mag):
@@ -563,10 +616,11 @@ def _inverse_norm1(solve: Callable[[np.ndarray], np.ndarray], size: int) -> floa
     if size == 1:
         return est
     j = int(np.abs(solve(sign(y, mag))).argmax())
+    unit = np.zeros(size, dtype=np.complex128)  # e_j; solve reads it, and never writes it
     for _ in range(4):
-        unit = np.zeros(size, dtype=np.complex128)
         unit[j] = 1.0
         y = solve(unit)
+        unit[j] = 0.0
         mag = np.abs(y)
         candidate = float(mag.sum())
         if candidate <= est:
@@ -631,7 +685,7 @@ def _norm_sq(grid: np.ndarray, w: np.ndarray) -> float:
 
 def _certify(
     p: Series,
-    terms: list,
+    certificate: tuple,
     lat: Lattice,
     *,
     n: int,
@@ -641,34 +695,39 @@ def _certify(
 ) -> Tuple[float, float]:
     """``||p f - 1||^2`` and the certificate ``max_i |<p f - 1, m_i f>|``, from one product per term.
 
-    ``terms`` is ``f`` as :func:`_terms` splits it, whose first term carries
-    the constant ``-1``; the squared norms and the pairings of the terms are
-    summed, the pairings before the max is taken.  ``lat`` is the basis box:
-    the pairings with its shifts ``m_i f`` are windows of the weighted
-    residual.  Each product ``p F`` is formed once, straight into an array
-    of its own, as :func:`multiply1` (a column) or :func:`multiply2` (a box)
-    forms it, and the ``-1`` is subtracted there; a product that is not
-    finite is refused with :class:`ArgumentError`, as a series refuses it.
+    ``certificate`` is what the certificate reads of ``f``, one
+    :class:`_CertTerm` per term as :func:`_terms` splits ``f``, the first
+    carrying the constant ``-1``, taken once per assembly
+    (:func:`_cert_terms`); the squared norms and the pairings of the terms
+    are summed, the pairings before the max is taken.  ``lat`` is the basis
+    box: the pairings with its shifts ``m_i f`` are windows of the weighted
+    residual, each window times ``conj(F[p])`` added in the order of the
+    term's support, and every weight is a slice of the term's weight row.
+    Each product ``p F`` is formed once, straight into an array of its own,
+    as :func:`multiply1` (a column) or :func:`multiply2` (a box) forms it,
+    and the ``-1`` is subtracted there; a product that is not finite is
+    refused with :class:`ArgumentError`, as a series refuses it.
     ``||f||^2`` is not taken here: :func:`_solve` sets ``ortho_tol``, by
     default ``1e-8`` times the ``||f||^2`` its assembly took.  Raises a
     conditioning error when the certificate exceeds ``ortho_tol`` or is NaN.
     """
     onevar = isinstance(p, OneVarSeries)
     product = _multiply1 if onevar else _multiply2
+    A, C = lat
     pairings, res_sq = 0.0, 0.0
-    for i, (f, aw) in enumerate(terms):
-        r = product(p.coeffs, f.coeffs)
+    for i, (F, support, conj, w) in enumerate(certificate):
+        r = product(p.coeffs, F)
         _check_finite(r)
         if i == 0:
             r[(0,) * r.ndim] += -1.0  # p f - 1, on the product's array
         if onevar:
             r = r[:, None]
-        # one weight row, as long as the longer side of r; every weight below is a slice of it
-        w = aw.weights(max(r.shape) - 1)
         w1 = w[:r.shape[0], None]
         wr = (w1 if r.shape[1] == 1 else w1 * w[None, :r.shape[1]]) * r
-        fg = _grid(f)
-        pairings = pairings + shifted_pairings(np.conj(fg), wr, lat)
+        out = np.zeros((A + 1, C + 1), dtype=np.complex128)
+        for (p1, p2), c in zip(support, conj):
+            out += c * wr[p1:p1 + A + 1, p2:p2 + C + 1]
+        pairings = pairings + out
         res_sq += _norm_sq(r, w)
     ortho = float(np.abs(pairings).max())
     if not ortho <= ortho_tol:  # a NaN certificate, of a weighted residual that overflows, too
@@ -682,7 +741,13 @@ def _certify(
 
 def _solve(gram: GramSystem, b: BasisSpec, alpha: float, ortho_tol: Optional[float],
            refill: Optional[Callable[[], GramSystem]]) -> ApproximantResult:
-    """Factor (:func:`_factor`), solve, estimate and certify the normal equations ``gram`` of ``b``; errors name ``b.n``."""
+    """Factor (:func:`_factor`), solve, estimate and certify the normal equations ``gram`` of ``b``; errors name ``b.n``.
+
+    What depends only on ``f`` is read from ``gram``, taken once per
+    assembly: ``||f||^2`` for the default tolerance and the certificate's
+    state (:class:`_CertTerm`).  The solved series is built on the array
+    ``pbtrs`` returned for the coefficients, not on a copy.
+    """
     factor, norm, ridge = _factor(gram, b.n, alpha, refill)
     pbtrs = _lapack("pbtrs")
 
@@ -695,10 +760,10 @@ def _solve(gram: GramSystem, b: BasisSpec, alpha: float, ortho_tol: Optional[flo
 
     c = solve(gram.rhs)
     cond = norm * _inverse_norm1(solve, len(c))
-    lat, terms = gram.lattice, gram.terms
-    p = lat.series(c, isinstance(terms[0][0], OneVarSeries))
+    lat = gram.lattice
+    p = lat.series(c, isinstance(gram.terms[0][0], OneVarSeries))
     tol = 1e-8 * gram.f_norm_sq if ortho_tol is None else ortho_tol
-    res_sq, ortho = _certify(p, terms, lat, n=b.n, ridge=ridge, cond=cond, ortho_tol=tol)
+    res_sq, ortho = _certify(p, gram.certificate, lat, n=b.n, ridge=ridge, cond=cond, ortho_tol=tol)
     return ApproximantResult(
         solved=p,
         residual_sq=res_sq,
@@ -725,7 +790,9 @@ def _gather(top: GramSystem, lat: Lattice, buf: Optional[np.ndarray]) -> GramSys
     of ``top``'s table, one strided copy of the rectangle of columns
     ``(a, c)`` it fills in the band row ``u - d``, ``d = -(da (C + 1) + dc)``
     (:func:`_rectangles`), from the same rectangle of ``top``'s row
-    ``U - d'``, with ``top``'s ``C'`` for ``C``.
+    ``U - d'``, with ``top``'s ``C'`` for ``C``.  What depends only on
+    ``f`` is ``top``'s, carried as it is: its terms, offset tables,
+    ``||f||^2`` and certificate state.
     """
     (A, C), (A1, C1), U = lat, top.lattice, top.band.shape[0] - 1
     size = (A + 1) * (C + 1)
@@ -747,7 +814,8 @@ def _gather(top: GramSystem, lat: Lattice, buf: Optional[np.ndarray]) -> GramSys
         band = cells.reshape(size, u + 1).T
         rows = tuple(sorted({u - d for d, *_ in rects}))
     return GramSystem(lattice=lat, band=band, rows=rows, rhs=top.rhs[:size], terms=top.terms,
-                      pair_offsets=top.pair_offsets, f_norm_sq=top.f_norm_sq, pattern=top.pattern)
+                      pair_offsets=top.pair_offsets, f_norm_sq=top.f_norm_sq,
+                      certificate=top.certificate, pattern=top.pattern)
 
 
 def _solve_orders(

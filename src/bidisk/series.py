@@ -107,6 +107,19 @@ class _Series:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_grid(self.coeffs, self.ndim))
 
+    @classmethod
+    def _owning(cls, arr: np.ndarray):
+        """The series on ``arr`` itself, not on a copy, for a fresh complex128 array of ``ndim`` dimensions that nothing else holds.
+
+        ``arr`` is refused with :class:`ArgumentError` if it is not finite,
+        as the constructor refuses it, and is made read-only.
+        """
+        _check_finite(arr)
+        arr.setflags(write=False)
+        series = object.__new__(cls)
+        object.__setattr__(series, "coeffs", arr)
+        return series
+
     def pad(self, *degs: int):
         """Zero-extend to degrees at least ``degs``, one per variable."""
         if len(degs) != self.ndim:

@@ -367,7 +367,9 @@ class TestOffsetTable:
         offsets = approximants._offsets(grid, top or lat)
         u, band = pair_by_pair_band(grid, aw, lat)
         assert approximants._rectangles(offsets, lat)[0] == u
-        own = approximants._gram_band(grid, offsets, aw, lat)
+        (A, C), (F1, F2) = lat, grid.shape
+        w = aw.weights(max(A + F1, C + F2) - 1)
+        own = approximants._gram_band(grid, approximants._rectangles(offsets, lat), w, lat)
         assert own.shape == band.shape and own.tobytes() == band.tobytes()
 
     @pytest.mark.parametrize("lat", [(0, 0), (1, 0), (7, 0), (1, 1), (2, 3), (3, 2), (9, 9)])
@@ -1040,8 +1042,10 @@ class TestPatternNativeSolve:
             F = OneVarSeries(rng.standard_normal(3) + 1j * rng.standard_normal(3))
             P = OneVarSeries(rng.standard_normal(5) + 1j * rng.standard_normal(5))
             pw = PatternWeight(AlphaWeight(alpha), pat)
+            # the certificate's state of F, as its assembly over the same box takes it
+            certificate = gram_assemble(F, pw, BasisSpec.onevar(4)).certificate
             res_sq, ortho = approximants._certify(
-                P, [(F, pw)], approximants.Lattice(4, 0),
+                P, certificate, approximants.Lattice(4, 0),
                 n=4, ridge=0.0, cond=1.0, ortho_tol=np.inf,
             )
             p, f = lift(P, pat), lift(F, pat)

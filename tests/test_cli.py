@@ -735,6 +735,14 @@ def test_diag_scan_at_the_reduced_reach_output_is_unchanged(capsys):
     assert out == (GOLDEN / "decay_diag_600.csv").read_text()
 
 
+def test_pattern_23_scan_at_the_reduced_reach_output_is_unchanged(capsys):
+    # the benchmark's (2, 3) orders: every band is sliced from the one at n = 480
+    code, out, err = run_cli(capsys, "decay", "--series", "builtin:one_minus_pow:2,3", "--alpha", "0",
+                             "--nmin", "30", "--nmax", "480", "--step", "30", "--basis", "diag:2,3")
+    assert code == 0, err
+    assert out == (GOLDEN / "decay_diag_2_3_480.csv").read_text()
+
+
 def test_full_cos_pair_scan_output_is_unchanged(capsys):
     # every lower order's band of this full scan is gathered from the top order's, n = 40
     code, out, err = run_cli(capsys, "decay", "--series", "builtin:cos_pair:1", "--alpha", "0.5",

@@ -15,12 +15,17 @@ place in one buffer, which leaves each assembled Gram band unwritten; a
 ridge retry factors the band gathered there again plus the ridge; and a
 scan peaks at little more than its top band and that buffer.  So do the
 benchmark's six reduced scans, whose one-column bands are sliced from their
-top order's.  What a solve takes once is checked against what it replaced:
-``||f||^2`` once per assembly gives every gathered or sliced order the
-default tolerance it takes assembled alone, as the certificate summed it at
-each order; the product ``p f`` formed straight into an array still refuses
-a non-finite one; and the condition estimator's start and safeguard vectors,
-built once per size, stay read-only, complex128, bounded and unwritten.
+top order's, and two off-pattern scans of three and six cosets.  What a
+solve takes once is checked against what it replaced: ``||f||^2`` once per
+assembly gives every gathered or sliced order the default tolerance it takes
+assembled alone, as the certificate summed it at each order; the
+certificate's state is built once per assembly, never per order; the product
+``p f`` formed straight into an array still refuses a non-finite one, and
+non-finite coefficients are still refused; the solved coefficients, the
+array ``pbtrs`` returned, are read-only and share memory with no band,
+factor or other result; and the condition estimator's start and safeguard
+vectors, built once per size, stay read-only, complex128, bounded and
+unwritten.
 
 Regenerate the file with ``PYTHONPATH=src python tests/test_solve_pin.py``,
 only for a change meant to move these values.
@@ -82,6 +87,13 @@ REDUCED_SCANS = {
        for a in (0.0, 0.5, 1.0)},
     **{f"onevar/1-z1/a={a}": (_Z1, a, [BasisSpec.onevar(n) for n in _DIAG_NS]) for a in (0.0, 1.0)},
     "diag23/1-z1^2z2^3/a=0.0": (_POW23, 0.0, [BasisSpec.diagonal(n, PAT23) for n in _POW_NS]),
+}
+# off-pattern scans at the same reach: six cosets of (2, 3), and three of (1, 1)
+OFF_PATTERN_SCANS = {
+    **{f"diag23/off-pattern/a={a}": (COMPLEX_OFF23, a, [BasisSpec.diagonal(n, PAT23) for n in _POW_NS])
+       for a in (-1.0, 0.5)},
+    **{f"diag11/product/a={a}": (PRODUCT, a, [BasisSpec.diagonal(n, PAT11) for n in _DIAG_NS])
+       for a in (-1.0, 0.5)},
 }
 
 
@@ -200,9 +212,9 @@ def test_full_scan_is_bit_identical_to_its_orders(name):
         _record(solve_optimal(f, alpha, b)) for b in bases]
 
 
-@pytest.mark.parametrize("name", REDUCED_SCANS)
+@pytest.mark.parametrize("name", [*REDUCED_SCANS, *OFF_PATTERN_SCANS])
 def test_reduced_scan_is_bit_identical_to_its_orders(name):
-    f, alpha, bases = REDUCED_SCANS[name]
+    f, alpha, bases = {**REDUCED_SCANS, **OFF_PATTERN_SCANS}[name]
     assert [_record(r) for r in solve_orders(f, alpha, bases)] == [
         _record(solve_optimal(f, alpha, b)) for b in bases]
 
@@ -434,6 +446,119 @@ def test_a_weighted_residual_that_overflows_is_refused(monkeypatch, f, basis):
         solve_optimal(f, 0.5, basis)
     assert (info.value.n, info.value.stage) == (basis.n, "certify")
     assert re.match(r"orthogonality certificate (inf|nan) exceeds tolerance", str(info.value))
+
+
+@pytest.mark.parametrize("name", ["diag23/off-pattern/a=0.5", "diag11/product/a=-1.0"])
+def test_certificate_state_is_built_once_per_assembly(monkeypatch, name):
+    f, alpha, bases = OFF_PATTERN_SCANS[name]
+    real_assemble, real_build, assembled, built = approximants.gram_assemble, approximants._cert_terms, [], []
+
+    def assemble(*args):
+        assembled.append(args)
+        return real_assemble(*args)
+
+    def build(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(approximants, "gram_assemble", assemble)
+    monkeypatch.setattr(approximants, "_cert_terms", build)
+    certified = []
+    real_certify = approximants._certify
+
+    def certify(p, certificate, *args, **kwargs):
+        certified.append(certificate)
+        return real_certify(p, certificate, *args, **kwargs)
+
+    monkeypatch.setattr(approximants, "_certify", certify)
+    list(solve_orders(f, alpha, bases))
+    assert len(assembled) == len(built) == 1 and len(certified) == len(bases)
+    assert all(certificate is built[0] for certificate in certified)  # every order reads the top's
+    solve_optimal(f, alpha, bases[0])
+    assert len(assembled) == len(built) == 2 and certified[-1] is built[1]
+    # one state per coset term: its support in row-major order, conjugated, and one weight row
+    gram = real_assemble(f, alpha, bases[-1])
+    for (F, w), term in zip(gram.terms, gram.certificate):
+        grid = approximants._grid(F)
+        assert term.support == tuple(zip(*(ix.tolist() for ix in np.nonzero(grid))))
+        assert [c.tobytes() for c in term.conj] == [np.conj(grid[p]).tobytes() for p in term.support]
+        lat = gram.lattice
+        assert term.weights.tobytes() == w.weights(max(lat.A + grid.shape[0], lat.C + grid.shape[1]) - 1).tobytes()
+
+
+@pytest.mark.parametrize("f, alpha, bases", [
+    pytest.param(*REDUCED_SCANS["diag11/1-z1z2/a=0.5"], id="diag:1,1"),
+    pytest.param(*OFF_PATTERN_SCANS["diag23/off-pattern/a=0.5"], id="diag:2,3/off-pattern"),
+    pytest.param(*_full_scan("product"), id="full"),
+])
+def test_solved_coefficients_are_pbtrs_output_and_read_only(monkeypatch, f, alpha, bases):
+    arrays, solved = [], []  # every band, factor buffer and factor of the scan; every pbtrs output
+
+    def assemble(*args):
+        gram = gram_assemble(*args)
+        arrays.append(gram.band)
+        return gram
+
+    real = approximants._lapack
+
+    def lapack(name):
+        routine = real(name)
+
+        def pbtrf(ab, **kwargs):
+            factor, info = routine(ab, **kwargs)
+            arrays.extend([ab, factor])
+            return factor, info
+
+        def pbtrs(factor, x):
+            y, info = routine(factor, x)
+            solved.append(y)
+            return y, info
+
+        return pbtrf if name == "pbtrf" else pbtrs
+
+    monkeypatch.setattr(approximants, "gram_assemble", assemble)
+    monkeypatch.setattr(approximants, "_lapack", lapack)
+    coeffs = [r.solved.coeffs for r in solve_orders(f, alpha, bases)]
+    for i, c in enumerate(coeffs):
+        assert c.dtype == np.complex128 and not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[(0,) * c.ndim] = 0.0
+        assert sum(np.shares_memory(c, y) for y in solved) == 1  # pbtrs's own array, not a copy
+        assert not any(np.shares_memory(c, other) for other in coeffs[i + 1:])
+        assert not any(np.shares_memory(c, a) for a in arrays)
+
+
+@pytest.mark.parametrize("f, basis", [
+    pytest.param(ONE_MINUS_Z, BasisSpec.onevar(6), id="onevar"),
+    pytest.param(PRODUCT, BasisSpec.full(2), id="full"),
+    pytest.param(ONE_MINUS_Z1Z2, BasisSpec.diagonal(6, PAT11), id="diag:1,1"),
+    pytest.param(COMPLEX_OFF23, BasisSpec.diagonal(30, PAT23), id="diag:2,3/off-pattern"),
+])
+def test_non_finite_coefficients_are_refused(monkeypatch, f, basis):
+    real = approximants._lapack
+
+    def lapack(name):
+        routine = real(name)
+        if name != "pbtrs":
+            return routine
+        first = []
+
+        def pbtrs(factor, x):
+            y, info = routine(factor, x)
+            if not first:  # the coefficients: a NaN among them
+                first.append(True)
+                y[len(y) // 2] = np.nan
+            return y, info
+
+        return pbtrs
+
+    certified = []
+    monkeypatch.setattr(approximants, "_lapack", lapack)
+    monkeypatch.setattr(approximants, "_certify", lambda *args, **kwargs: certified.append(args))
+    with pytest.raises(ArgumentError) as info:
+        solve_optimal(f, 0.5, basis)
+    assert str(info.value) == "coefficients must be finite (no NaN/Inf)"
+    assert not certified  # refused as the series is built, before the certificate
 
 
 def test_estimator_vectors_are_read_only_bounded_and_unwritten():

@@ -16,7 +16,9 @@ wall time (other processes on a shared host only ever slow a scan, as
 private stages are wrapped in timers and the median of each stage's self
 time (less the stages it calls) is kept:
 
-* assemble: ``gram_assemble``, and the band of an order taken from the
+* assemble: ``gram_assemble``, with the certificate's state it takes once
+  per assembly (in a tree that predates that, the certificate takes it at
+  every order, in certify), and the band of an order taken from the
   assembled one: ``_gather`` (``_leading``, the one-column slice, in a tree
   that predates the gather), which also writes a full order's band, the
   top order's too, into the factor buffer (in a tree that predates that,
